@@ -34,7 +34,6 @@ from .oracle import (
     t_numeric,
 )
 from .series import (
-    BiSeries,
     USeries,
     cos_sqrt_series,
     genfunc_biseries,
@@ -64,7 +63,6 @@ __all__ = [
     "zeta_even",
     "t_even",
     "USeries",
-    "BiSeries",
     "cos_sqrt_series",
     "sin_sqrt_series",
     "genfunc_biseries",

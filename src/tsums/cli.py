@@ -22,13 +22,14 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 import mpmath as mp
 
 from .exact import PiPower
 from .formulas import T_from_euler, coeff_row
 from .oracle import DivergentSeriesError, TruncationParams, t_numeric
-from .verify import SUITES, run_suite
+from .verify import SUITE_DEFAULTS, SUITES, run_suite
 
 __all__ = ["main", "console_main"]
 
@@ -43,14 +44,18 @@ def _env_precision() -> int | None:
         return None
 
 
+def _latex_abs_fraction(c: Fraction) -> str:
+    """|c| as \\frac{num}{den}, or as a bare integer when den = 1."""
+    num, den = abs(c.numerator), c.denominator
+    return f"\\frac{{{num}}}{{{den}}}" if den != 1 else f"{num}"
+
+
 def _latex_pi_power(x: PiPower) -> str:
     c = x.coeff
     if c == 0:
         return "0"
     sign = "-" if c < 0 else ""
-    num, den = abs(c.numerator), c.denominator
-    frac = f"\\frac{{{num}}}{{{den}}}" if den != 1 else f"{num}"
-    return f"{sign}{frac}\\pi^{{{x.pi_exp}}}"
+    return f"{sign}{_latex_abs_fraction(c)}\\pi^{{{x.pi_exp}}}"
 
 
 def _cmd_table(args) -> int:
@@ -102,8 +107,7 @@ def _cmd_coeffs(args) -> int:
     else:  # latex: T(2n,d) = c0 t(2n) + c1 t(2)t(2n-2) + ...
         parts = []
         for j, c in row.pairs:
-            num, den = abs(c.numerator), c.denominator
-            frac = f"\\frac{{{num}}}{{{den}}}" if den != 1 else f"{num}"
+            frac = _latex_abs_fraction(c)
             if j == 0:
                 term = f"{frac}t(2n)"
             else:
@@ -200,13 +204,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args) -> str | None:
+    """Why the parsed arguments are unusable, or None when they are fine."""
+    if args.command == "table":
+        if args.max_n < 1:
+            return "--max-n must be >= 1"
+        if args.depth is not None and not 1 <= args.depth <= args.max_n:
+            return f"--depth must be between 1 and --max-n ({args.max_n})"
+    elif args.command == "coeffs":
+        if args.depth < 1:
+            return "--depth must be >= 1"
+    elif args.command == "verify":
+        for dest in ("max_n", "max_d", "terms", "precision", "num_vars"):
+            value = getattr(args, dest)
+            if value is not None and value < 1:
+                return f"--{dest.replace('_', '-')} must be >= 1"
+        if args.num_vars is not None and args.suite in ("symmetric", "all"):
+            max_n = args.max_n or SUITE_DEFAULTS["symmetric"]["max_n"]
+            if args.num_vars < max_n:
+                return f"--num-vars must be >= --max-n ({max_n}) for the symmetric suite"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "table" and args.max_n < 1:
-        print("error: --max-n must be >= 1", file=sys.stderr)
-        return 2
-    if args.command == "coeffs" and args.depth < 1:
-        print("error: --depth must be >= 1", file=sys.stderr)
+    problem = _usage_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     return args.func(args)
 

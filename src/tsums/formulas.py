@@ -135,7 +135,7 @@ def T_table_from_genfunc(max_n: int) -> TTable:
     entries: dict[tuple[int, int], PiPower] = {}
     for n in range(1, max_n + 1):
         for d in range(1, n + 1):
-            c = phi.coeff(n, d)
+            c = phi[n][d]
             if c:
                 entries[(n, d)] = PiPower(c / 4**n, 2 * n)
     return TTable(max_n, entries)

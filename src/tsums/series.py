@@ -1,6 +1,6 @@
 """Truncated formal power series over exact rationals.
 
-One- and two-variable dense series with ring arithmetic that truncates
+One-variable dense series with ring arithmetic that truncates
 consistently at the stored order.  The central convention of the whole
 library lives here: the substitution ``y = pi**2 * u / 4`` turns the
 transcendental generating functions
@@ -24,7 +24,6 @@ from .exact import t_even
 
 __all__ = [
     "USeries",
-    "BiSeries",
     "cos_sqrt_series",
     "sin_sqrt_series",
     "genfunc_biseries",
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -139,83 +137,6 @@ class USeries:
         return " + ".join(parts) + f" + O(y^{self.order + 1})"
 
 
-@dataclass(frozen=True)
-class BiSeries:
-    """Series in two variables y, v truncated at orders (K, D).
-
-    ``coeffs[k][d]`` is the coefficient of y**k v**d.
-    """
-
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("empty bivariate series")
-        width = len(self.coeffs[0])
-        if any(len(row) != width for row in self.coeffs):
-            raise ValueError("ragged coefficient table")
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(tuple(_as_fraction(c) for c in row) for row in self.coeffs),
-        )
-
-    @property
-    def order_y(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def order_v(self) -> int:
-        return len(self.coeffs[0]) - 1
-
-    def coeff(self, k: int, d: int) -> Fraction:
-        if 0 <= k <= self.order_y and 0 <= d <= self.order_v:
-            return self.coeffs[k][d]
-        return _ZERO
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        ky = min(self.order_y, other.order_y)
-        kv = min(self.order_v, other.order_v)
-        return BiSeries(
-            tuple(
-                tuple(self.coeffs[k][d] + other.coeffs[k][d] for d in range(kv + 1))
-                for k in range(ky + 1)
-            )
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiSeries(tuple(tuple(c * other for c in row) for row in self.coeffs))
-        if isinstance(other, USeries):
-            other = BiSeries.from_useries(other, self.order_v)
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        ky = min(self.order_y, other.order_y)
-        kv = min(self.order_v, other.order_v)
-        out = [[_ZERO] * (kv + 1) for _ in range(ky + 1)]
-        for k1 in range(ky + 1):
-            row1 = self.coeffs[k1]
-            for d1 in range(min(kv, self.order_v) + 1):
-                a = row1[d1]
-                if a == 0:
-                    continue
-                for k2 in range(ky + 1 - k1):
-                    row2 = other.coeffs[k2]
-                    for d2 in range(kv + 1 - d1):
-                        b = row2[d2]
-                        if b:
-                            out[k1 + k2][d1 + d2] += a * b
-        return BiSeries(tuple(tuple(row) for row in out))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def from_useries(s: USeries, order_v: int) -> "BiSeries":
-        return BiSeries(
-            tuple((c,) + (_ZERO,) * order_v for c in s.coeffs)
-        )
-
-
 def cos_sqrt_series(order: int) -> USeries:
     """c(y) = cos(sqrt(y)) = sum_{n<=K} (-1)**n y**n / (2n)!.
 
@@ -238,28 +159,41 @@ def sin_sqrt_series(order: int) -> USeries:
     )
 
 
-def genfunc_biseries(order: int) -> BiSeries:
-    """Bivariate expansion of c((1-v)y) / c(y) to order K in both y and v.
+def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Bivariate expansion of c((1-v)y) / c(y) to order K in both y and v,
+    as the table ``phi[n][d]`` of y**n v**d coefficients, 0 <= n, d <= K.
 
     The y**n v**d coefficient times pi**(2n) / 4**n is the sum T(2n,d) of
     all multiple t-values of weight 2n and depth d.  Rows with d > n vanish,
     and the d = 0 column is 1, 0, 0, ... since the v = 0 slice collapses to
     c(y)/c(y).
+
+    The numerator's y**k v**d coefficient is (-1)**d binom(k,d) c_k, so each
+    cell is the 1-D convolution (-1)**d sum_{k=d..n} binom(k,d) c_k sec_{n-k}
+    with the secant series sec = 1/c.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     K = order
-    # c((1-v)y): coefficient of y**n v**i is (-1)**n/(2n)! * binom(n,i)*(-1)**i.
-    numerator = BiSeries(
-        tuple(
+    c = cos_sqrt_series(K)
+    sec = c.recip()
+    rows = []
+    for n in range(K + 1):
+        # c_k = (-1)**k/(2k)! and sec_j = (-1)**j E_2j/(2j)! with integer
+        # Euler numbers, so c_k sec_{n-k} (2n)! is +-binom(2n,2k) E_{2n-2k},
+        # an integer: the convolution runs in integers.
+        scale = factorial(2 * n)
+        prods = [int(c[k] * sec[n - k] * scale) for k in range(n + 1)]
+        rows.append(
             tuple(
-                Fraction((-1) ** (n + i) * comb(n, i), factorial(2 * n))
-                for i in range(K + 1)
+                Fraction(
+                    (-1) ** d * sum(comb(k, d) * prods[k] for k in range(d, n + 1)),
+                    scale,
+                )
+                for d in range(K + 1)
             )
-            for n in range(K + 1)
         )
-    )
-    return numerator * cos_sqrt_series(K).recip()
+    return tuple(rows)
 
 
 def tan_link_series(order: int) -> USeries:

@@ -1,6 +1,7 @@
 """Finite-variable symmetric polynomials and the t-value specialization.
 
-Works in the polynomial ring Q[x_1..x_m].  Degree-n identities among
+Works with symmetric polynomials in Q[x_1..x_m], stored in the monomial
+basis m_lambda (Macdonald, ch. I).  Degree-n identities among
 symmetric functions hold in the infinite ring iff they hold in m >= n
 variables, so the verification routines take m large enough and check exact
 polynomial equality:
@@ -19,7 +20,6 @@ bound attached.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -46,13 +46,66 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _accumulate(out: dict, key, c: Fraction) -> None:
+    """out[key] += c in a sparse dict that never stores a zero."""
+    s = out.get(key, _ZERO) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _partitions(n: int, max_len: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into at most max_len parts (each <= max_part), as
+    weakly decreasing tuples, largest first; () is the partition of 0."""
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(max_part, n)
+    for first in range(top, 0, -1):
+        if first * max_len < n:
+            break
+        for rest in _partitions(n - first, max_len - 1, first):
+            yield (first,) + rest
+
+
+def _is_partition(lam: tuple[int, ...]) -> bool:
+    return all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[-1] >= 1)
+
+
+def _complements(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """lam - alpha, sorted into a partition, for every distinct rearrangement
+    alpha of mu (padded with zeros to len(lam)) with alpha <= lam."""
+    if len(mu) > len(lam):
+        return
+    counts = dict.fromkeys(mu, 0)
+    for part in mu:
+        counts[part] += 1
+    counts[0] = len(lam) - len(mu)
+    rest = [0] * len(lam)
+
+    def place(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(lam):
+            yield tuple(sorted((r for r in rest if r), reverse=True))
+            return
+        for part, left in counts.items():
+            if left and part <= lam[i]:
+                counts[part] = left - 1
+                rest[i] = lam[i] - part
+                yield from place(i + 1)
+                counts[part] = left
+
+    yield from place(0)
+
+
 class SymPoly:
-    """Sparse multivariate polynomial over Q in a fixed number of variables.
+    """Symmetric polynomial over Q in a fixed number m of variables, stored
+    in the monomial basis: ``terms`` maps a partition lambda (a weakly
+    decreasing tuple of positive parts, at most m of them; () is the
+    constant) to the coefficient of m_lambda.  Symmetric by construction.
 
     Treated as immutable after construction; zero coefficients are never
-    stored.  Instances produced by this module are symmetric, which
-    :meth:`is_symmetric` checks against a generating set of permutations
-    (the transposition x_1 <-> x_2 and the full cyclic shift).
+    stored.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -62,16 +115,16 @@ class SymPoly:
             raise ValueError(f"need at least one variable, got {num_vars}")
         self.num_vars = num_vars
         clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in (terms or {}).items():
-            if len(exps) != num_vars:
-                raise ValueError(f"exponent vector {exps} has wrong length")
+        for lam, c in (terms or {}).items():
+            if len(lam) > num_vars or not _is_partition(lam):
+                raise ValueError(f"{lam} is not a partition with at most {num_vars} parts")
             if c:
-                clean[exps] = Fraction(c)
+                clean[lam] = Fraction(c)
         self.terms = clean
 
     @staticmethod
     def constant(value, num_vars: int) -> "SymPoly":
-        return SymPoly(num_vars, {(0,) * num_vars: Fraction(value)})
+        return SymPoly(num_vars, {(): Fraction(value)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -93,12 +146,8 @@ class SymPoly:
     def __add__(self, other: "SymPoly") -> "SymPoly":
         self._require_same_vars(other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, _ZERO) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+        for lam, c in other.terms.items():
+            _accumulate(out, lam, c)
         return SymPoly(self.num_vars, out)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
@@ -110,53 +159,40 @@ class SymPoly:
             if not other:
                 return SymPoly(self.num_vars)
             return SymPoly(
-                self.num_vars, {e: c * other for e, c in self.terms.items()}
+                self.num_vars, {lam: c * other for lam, c in self.terms.items()}
             )
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._require_same_vars(other)
+        # The coefficient of m_lam in a*b is that of the monomial x**lam:
+        # the sum over exponent vectors alpha <= lam of a_sort(alpha) *
+        # b_sort(lam - alpha).  Rearrange the factor with fewer terms.
+        a, b = sorted((self, other), key=lambda p: len(p.terms))
+        b_degrees = {sum(nu) for nu in b.terms}
+        targets = {sum(mu) + e for mu in a.terms for e in b_degrees}
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, _ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        for total in targets:
+            for lam in _partitions(total, self.num_vars):
+                c = _ZERO
+                for mu, a_mu in a.terms.items():
+                    if total - sum(mu) in b_degrees:
+                        c += a_mu * sum(
+                            (b.terms.get(nu, _ZERO) for nu in _complements(lam, mu)),
+                            _ZERO,
+                        )
+                if c:
+                    out[lam] = c
         return SymPoly(self.num_vars, out)
 
     __rmul__ = __mul__
 
-    def is_symmetric(self) -> bool:
-        if self.num_vars == 1:
-            return True
-        for image in (_swap_first_two, _cycle):
-            for exps, c in self.terms.items():
-                if self.terms.get(image(exps), _ZERO) != c:
-                    return False
-        return True
-
     def __repr__(self) -> str:
         if not self.terms:
             return "SymPoly(0)"
-        bits = []
-        for exps in sorted(self.terms, reverse=True):
-            mono = "*".join(
-                f"x{i+1}^{e}" if e > 1 else f"x{i+1}"
-                for i, e in enumerate(exps)
-                if e
-            ) or "1"
-            bits.append(f"{self.terms[exps]}*{mono}")
+        bits = [
+            f"{self.terms[lam]}*m{list(lam)}" for lam in sorted(self.terms, reverse=True)
+        ]
         return "SymPoly(" + " + ".join(bits) + ")"
-
-
-def _swap_first_two(exps: tuple[int, ...]) -> tuple[int, ...]:
-    return (exps[1], exps[0]) + exps[2:]
-
-
-def _cycle(exps: tuple[int, ...]) -> tuple[int, ...]:
-    return exps[1:] + (exps[0],)
 
 
 @lru_cache(maxsize=None)
@@ -166,27 +202,15 @@ def elementary(j: int, m: int) -> SymPoly:
         raise ValueError(f"degree must be >= 0, got {j}")
     if j > m:
         return SymPoly(m)
-    terms = {}
-    for subset in itertools.combinations(range(m), j):
-        exps = [0] * m
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return SymPoly(m, terms)
+    return SymPoly(m, {(1,) * j: Fraction(1)})
 
 
 @lru_cache(maxsize=None)
 def complete(j: int, m: int) -> SymPoly:
-    """h_j in m variables (all monomials of degree j)."""
+    """h_j in m variables: every m_lambda with lambda |- j, at most m parts."""
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(m), j):
-        exps = [0] * m
-        for i in combo:
-            exps[i] += 1
-        terms[tuple(exps)] = Fraction(1)
-    return SymPoly(m, terms)
+    return SymPoly(m, {lam: Fraction(1) for lam in _partitions(j, m)})
 
 
 def power_sum(j: int, m: int) -> SymPoly:
@@ -195,26 +219,7 @@ def power_sum(j: int, m: int) -> SymPoly:
         raise ValueError(f"degree must be >= 0, got {j}")
     if j == 0:
         return SymPoly.constant(m, m)
-    terms = {}
-    for i in range(m):
-        exps = [0] * m
-        exps[i] = j
-        terms[tuple(exps)] = Fraction(1)
-    return SymPoly(m, terms)
-
-
-def _partitions_exact(n: int, d: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into exactly d parts, weakly decreasing."""
-    if d == 0:
-        if n == 0:
-            yield ()
-        return
-    top = n - d + 1 if max_part is None else min(max_part, n - d + 1)
-    for first in range(top, 0, -1):
-        if first * d < n:
-            break
-        for rest in _partitions_exact(n - first, d - 1, first):
-            yield (first,) + rest
+    return SymPoly(m, {(j,): Fraction(1)})
 
 
 def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
@@ -227,12 +232,9 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
     if d > m:
         raise ValueError(f"depth {d} exceeds variable count {m}")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for lam in _partitions_exact(n, d):
-        padded = lam + (0,) * (m - d)
-        for perm in set(itertools.permutations(padded)):
-            terms[perm] = Fraction(1)
-    return SymPoly(m, terms)
+    return SymPoly(
+        m, {lam: Fraction(1) for lam in _partitions(n, d) if len(lam) == d}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -325,11 +327,7 @@ class GenExpr:
     def __add__(self, other: "GenExpr") -> "GenExpr":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _accumulate(out, key, c)
         return GenExpr(out)
 
     def __sub__(self, other: "GenExpr") -> "GenExpr":
@@ -343,12 +341,7 @@ class GenExpr:
         out: dict[tuple[tuple[str, int], ...], Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                s = out.get(key, _ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _accumulate(out, tuple(sorted(k1 + k2)), c1 * c2)
         return GenExpr(out)
 
     __rmul__ = __mul__

@@ -266,14 +266,15 @@ SUITE_DEFAULTS = {
     "genfunc": {"max_n": 30},
     "depth-sum": {"max_n": 30},
     "bernoulli-euler": {"max_n": 15, "max_d": 40},
-    "symmetric": {"max_n": 8},
+    "symmetric": {"max_n": 8, "num_vars": None},
     "oracle": {"max_n": 5, "terms": 1_000_000, "dps": 50},
 }
 
 
 def run_suite(name: str, **overrides) -> Report:
     """Run one named suite (or 'all'), applying keyword overrides on top of
-    the per-suite defaults.  Unknown override keys are ignored per suite."""
+    the per-suite defaults.  Override keys a suite has no default for are
+    ignored by that suite."""
     if name == "all":
         t0 = time.perf_counter()
         combined = Report("all")
@@ -288,8 +289,7 @@ def run_suite(name: str, **overrides) -> Report:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     kwargs = dict(SUITE_DEFAULTS[name])
-    fn = SUITES[name]
     for key, value in overrides.items():
-        if value is not None and key in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
+        if value is not None and key in kwargs:
             kwargs[key] = value
-    return fn(**kwargs)
+    return SUITES[name](**kwargs)

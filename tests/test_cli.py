@@ -170,6 +170,16 @@ class TestVerify:
         report = json.loads(out)
         assert report["summary"]["failed"] == 1
 
+    def test_symmetric_num_vars_reaches_suite(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "verify", "--suite", "symmetric", "--max-n", "3",
+            "--num-vars", "10",
+        )
+        assert rc == 0
+        report = json.loads(out)
+        assert report["cases"][0]["params"] == {"n_max": 3, "m": 10}
+        assert report["summary"]["failed"] == 0
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -201,6 +211,29 @@ class TestVerify:
             "symmetric",
             "oracle",
         }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "depth-sum", "--max-n", "0"),
+        ("verify", "--suite", "closed-forms", "--max-n", "-3"),
+        ("verify", "--suite", "bernoulli-euler", "--max-d", "0"),
+        ("verify", "--suite", "oracle", "--terms", "0"),
+        ("verify", "--suite", "oracle", "--precision", "0"),
+        ("verify", "--suite", "symmetric", "--num-vars", "0"),
+        ("verify", "--suite", "symmetric", "--num-vars", "5"),
+        ("verify", "--suite", "symmetric", "--max-n", "4", "--num-vars", "3"),
+        ("verify", "--suite", "all", "--max-n", "3", "--num-vars", "2"),
+        ("table", "--max-n", "3", "--depth", "0"),
+        ("table", "--max-n", "3", "--depth", "4"),
+    ],
+)
+def test_bad_input_is_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEval:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tsums.exact import euler_number
 from tsums.series import (
-    BiSeries,
     USeries,
     cos_sqrt_series,
     genfunc_biseries,
@@ -98,20 +97,20 @@ def test_secant_euler_link():
 
 def test_genfunc_v0_column_is_one():
     phi = genfunc_biseries(6)
-    assert phi.coeff(0, 0) == 1
+    assert phi[0][0] == 1
     for n in range(1, 7):
-        assert phi.coeff(n, 0) == 0
+        assert phi[n][0] == 0
 
 
 def test_genfunc_all_twos_cell():
-    assert genfunc_biseries(4).coeff(2, 2) == Fraction(1, 24)
+    assert genfunc_biseries(4)[2][2] == Fraction(1, 24)
 
 
 def test_genfunc_upper_triangle_vanishes():
     phi = genfunc_biseries(6)
     for n in range(7):
         for d in range(n + 1, 7):
-            assert phi.coeff(n, d) == 0, (n, d)
+            assert phi[n][d] == 0, (n, d)
 
 
 def test_tan_link_first_slots():
@@ -133,16 +132,24 @@ def test_sin_sqrt_coefficients():
     assert s.coeffs == (Fraction(1), Fraction(-1, 6), Fraction(1, 120))
 
 
-def test_biseries_scalar_and_add():
-    phi = genfunc_biseries(3)
-    doubled = phi * 2
-    assert (phi + phi).coeffs == doubled.coeffs
-
-
-def test_biseries_useries_product_truncates():
-    phi = genfunc_biseries(3)
-    one = USeries.constant(1, 3)
-    assert (phi * one).coeffs == phi.coeffs
+@pytest.mark.parametrize("order", range(1, 7))
+def test_genfunc_table_matches_bivariate_product(order):
+    # Reference: the full 2-D product of the numerator c((1-v)y), whose
+    # y**k v**i coefficient is (-1)**(k+i) binom(k,i)/(2k)!, with the
+    # secant series 1/c(y), truncated at order K in y and in v.
+    K = order
+    numerator = [
+        [Fraction((-1) ** (k + i) * math.comb(k, i), math.factorial(2 * k))
+         for i in range(K + 1)]
+        for k in range(K + 1)
+    ]
+    sec = cos_sqrt_series(K).recip()
+    product = [[Fraction(0)] * (K + 1) for _ in range(K + 1)]
+    for k in range(K + 1):
+        for i in range(K + 1):
+            for j in range(K + 1 - k):
+                product[k + j][i] += numerator[k][i] * sec[j]
+    assert genfunc_biseries(K) == tuple(tuple(row) for row in product)
 
 
 @settings(max_examples=60)

@@ -1,12 +1,14 @@
 """Symmetric polynomials, the depth-graded monomial sums, and the numeric
 specialization x_j -> 1/(2j-1)**2."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsums.symfunc
 from tsums.formulas import T_from_euler, depth_sum_identity, t_all_twos
 from tsums.oracle import pi_power_eval
 from tsums.symfunc import (
@@ -27,19 +29,22 @@ ONE = Fraction(1)
 
 class TestGenerators:
     def test_elementary(self):
-        assert elementary(2, 3).terms == {
-            (1, 1, 0): ONE,
-            (1, 0, 1): ONE,
-            (0, 1, 1): ONE,
-        }
+        assert elementary(2, 3).terms == {(1, 1): ONE}
         assert elementary(4, 3).is_zero()
         assert elementary(0, 2) == SymPoly.constant(1, 2)
 
     def test_complete(self):
-        assert complete(2, 2).terms == {(2, 0): ONE, (1, 1): ONE, (0, 2): ONE}
+        assert complete(2, 2).terms == {(2,): ONE, (1, 1): ONE}
+        assert complete(3, 2).terms == {(3,): ONE, (2, 1): ONE}
 
     def test_power_sum(self):
-        assert power_sum(3, 2).terms == {(3, 0): ONE, (0, 3): ONE}
+        assert power_sum(3, 2).terms == {(3,): ONE}
+        assert power_sum(0, 2).terms == {(): Fraction(2)}
+
+    def test_non_partition_keys_rejected(self):
+        for key in ((1, 2), (1, 0), (1, 1, 1)):
+            with pytest.raises(ValueError):
+                SymPoly(2, {key: ONE})
 
     def test_degree_one_coincidence(self):
         assert elementary(1, 4) == complete(1, 4) == power_sum(1, 4)
@@ -58,37 +63,64 @@ class TestMonomialDepthSums:
     def test_examples(self):
         assert monomial_depth_sum(2, 1, 3) == power_sum(2, 3)
         assert monomial_depth_sum(2, 2, 3) == elementary(2, 3)
-        want = {}
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    e = [0, 0, 0]
-                    e[i], e[j] = 2, 1
-                    want[tuple(e)] = ONE
-        assert monomial_depth_sum(3, 2, 3).terms == want
+        assert monomial_depth_sum(3, 2, 3).terms == {(2, 1): ONE}
+        assert monomial_depth_sum(6, 2, 6).terms == {(5, 1): ONE, (4, 2): ONE, (3, 3): ONE}
 
     def test_no_partitions_gives_zero(self):
         assert monomial_depth_sum(2, 3, 4).is_zero()
-
-    def test_symmetry(self):
-        for n in range(1, 7):
-            for d in range(1, n + 1):
-                assert monomial_depth_sum(n, d, 6).is_symmetric(), (n, d)
 
     def test_full_depth_is_elementary(self):
         for n in range(1, 6):
             assert monomial_depth_sum(n, n, 6) == elementary(n, 6)
 
 
-@settings(max_examples=30, deadline=None)
+def _expand(p):
+    """Exponent-vector form of a SymPoly: every distinct rearrangement of
+    each partition, padded with zeros to the variable count."""
+    out = {}
+    for lam, c in p.terms.items():
+        padded = lam + (0,) * (p.num_vars - len(lam))
+        for alpha in set(itertools.permutations(padded)):
+            out[alpha] = c
+    return out
+
+
+def _exponent_vector_product(f, g):
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _partitions_up_to(n, max_part=None):
+    """Every partition of every degree 0..n."""
+    yield ()
+    for first in range(min(n, max_part or n), 0, -1):
+        for rest in _partitions_up_to(n - first, first):
+            yield (first,) + rest
+
+
+def _sympoly_st(m, max_degree=4):
+    keys = [lam for lam in _partitions_up_to(max_degree) if len(lam) <= m]
+    coeffs = st.integers(min_value=-3, max_value=3).map(Fraction)
+    return st.dictionaries(st.sampled_from(keys), coeffs, max_size=4).map(
+        lambda terms: SymPoly(m, terms)
+    )
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n))
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.tuples(_sympoly_st(m), _sympoly_st(m))
     )
 )
-def test_monomial_depth_sum_symmetric_property(nd):
-    n, d = nd
-    assert monomial_depth_sum(n, d, 6).is_symmetric()
+def test_product_matches_exponent_vector_product(pair):
+    # Brute-force reference: multiply every monomial of both factors in m
+    # variables, then compare every exponent vector of the result.
+    f, g = pair
+    assert _expand(f * g) == _exponent_vector_product(_expand(f), _expand(g))
 
 
 class TestIdentities:
@@ -108,6 +140,14 @@ class TestIdentities:
         rhs = -2 * elementary(2, m) + complete(1, m) * elementary(1, m)
         assert rhs == power_sum(2, m)
         assert monomial_depth_sum(2, 1, m) == power_sum(2, m)
+
+    def test_expansion_detects_wrong_depth(self, monkeypatch):
+        real = tsums.symfunc.monomial_depth_sum
+        monkeypatch.setattr(
+            tsums.symfunc, "monomial_depth_sum", lambda n, d, m: real(n, d + 1, m)
+        )
+        assert not check_monomial_expansion(5, 2, 5)
+        assert not check_monomial_expansion(6, 3, 6)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
