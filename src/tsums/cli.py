@@ -9,10 +9,17 @@ Subcommands:
 
 Data goes to stdout, diagnostics (including timings) to stderr.  Exit codes:
 0 success / all checks passed, 1 verification failure or divergent input,
-2 usage error.  Rationals are serialized as decimal strings for numerator
-and denominator, never as floats.  The environment variable TSUMS_PRECISION
-overrides the default numeric precision (significant digits) of ``eval``
-and the oracle suite; explicit ``--precision`` flags still win.
+2 usage error (one ``error:`` line on stderr, nothing on stdout), which
+includes a ``--precision`` below 10 digits and, when no ``--precision`` flag
+is given, a TSUMS_PRECISION that is not an integer >= 10.  Rationals are
+serialized as decimal strings for numerator and denominator, never as
+floats.  The environment variable TSUMS_PRECISION overrides the default
+numeric precision (significant digits) of ``eval`` and the oracle suite;
+explicit ``--precision`` flags still win.
+
+``eval`` prints ``err <=`` before a proven bound and ``err ~`` before an
+estimate, which is what the oracle gives when an inner exponent s_2..s_d
+equals 1.
 """
 
 from __future__ import annotations
@@ -28,20 +35,19 @@ import mpmath as mp
 
 from .exact import PiPower
 from .formulas import T_from_euler, coeff_row
-from .oracle import DivergentSeriesError, TruncationParams, t_numeric
+from .oracle import DEFAULT_DPS, MIN_DPS, DivergentSeriesError, TruncationParams, t_numeric
 from .verify import SUITE_DEFAULTS, SUITES, run_suite
 
 __all__ = ["main", "console_main"]
 
 
-def _env_precision() -> int | None:
+def _precision(args) -> int | None:
+    """--precision, else TSUMS_PRECISION, else None; both were validated by
+    _usage_error."""
+    if args.precision is not None:
+        return args.precision
     raw = os.environ.get("TSUMS_PRECISION")
-    if raw is None:
-        return None
-    try:
-        return max(10, int(raw))
-    except ValueError:
-        return None
+    return None if raw is None else int(raw)
 
 
 def _latex_abs_fraction(c: Fraction) -> str:
@@ -125,7 +131,7 @@ def _cmd_verify(args) -> int:
         "max_n": args.max_n,
         "max_d": args.max_d,
         "terms": args.terms,
-        "dps": args.precision if args.precision is not None else _env_precision(),
+        "dps": _precision(args),
         "num_vars": args.num_vars,
     }
     report = run_suite(args.suite, **overrides)
@@ -144,7 +150,7 @@ def _cmd_eval(args) -> int:
     except ValueError:
         print(f"error: cannot parse arguments {args.t!r}", file=sys.stderr)
         return 2
-    dps = args.precision if args.precision is not None else (_env_precision() or 50)
+    dps = _precision(args) or DEFAULT_DPS
     t0 = time.perf_counter()
     try:
         result = t_numeric(
@@ -159,9 +165,10 @@ def _cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     label = ",".join(str(x) for x in exponents)
+    relation = "~" if 1 in exponents[1:] else "<="
     print(
         f"t({label}) = {mp.nstr(result.value, 20)}  "
-        f"err <= {mp.nstr(result.err, 3)}  terms = {args.terms}"
+        f"err {relation} {mp.nstr(result.err, 3)}  terms = {args.terms}"
     )
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
@@ -215,7 +222,7 @@ def _usage_error(args) -> str | None:
         if args.depth < 1:
             return "--depth must be >= 1"
     elif args.command == "verify":
-        for dest in ("max_n", "max_d", "terms", "precision", "num_vars"):
+        for dest in ("max_n", "max_d", "terms", "num_vars"):
             value = getattr(args, dest)
             if value is not None and value < 1:
                 return f"--{dest.replace('_', '-')} must be >= 1"
@@ -223,6 +230,18 @@ def _usage_error(args) -> str | None:
             max_n = args.max_n or SUITE_DEFAULTS["symmetric"]["max_n"]
             if args.num_vars < max_n:
                 return f"--num-vars must be >= --max-n ({max_n}) for the symmetric suite"
+    if args.command in ("verify", "eval"):
+        if args.precision is not None:
+            if args.precision < MIN_DPS:
+                return f"--precision must be >= {MIN_DPS}"
+        elif "TSUMS_PRECISION" in os.environ:
+            raw = os.environ["TSUMS_PRECISION"]
+            try:
+                value = int(raw)
+            except ValueError:
+                return f"TSUMS_PRECISION must be an integer, got {raw!r}"
+            if value < MIN_DPS:
+                return f"TSUMS_PRECISION must be >= {MIN_DPS}, got {value}"
     return None
 
 

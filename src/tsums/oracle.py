@@ -47,6 +47,7 @@ __all__ = [
 
 DEFAULT_TERMS = 1_000_000
 DEFAULT_DPS = 50
+MIN_DPS = 10
 
 
 class DivergentSeriesError(ValueError):
@@ -225,8 +226,8 @@ def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:
 
     The error bound reflects rounding only.
     """
-    if dps < 10:
-        raise ValueError(f"precision must be >= 10 digits, got {dps}")
+    if dps < MIN_DPS:
+        raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
     if x.is_zero():
         return PrecReal(mp.mpf(0), mp.mpf(0))
     with mp.workdps(dps + 5):

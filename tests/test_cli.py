@@ -1,9 +1,11 @@
 """Command surface: formats, round-trips, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -227,9 +229,22 @@ class TestVerify:
         ("verify", "--suite", "all", "--max-n", "3", "--num-vars", "2"),
         ("table", "--max-n", "3", "--depth", "0"),
         ("table", "--max-n", "3", "--depth", "4"),
+        ("verify", "--suite", "oracle", "--max-n", "1", "--terms", "2", "--precision", "1"),
+        ("verify", "--suite", "oracle", "--max-n", "1", "--terms", "2", "--precision", "9"),
+        ("eval", "--t", "2", "--terms", "100", "--precision", "0"),
+        ("eval", "--t", "2", "--terms", "100", "--precision", "9"),
+        ("TSUMS_PRECISION=abc", "eval", "--t", "2", "--terms", "100"),
+        ("TSUMS_PRECISION=3", "eval", "--t", "2", "--terms", "100"),
+        ("TSUMS_PRECISION=abc", "verify", "--suite", "oracle", "--max-n", "1", "--terms", "2"),
+        ("TSUMS_PRECISION=9", "verify", "--suite", "oracle", "--max-n", "1", "--terms", "2"),
     ],
 )
-def test_bad_input_is_usage_error(capsys, argv):
+def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
+    # Leading NAME=value items set environment variables, as in a shell.
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
@@ -267,6 +282,32 @@ class TestEval:
         rc, out, _ = run_cli(capsys, "eval", "--t", "2", "--terms", "1000")
         assert rc == 0
 
+    def test_precision_below_ten_exits_2(self, capsys):
+        for digits in ("0", "9"):
+            rc, out, err = run_cli(
+                capsys, "eval", "--t", "2", "--terms", "100", "--precision", digits
+            )
+            assert rc == 2 and out == "" and "--precision" in err
+
+    def test_bad_precision_env_exits_2(self, capsys, monkeypatch):
+        for raw in ("abc", "3"):
+            monkeypatch.setenv("TSUMS_PRECISION", raw)
+            rc, out, err = run_cli(capsys, "eval", "--t", "2", "--terms", "100")
+            assert rc == 2 and out == "" and "TSUMS_PRECISION" in err
+
+    def test_precision_flag_beats_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TSUMS_PRECISION", "abc")
+        rc, out, _ = run_cli(
+            capsys, "eval", "--t", "2", "--terms", "100", "--precision", "20"
+        )
+        assert rc == 0 and out.startswith("t(2) = ")
+
+    def test_inner_one_bound_is_an_estimate(self, capsys):
+        rc, out, _ = run_cli(capsys, "eval", "--t", "2,1", "--terms", "1000")
+        assert rc == 0 and "err ~ " in out and "err <=" not in out
+        rc, out, _ = run_cli(capsys, "eval", "--t", "2,2", "--terms", "1000")
+        assert rc == 0 and "err <= " in out and "err ~" not in out
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "eval", "--t", "2,4", "--terms", "20000")
         _, out2, _ = run_cli(capsys, "eval", "--t", "2,4", "--terms", "20000")
@@ -274,16 +315,23 @@ class TestEval:
 
 
 class TestDeterminismSubprocess:
+    # The child imports the same tsums as this process, installed or not.
+    SRC = str(Path(tsums.formulas.__file__).resolve().parents[1])
+    ENV = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+    }
+
     def test_table_byte_identical(self):
         cmd = [sys.executable, "-m", "tsums.cli", "table", "--max-n", "6",
                "--format", "json"]
-        a = subprocess.run(cmd, capture_output=True, check=True)
-        b = subprocess.run(cmd, capture_output=True, check=True)
+        a = subprocess.run(cmd, capture_output=True, check=True, env=self.ENV)
+        b = subprocess.run(cmd, capture_output=True, check=True, env=self.ENV)
         assert a.stdout == b.stdout and a.stdout
 
     def test_coeffs_byte_identical(self):
         cmd = [sys.executable, "-m", "tsums.cli", "coeffs", "--depth", "8",
                "--format", "latex"]
-        a = subprocess.run(cmd, capture_output=True, check=True)
-        b = subprocess.run(cmd, capture_output=True, check=True)
+        a = subprocess.run(cmd, capture_output=True, check=True, env=self.ENV)
+        b = subprocess.run(cmd, capture_output=True, check=True, env=self.ENV)
         assert a.stdout == b.stdout and a.stdout

@@ -2,8 +2,10 @@
 specialization x_j -> 1/(2j-1)**2."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,3 +196,52 @@ class TestSpecialization:
         got = specialize_odd_squares(e, self.M, self.DPS)
         want = specialize_odd_squares(GenExpr.power(1), self.M, self.DPS)
         assert abs(got.value - want.value) <= got.err + want.err
+
+
+def _odd_square_values(kind, j, m):
+    """p_j, e_j or h_j of x_i = 1/(2i-1)**2, i <= m, as an exact Fraction,
+    summed over the monomials themselves: the m variables for p_j, the
+    j-subsets of them for e_j and the j-multisets for h_j."""
+    xs = [Fraction(1, (2 * i - 1) ** 2) for i in range(1, m + 1)]
+    if kind == "p":
+        return sum(x**j for x in xs)
+    choose = {
+        "e": itertools.combinations,
+        "h": itertools.combinations_with_replacement,
+    }[kind]
+    return sum((math.prod(c) for c in choose(xs, j)), Fraction(0))
+
+
+class TestSpecializationExact:
+    """Few variables: the truncated value is exactly computable, and the
+    infinite-variable value must lie within the (large) tail bound."""
+
+    DPS = 30
+    GENERATORS = {"p": GenExpr.power, "e": GenExpr.elem, "h": GenExpr.homog}
+
+    @staticmethod
+    def _infinite_value(kind, j, dps):
+        if kind == "p":
+            return pi_power_eval(T_from_euler(j, 1), dps)  # t(2j)
+        if kind == "e":
+            return pi_power_eval(t_all_twos(j), dps)
+        return pi_power_eval(depth_sum_identity(j).rhs, dps)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_truncated_value_is_exact(self, m):
+        allowance = mp.mpf(10) ** (10 - self.DPS)
+        for kind, gen in self.GENERATORS.items():
+            for j in range(1, 9):
+                got = specialize_odd_squares(gen(j), m, self.DPS)
+                exact = _odd_square_values(kind, j, m)
+                with mp.workdps(self.DPS + 20):
+                    gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
+                assert gap <= allowance, (kind, j, m, gap)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_infinite_value_within_tail_bound(self, m):
+        for kind, gen in self.GENERATORS.items():
+            for j in range(1, 9):
+                got = specialize_odd_squares(gen(j), m, self.DPS)
+                want = self._infinite_value(kind, j, self.DPS)
+                assert abs(got.value - want.value) <= got.err, (kind, j, m)
