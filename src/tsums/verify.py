@@ -74,7 +74,6 @@ class Report:
 def suite_closed_forms(max_n: int = 30) -> Report:
     """All four exact routes agree on every cell 1 <= d <= n <= max_n."""
     rep = Report("closed-forms")
-    t0 = time.perf_counter()
     table = formulas.T_table_from_genfunc(max_n)
     for n in range(1, max_n + 1):
         for d in range(1, n + 1):
@@ -92,7 +91,6 @@ def suite_closed_forms(max_n: int = 30) -> Report:
                 ref if ok else " / ".join(str(x) for x in (ref,) + others),
                 ok,
             )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -101,7 +99,6 @@ def suite_genfunc(max_n: int = 30) -> Report:
     the boundary rows T(2n,1) = t(2n) and T(2n,n) = t({2}**n), the secant
     coefficients (-1)**j E_{2j}/(2j)!, and the tangent-series slots."""
     rep = Report("genfunc")
-    t0 = time.perf_counter()
     table = formulas.T_table_from_genfunc(max_n)
     for n in range(1, max_n + 1):
         for d in range(1, n + 1):
@@ -125,18 +122,15 @@ def suite_genfunc(max_n: int = 30) -> Report:
         want = series.tan_link_expected(m)
         got = tan[m]
         rep.add(f"tangent slot m={m}", {"m": m}, want, got, got == want)
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 def suite_depth_sum(max_n: int = 30) -> Report:
     """sum_d T(2n,d) = (-1)**n E_{2n} pi**(2n)/(4**n (2n)!) for n <= max_n."""
     rep = Report("depth-sum")
-    t0 = time.perf_counter()
     for n in range(1, max_n + 1):
         r = formulas.depth_sum_identity(n)
         rep.add(f"n={n}", {"n": n}, r.rhs, r.lhs, r.equal)
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -144,7 +138,6 @@ def suite_bernoulli_euler(max_n: int = 15, max_d: int = 40) -> Report:
     """The Bernoulli-vs-Euler sum identity over the (n,d) grid, all three
     case branches."""
     rep = Report("bernoulli-euler")
-    t0 = time.perf_counter()
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
             r = formulas.bernoulli_euler_check(n, d)
@@ -155,7 +148,6 @@ def suite_bernoulli_euler(max_n: int = 15, max_d: int = 40) -> Report:
                 r.lhs,
                 r.passed,
             )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -164,7 +156,6 @@ def suite_symmetric(max_n: int = 8, num_vars: int | None = None) -> Report:
     of the x_j -> 1/(2j-1)**2 specialization."""
     m = num_vars if num_vars is not None else max(max_n, 2)
     rep = Report("symmetric")
-    t0 = time.perf_counter()
     ok = symfunc.check_bivariate_factorization(max_n, m)
     rep.add(
         f"factorization deg<={max_n}",
@@ -224,7 +215,6 @@ def suite_symmetric(max_n: int = 8, num_vars: int | None = None) -> Report:
             mp.nstr(got.value, 15),
             ok,
         )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -232,7 +222,6 @@ def suite_oracle(max_n: int = 5, terms: int = 1_000_000, dps: int = 50) -> Repor
     """Series-oracle agreement: |T_numeric - eval(closed form)| within the
     reported bound and relative bound <= 1e-6, for 1 <= d <= n <= max_n."""
     rep = Report("oracle")
-    t0 = time.perf_counter()
     params = oracle.TruncationParams(terms=terms, tail_order=1)
     for n in range(1, max_n + 1):
         for d in range(1, n + 1):
@@ -248,7 +237,6 @@ def suite_oracle(max_n: int = 5, terms: int = 1_000_000, dps: int = 50) -> Repor
                 f"{mp.nstr(num.value, 20)} err<={mp.nstr(num.err, 3)}",
                 ok,
             )
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -273,23 +261,23 @@ SUITE_DEFAULTS = {
 
 def run_suite(name: str, **overrides) -> Report:
     """Run one named suite (or 'all'), applying keyword overrides on top of
-    the per-suite defaults.  Override keys a suite has no default for are
-    ignored by that suite."""
+    the per-suite defaults, and time it.  Override keys a suite has no
+    default for are ignored by that suite."""
+    t0 = time.perf_counter()
     if name == "all":
-        t0 = time.perf_counter()
-        combined = Report("all")
+        rep = Report("all")
         for sub in SUITES:
-            rep = run_suite(sub, **overrides)
-            for c in rep.cases:
-                combined.cases.append(
+            for c in run_suite(sub, **overrides).cases:
+                rep.cases.append(
                     Case(f"{sub}/{c.id}", c.params, c.expected, c.actual, c.passed)
                 )
-        combined.wall_time_s = time.perf_counter() - t0
-        return combined
-    if name not in SUITES:
+    elif name in SUITES:
+        kwargs = dict(SUITE_DEFAULTS[name])
+        for key, value in overrides.items():
+            if value is not None and key in kwargs:
+                kwargs[key] = value
+        rep = SUITES[name](**kwargs)
+    else:
         raise KeyError(f"unknown suite {name!r}")
-    kwargs = dict(SUITE_DEFAULTS[name])
-    for key, value in overrides.items():
-        if value is not None and key in kwargs:
-            kwargs[key] = value
-    return SUITES[name](**kwargs)
+    rep.wall_time_s = time.perf_counter() - t0
+    return rep

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  Bounds, tolerances, and time limits are pinned here; the heavy
-numeric sweep (criterion 7) runs a one-million-term oracle per composition
+numeric sweep (criterion 7) runs a one-million-term oracle pass per weight
 and dominates the wall time.
 """
 

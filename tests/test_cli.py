@@ -1,18 +1,24 @@
 """Command surface: formats, round-trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsums.formulas
 from tsums.cli import main
 from tsums.exact import PiPower
 from tsums.formulas import T_from_euler
+from tsums.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +166,16 @@ class TestVerify:
         report = json.loads(out)
         assert report["summary"] == {"total": 3, "passed": 3, "failed": 0}
 
+    def test_oracle_suite_reaches_weight_16(self, capsys):
+        # 40 000 terms: at 20 000 the bounds of T(14,7), T(16,7) and T(16,8)
+        # exceed the suite's relative limit of 1e-6.
+        rc, out, _ = run_cli(
+            capsys, "verify", "--suite", "oracle", "--max-n", "8", "--terms", "40000"
+        )
+        assert rc == 0
+        report = json.loads(out)
+        assert report["summary"] == {"total": 36, "passed": 36, "failed": 0}
+
     def test_corrupted_expected_flips_exit_code(self, capsys, monkeypatch):
         real = tsums.formulas.euler_number
 
@@ -249,6 +265,63 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SIZES = st.integers(-1, 4).map(str)
+TERMS = st.integers(-1, 300).map(str)
+FORMATS = st.sampled_from(["json", "csv", "latex", "xml"])
+PRECISIONS = st.sampled_from(["0", "9", "10", "25", "x"])
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv over every subcommand, with small, zero, negative or
+    malformed values, and a TSUMS_PRECISION value (None: unset)."""
+
+    def maybe(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["table", "coeffs", "verify", "eval"]))
+    argv = [command]
+    if command == "table":
+        argv += ["--max-n", draw(st.integers(-2, 6).map(str))]
+        argv += maybe("--depth", SIZES) + maybe("--format", FORMATS)
+    elif command == "coeffs":
+        argv += ["--depth", draw(st.integers(-2, 12).map(str))]
+        argv += maybe("--format", FORMATS)
+    elif command == "verify":
+        # Sizes are always given: the defaults run the full suites.
+        argv += ["--suite", draw(st.sampled_from([*SUITES, "all", "nonsense"]))]
+        argv += ["--max-n", draw(SIZES), "--terms", draw(TERMS)]
+        argv += maybe("--max-d", SIZES) + maybe("--num-vars", SIZES)
+        argv += maybe("--precision", PRECISIONS)
+    else:
+        exponents = st.lists(st.integers(1, 4).map(str), max_size=4).map(",".join)
+        argv += ["--t", draw(exponents | st.sampled_from(["0", "2,0", "-1", "2,-1", "x"]))]
+        argv += ["--terms", draw(TERMS)] + maybe("--precision", PRECISIONS)
+        argv += maybe("--tail-order", st.sampled_from(["0", "1", "2"]))
+    env = draw(st.sampled_from([None, None, None, "", "abc", "-3", "9", "25"]))
+    return argv, env
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_calls())
+def test_any_input_gives_an_exit_code(call):
+    # Every input ends in success (0), a verification failure or divergent
+    # series (1) or a usage error (2), never in an exception.
+    argv, env_precision = call
+    env = {k: v for k, v in os.environ.items() if k != "TSUMS_PRECISION"}
+    if env_precision is not None:
+        env["TSUMS_PRECISION"] = env_precision
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestEval:

@@ -1,6 +1,8 @@
 """The brute-force series oracle against the exact closed forms."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -12,12 +14,19 @@ from tsums.oracle import (
     PrecReal,
     TruncationParams,
     T_numeric,
-    compositions,
+    _weight_ladder,
     pi_power_eval,
     t_numeric,
 )
 
 FAST = TruncationParams(terms=100_000, tail_order=1)
+
+
+def compositions(n, d):
+    """The compositions of n into d positive parts, as a reference for the
+    sums T_numeric forms without enumerating them."""
+    parts = range(1, n - d + 2)
+    return [c for c in itertools.product(parts, repeat=d) if sum(c) == n]
 
 
 class TestTNumeric:
@@ -85,9 +94,21 @@ class TestTNumericSums:
         assert r.value == 0 and r.err == 0
 
     def test_error_adds_member_bounds(self):
-        single = [t_numeric([2 * a, 2 * b], FAST) for a, b in ((2, 1), (1, 2))]
-        combined = T_numeric(3, 2, FAST)
-        assert combined.err == mp.fadd(single[0].err, single[1].err, exact=True)
+        # The grouped bound is the sum of the member bounds up to float
+        # rounding, and the members' sum lies within it.
+        for tail_order in (0, 1):
+            params = TruncationParams(terms=2_000, tail_order=tail_order)
+            for n in range(1, 6):
+                for d in range(1, n + 1):
+                    members = [
+                        t_numeric([2 * j for j in c], params)
+                        for c in compositions(n, d)
+                    ]
+                    want = sum(members[1:], members[0])  # exact sums
+                    got = T_numeric(n, d, params)
+                    assert got.agrees_with(want.value), (tail_order, n, d)
+                    assert abs(got.err - want.err) <= mp.mpf("1e-12") * want.err, (
+                        tail_order, n, d)
 
     def test_reassociation_within_bounds(self):
         parts = [
@@ -104,17 +125,48 @@ class TestTNumericSums:
 
 
 class TestCompositions:
-    def test_colex_order(self):
-        assert list(compositions(5, 2)) == [(4, 1), (3, 2), (2, 3), (1, 4)]
-        assert list(compositions(4, 3)) == [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
-
     def test_counts(self):
         for n in range(1, 9):
             for d in range(1, n + 1):
-                assert len(list(compositions(n, d))) == math.comb(n - 1, d - 1)
+                assert len(compositions(n, d)) == math.comb(n - 1, d - 1)
 
     def test_empty_when_impossible(self):
-        assert list(compositions(2, 3)) == []
+        assert compositions(2, 3) == []
+
+
+def _exact_partial_sums(n, M):
+    """S_k[w](M) of the module docstring as Fractions, summed over the index
+    tuples M >= m_1 > ... > m_k >= 1 and the compositions of w."""
+    S = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    S[0][0] = Fraction(1)
+    for k in range(1, n + 1):
+        for desc in itertools.combinations(range(M, 0, -1), k):
+            for w in range(k, n + 1):
+                for parts in compositions(w, k):
+                    den = math.prod((2 * m - 1) ** (2 * j) for m, j in zip(desc, parts))
+                    S[k][w] += Fraction(1, den)
+    return S
+
+
+class TestWeightLadder:
+    @pytest.mark.parametrize("n,N", [(5, 1), (5, 2), (5, 12), (3, 40)])
+    def test_matches_exact_partial_sums(self, n, N):
+        scale = 10**30  # dps = 10
+        inner, final = _weight_ladder(n, N, scale)
+        for table, M in ((inner, N - 1), (final, N)):
+            exact = _exact_partial_sums(n, M)
+            for k in range(n + 1):
+                for w in range(k, n + 1):
+                    short = scale * exact[k][w] - table[k][w]
+                    # The quantization bound of the module docstring, with
+                    # (k, w) in place of (d, n).
+                    bound = 0 if k == 0 else max(M - 1, 0) * (
+                        9 / 8 + 0.28 * (k - 1) * (w - k + 1))
+                    assert 0 <= short <= bound, (M, k, w, float(short))
+
+    def test_row_is_memoized(self):
+        params = TruncationParams(terms=50)
+        assert T_numeric(4, 2, params) is T_numeric(4, 2, params)
 
 
 class TestPrecReal:
