@@ -1,28 +1,26 @@
 """Brute-force numeric evaluation of the defining series, with error bounds.
 
-t(s_1,...,s_d) = sum over n_1 > ... > n_d >= 1 of
-prod 1/(2n_i - 1)**s_i.  The nested sum is evaluated inside-out by dynamic
-programming in O(d*N) operations:
+t(s_1,...,s_d) = sum over n_1 > ... > n_d >= 1 of prod (2n_i - 1)**-s_i.
+t_numeric sums it in one pass over the indices m = 1..N, keeping the d+1
+partial sums A_i(m) over m >= n_{i+1} > ... > n_d of prod_{j>i}
+(2n_j - 1)**-s_j (A_d = 1): index m adds A_{i+1}(m-1) (2m-1)**-s_{i+1} to
+A_i for i = 0..d-1 ascending, so that A_{i+1} still holds the sums below m
+(the indices stay strict).  A_0(N) is the partial sum; the inner sums
+A_i(N-1), kept from before the last index, feed the bound.  Cost O(d*N),
+memory O(d).  Both passes here run in fixed-point integers scaled by
+10**(dps+20); one ulp is 10**-(dps+20).
 
-    A_0(n) = 1
-    A_k(n) = sum_{m<n} A_{k-1}(m) / (2m-1)**s_{d-k+1}
-    result = sum_{n<=N} A_{d-1}(n) / (2n-1)**s_1  (+ tail correction)
-
-The bulk loop runs in fixed-point integers scaled by 10**(dps+20); each
-floor division loses at most one ulp and the total quantization loss is
-folded into the reported error bound.  Values convert to mpmath floats at
-the requested precision only at the edges.
-
-Tail handling (tail_order=1): the inner partial sums A_{d-1}(n) increase to
-a finite limit when all inner exponents are >= 2, so the dominant tail is
-A_{d-1}(N) times the tail of sum (2n-1)**(-s_1); the first-order integral
-correction A_{d-1}(N) * (2N-1)**(1-s_1) / (2(s_1-1)) is added, and err is
-set to twice the next-order term (the sum-vs-integral discrepancy bound
-A(N)*(2N-1)**(-s_1)) plus twice the drift of the inner sums beyond N times
-the tail integral.  Both pieces are true upper bounds for inner exponents
->= 2.  For arguments with inner exponents equal to 1 (never produced by the
-even-argument sums this library verifies) the inner sums grow like log n
-and the drift term is only a one-log-order estimate, not a proven bound.
+Tail (tail_order=1): when the inner exponents are >= 2 the inner sums
+increase to a finite limit, so the first-order integral correction
+A_1(N-1) (2N-1)**(1-s_1) / (2(s_1-1)) is added, and err is twice the
+next-order term A_1(N-1) (2N-1)**-s_1 plus twice the drift of the inner sums
+beyond N times the tail integral; tail_order=0 keeps the raw partial sum,
+with err cap_1 r(s_1).  The float bounds are cap_d = 1, drift_i =
+cap_{i+1} r(s_{i+1}), cap_i = A_i(N-1) + drift_i, where r(s) = (2N-1)**-s +
+int_N^inf (2x-1)**-s dx (_reach).  All are true upper bounds for inner
+exponents >= 2.  An inner exponent 1 (never produced by the even-argument
+sums this library verifies) makes the inner sums grow like log n, and the
+drift term is then only a one-log-order estimate, not a proven bound.
 
 T(2n,d) sums t(2j_1,...,2j_d) over the compositions of n into d parts.
 With x_m = (2m-1)**-2 it is the limit of
@@ -32,41 +30,55 @@ With x_m = (2m-1)**-2 it is the limit of
 
 at k = d, w = n, M -> inf.  Adding the index m adds
 G_k[w] = sum_{j>=1} x_m**j S_{k-1}[w-j](m-1) = x_m (S_{k-1}[w-1](m-1) + G_k[w-1])
-to S_k[w].  T_numeric runs this weight ladder in the same fixed-point
-integers, ``g = (S[k-1][w-1] + g) // (2m-1)**2; S[k][w] += g``, over the
-cells 1 <= k <= w <= n: k descending, so that S[k-1] still holds the sums
-over indices below m (the indices stay strict), and w ascending, so that g
-carries G_k[w-1].  One pass over m = 1..N gives every depth of weight n in
-n(n+1)/2 updates per index and O(n**2) memory.
-
-Grouped bound.  The bound of each member t(2j_1,...) depends on its leading
-part j_1 and on inner sums before the last index N, so the member bounds sum
-by j_1 over the cells S_{d-1}[n-j_1](N-1): the tail correction and the
-a_tail*g_1 term come from them directly, and the drift from the float
-recursion C_k[w] = S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j], C_0[0] = 1,
-r(s) = (2N-1)**-s + _tail_integral(s, N), whose cells are the member caps
-summed over the compositions of w into k parts.  The grouped bound equals
-the sum of the member bounds up to float rounding.
+to S_k[w].  T_numeric runs this weight ladder,
+``g = (S[k-1][w-1] + g) // (2m-1)**2; S[k][w] += g``, over the cells
+1 <= k <= w <= n: k descending, so that S[k-1] still holds the sums over
+indices below m, and w ascending, so that g carries G_k[w-1].  One pass
+gives every depth of weight n in n(n+1)/2 updates per index and O(n**2)
+memory.  The member bounds sum by leading part j_1 over the cells
+S_{d-1}[n-j_1](N-1), with the caps from the float recursion
+C_k[w] = S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j], C_0[0] = 1, summed over the
+compositions; so the bound equals the sum of the member bounds up to float
+rounding.  Both passes end in _finish, which converts the fixed-point sum
+and adds one tail correction and bound per leading exponent.
 
 Quantization.  Each floor division subtracts some theta in [0, 1) ulp from a
-recurrence that is otherwise exact, linear and has non-negative coefficients,
-so every cell is short of its exact scaled value by the sum of the thetas,
-each weighted by how much a unit in it adds to that cell.  Index 1 divides by
-1 exactly.  A loss in g at cell (k,w) and index m >= 2 adds x_m**i to
-S_k[w+i](m) and then reaches S_d[n] through indices above m, so its weight
-is at most h_{n-w}(x_m, x_{m+1}, ...), with h_v the complete homogeneous
-symmetric polynomial.  Since sum_v h_v(x_2, x_3, ...) = prod_{i>=2}
-(1 - x_i)**-1 = 4/pi (cos(pi z/2) = prod_i (1 - z**2/(2i-1)**2) at z -> 1),
-that weight is x_m**(n-w) <= 9**(w-n) for the cells (d,w) and at most
-4/pi - 1 < 0.28 for the (d-1)(n-d+1) cells with k < d that reach (d,n).
-So S_d[n](N) is short by less than (N-1)(9/8 + 0.28 (d-1)(n-d+1)) ulps, and
-each inner cell S_k[w](N-1) the bound uses by less than
-(4/pi)(N-2) d(n-d+1).  The tail correction and the bound terms weight those
-inner cells by less than 0.23 in all (for N >= 3; below that they are
-exact), so the total is below (N+1)(9/8 + 0.6 d(n-d+1)) ulps, and below
-(9/8)(N-1) for d = 1.  Both lie within the 2(d+1)(N+1) ulps per composition
-that the member bounds allow, since there are C(n-1,d-1) >= n-d+1
-compositions for d >= 2; T_numeric keeps that allowance.
+linear recurrence with non-negative coefficients, so every sum falls short
+by the thetas, each weighted by how much a unit in it adds to that sum;
+index 1 divides by 1 exactly.  With e_v and h_v the elementary and complete
+homogeneous symmetric polynomials, cosh(pi z/2) and cos(pi z/2) =
+prod_i (1 +- z**2/(2i-1)**2) give sum_{v>=1} e_v(x_2, x_3, ...) < 0.255 and
+sum_{v>=1} h_v(x_2, x_3, ...) = 4/pi - 1 < 0.28.
+
+In t_numeric (inner exponents >= 2) a loss in A_i, i >= 1, at index m >= 2
+reaches A_0 with weight at most e_i(x_{m+1}, ...) < 0.255, so A_0(N) is
+short by less than (N-1)(1 + 0.255(d-1)) ulps and each A_i(N-1) by less
+than (N-1)(1 + 0.255(d-2)).  For N >= 2 the finish weights those by less
+than 0.52 in all (1/6 + 2/9 in the correction and the a_tail g_1 term, the
+drift through r <= 0.28 per level), so the total is below (N-1)(1 + 0.39d)
+ulps, a slack of more than (N+1)(1.6d + 1) > 5 of the 2(d+1)(N+1) allowed.
+
+In the ladder a loss in g at cell (k,w) and index m >= 2 adds x_m**i to
+S_k[w+i](m) and reaches S_d[n] with weight at most h_{n-w}(x_m, x_{m+1},
+...): x_m**(n-w) <= 9**(w-n) for the cells (d,w), below 0.28 for the
+(d-1)(n-d+1) cells with k < d.  So S_d[n](N) is short by less than
+(N-1)(9/8 + 0.28(d-1)(n-d+1)) ulps, and each inner cell S_k[w](N-1) the
+bound uses by less than (4/pi)(N-2) d(n-d+1), which the finish weights by
+less than 0.23 in all (for N >= 3; below that they are exact): the total is
+below (N+1)(9/8 + 0.6 d(n-d+1)) ulps, and (9/8)(N-1) for d = 1.  T_numeric
+keeps the 2(d+1)(N+1) ulps of each of its C(n-1,d-1) >= n-d+1 members, a
+slack of more than 2(4.8(n-d+1) - 1.2) ulps for d >= 2 and 5.7 for d = 1.
+
+Rounding.  _finish works at dps+20 digits, p = round((dps+21) log2(10))
+bits, so a rounding moves x by at most |x| 2**-p < 0.15|x| ulps, and every
+number it forms is below 1.28: t(s) <= e_d(1, x_2, ...) < 1.26 and
+T(2n,d) <= h_n(1, x_2, ...) <= 4/pi.  The value takes two roundings in the
+conversion and seven per tail with a non-zero inner sum (a zero one adds an
+exact 0): under 0.19(2 + 7t) ulps for t such tails, so under 1.8 for
+t_numeric and for T_numeric at d = 1 (only j_1 = n), and under
+0.4 + 1.4(n-d+1) at d >= 2, each within the slack above.  Rounding err,
+cap, drift and C moves the bound by a relative 1e-15 at most, far inside
+its factor 2 (tail_order=1) or its (2N-1)**-s_1 term (tail_order=0).
 """
 
 from __future__ import annotations
@@ -102,7 +114,7 @@ class DivergentSeriesError(ValueError):
 class PrecReal:
     """A numeric value with a tracked non-negative absolute error bound.
 
-    Arithmetic is carried out exactly (sums and products of binary floats
+    Arithmetic is carried out exactly (sums and differences of binary floats
     are exactly representable), so combining values never loses precision
     regardless of the ambient mpmath context; error bounds add.
     """
@@ -126,22 +138,6 @@ class PrecReal:
             mp.fadd(self.err, other.err, exact=True),
         )
 
-    def __mul__(self, other: "PrecReal") -> "PrecReal":
-        a, b = abs(self.value), abs(other.value)
-        err = mp.fadd(
-            mp.fadd(
-                mp.fmul(a, other.err, exact=True),
-                mp.fmul(b, self.err, exact=True),
-                exact=True,
-            ),
-            mp.fmul(self.err, other.err, exact=True),
-            exact=True,
-        )
-        return PrecReal(mp.fmul(self.value, other.value, exact=True), err)
-
-    def __neg__(self) -> "PrecReal":
-        return PrecReal(-self.value, self.err)
-
     def agrees_with(self, x) -> bool:
         """Whether x lies within this value's error bound."""
         return abs(mp.fsub(self.value, x, exact=True)) <= self.err
@@ -161,11 +157,37 @@ class TruncationParams:
             raise ValueError(f"tail_order must be 0 or 1, got {self.tail_order}")
 
 
-def _tail_integral(s: int, N: int) -> float:
-    # int_N^inf (2x-1)**(-s) dx for s >= 2; one-log-order stand-in for s = 1.
+def _reach(s: int, N: int) -> float:
+    """r(s) = (2N-1)**-s + int_N^inf (2x-1)**-s dx, a float bound on the sum
+    of (2n-1)**-s over n >= N; a one-log-order stand-in for s = 1."""
+    g = float(2 * N - 1) ** (-s)
     if s >= 2:
-        return (2 * N - 1) ** (1 - s) / (2 * (s - 1))
-    return 0.5 * math.log(2 * N + 1)
+        return g + (2 * N - 1) ** (1 - s) / (2 * (s - 1))
+    return g + 0.5 * math.log(2 * N + 1)
+
+
+def _finish(total: int, tails: Sequence[tuple[int, int, float, float]], ulps: int,
+            N: int, scale: int, params: TruncationParams, dps: int) -> PrecReal:
+    """The fixed-point sum ``total`` as a PrecReal: add the tail correction
+    and the bound of each ``(s1, a_tail, drift, cap)``, one per leading
+    exponent s1 (a_tail the fixed-point inner sum before index N, drift and
+    cap its float bounds), and ``ulps`` units of 1/scale."""
+    with mp.workdps(dps + 20):
+        value = mp.mpf(total) / scale
+        err = mp.mpf(0)
+        for s1, a_tail, drift, cap in tails:
+            a_tail = mp.mpf(a_tail) / scale
+            g1 = mp.mpf(2 * N - 1) ** (-s1)
+            integral = mp.mpf(2 * N - 1) ** (1 - s1) / (2 * (s1 - 1))
+            if params.tail_order == 1:
+                value += a_tail * integral
+                err += 2 * (a_tail * g1 + mp.mpf(drift) * integral)
+            else:
+                err += mp.mpf(cap) * (g1 + integral)
+        # Quantization allowance, whose slack covers the roundings here
+        # (see the module docstring).
+        err += mp.mpf(ulps) / scale
+        return PrecReal(+value, +err)
 
 
 def t_numeric(
@@ -175,7 +197,7 @@ def t_numeric(
 ) -> PrecReal:
     """Evaluate t(s_1,...,s_d) by truncated summation of the defining series.
 
-    Requires s_1 >= 2 (convergence) and s_i >= 1.  Cost O(d * N).
+    Requires s_1 >= 2 (convergence) and s_i >= 1.  Cost O(d*N), memory O(d).
     """
     s = [int(x) for x in exponents]
     if not s:
@@ -192,47 +214,26 @@ def t_numeric(
     d = len(s)
     scale = 10 ** (dps + 20)
 
-    # Upper bounds (plain floats) on the inner-sum limits and on how far the
-    # inner sums can still move beyond N; used only for the error bound.
-    cap = 1.0  # bound on sup_n A_k(n)
-    drift = 0.0  # bound on A_k(inf) - A_k(N)
+    # A[i] is A_i of the module docstring over the indices b so far; i
+    # ascending, so A[i+1] still holds the sums below b.
+    steps = list(enumerate(s))
+    A = [0] * d + [scale]
+    for b in range(1, 2 * N - 1, 2):
+        for i, e in steps:
+            A[i] += A[i + 1] // b**e
+    inner = A[:]  # before the last index
+    b = 2 * N - 1
+    for i, e in steps:
+        A[i] += A[i + 1] // b**e
 
-    if d == 1:
-        a_last = scale
-        total = 0
-        for n in range(1, N + 1):
-            total += scale // (2 * n - 1) ** s[0]
-    else:
-        A = [scale] * (N + 1)
-        for k in range(1, d):
-            sk = s[d - k]
-            acc = 0
-            for n in range(1, N + 1):
-                old = A[n]
-                A[n] = acc
-                acc += old // (2 * n - 1) ** sk
-            g = float((2 * N - 1)) ** (-sk)
-            drift = cap * (g + _tail_integral(sk, N))
-            cap = A[N] / scale + drift
-        a_last = A[N]
-        s1 = s[0]
-        total = 0
-        for n in range(1, N + 1):
-            total += A[n] // (2 * n - 1) ** s1
-
-    with mp.workdps(dps + 10):
-        value = mp.mpf(total) / scale
-        a_tail = mp.mpf(a_last) / scale
-        g1 = mp.mpf(2 * N - 1) ** (-s[0])
-        integral = mp.mpf(2 * N - 1) ** (1 - s[0]) / (2 * (s[0] - 1))
-        if params.tail_order == 1:
-            value += a_tail * integral
-            err = 2 * (a_tail * g1 + mp.mpf(drift) * integral)
-        else:
-            err = mp.mpf(cap) * (g1 + integral)
-        # Fixed-point quantization: one ulp per floor division.
-        err += mp.mpf(2 * (d + 1) * (N + 1)) / scale
-        return PrecReal(+value, +err)
+    # Float upper bounds on the inner sums (cap) and on how far they can
+    # still move beyond N (drift); used only for the error bound.
+    cap, drift = 1.0, 0.0
+    for i in range(d - 1, 0, -1):
+        drift = cap * _reach(s[i], N)
+        cap = inner[i] / scale + drift
+    return _finish(A[0], [(s[0], inner[1], drift, cap)], 2 * (d + 1) * (N + 1),
+                   N, scale, params, dps)
 
 
 def _weight_ladder(n: int, N: int, scale: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -262,34 +263,25 @@ def _weight_row(n: int, params: TruncationParams, dps: int) -> tuple[PrecReal, .
 
     # Drift bounds in floats: C[k][w] sums the caps of t_numeric over the
     # compositions of w into k parts and D[k][w] their drifts.
-    r = [0.0] + [
-        float(2 * N - 1) ** (-2 * j) + _tail_integral(2 * j, N) for j in range(1, n + 1)
-    ]
+    r = [0.0] + [_reach(2 * j, N) for j in range(1, n + 1)]
     C = [[1.0] + [0.0] * n]
     D = [[0.0] * (n + 1)]
     for k in range(1, n):
         D.append([sum(r[j] * C[k - 1][w - j] for j in range(1, w + 1)) for w in range(n + 1)])
         C.append([inner[k][w] / scale + D[k][w] for w in range(n + 1)])
 
-    row = []
-    with mp.workdps(dps + 10):
-        for d in range(1, n + 1):
-            value = mp.mpf(S[d][n]) / scale
-            err = mp.mpf(0)
-            for j in range(1, n - d + 2):  # j = the leading part j_1
-                a_tail = mp.mpf(inner[d - 1][n - j]) / scale
-                g1 = mp.mpf(2 * N - 1) ** (-2 * j)
-                integral = mp.mpf(2 * N - 1) ** (1 - 2 * j) / (2 * (2 * j - 1))
-                if params.tail_order == 1:
-                    value += a_tail * integral
-                    err += 2 * (a_tail * g1 + mp.mpf(D[d - 1][n - j]) * integral)
-                else:
-                    err += mp.mpf(C[d - 1][n - j]) * (g1 + integral)
-            # The quantization allowance of the C(n-1,d-1) per-composition
-            # passes, which covers the ladder's (see the module docstring).
-            err += mp.mpf(math.comb(n - 1, d - 1) * 2 * (d + 1) * (N + 1)) / scale
-            row.append(PrecReal(+value, +err))
-    return tuple(row)
+    # One tail per leading part j = j_1, and the quantization allowance of
+    # the C(n-1,d-1) per-composition passes, which covers the ladder's.
+    return tuple(
+        _finish(
+            S[d][n],
+            [(2 * j, inner[d - 1][n - j], D[d - 1][n - j], C[d - 1][n - j])
+             for j in range(1, n - d + 2)],
+            math.comb(n - 1, d - 1) * 2 * (d + 1) * (N + 1),
+            N, scale, params, dps,
+        )
+        for d in range(1, n + 1)
+    )
 
 
 def T_numeric(

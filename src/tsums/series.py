@@ -1,6 +1,6 @@
 """Truncated formal power series over exact rationals.
 
-One-variable dense series with ring arithmetic that truncates
+One-variable dense series whose sums, products and reciprocals truncate
 consistently at the stored order.  The central convention of the whole
 library lives here: the substitution ``y = pi**2 * u / 4`` turns the
 transcendental generating functions
@@ -68,22 +68,10 @@ class USeries:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k <= self.order else _ZERO
 
-    def truncate(self, order: int) -> "USeries":
-        if order >= self.order:
-            return self
-        return USeries(self.coeffs[: order + 1])
-
     def __add__(self, other: "USeries") -> "USeries":
         # Mixed orders truncate to the shorter operand.
         k = min(self.order, other.order)
         return USeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(k + 1)))
-
-    def __sub__(self, other: "USeries") -> "USeries":
-        k = min(self.order, other.order)
-        return USeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(k + 1)))
-
-    def __neg__(self) -> "USeries":
-        return USeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -123,25 +111,16 @@ class USeries:
             out[k] = -acc * inv0
         return USeries(tuple(out))
 
-    def scale_variable(self, r) -> "USeries":
-        """Substitute y -> r*y for an exact rational r."""
-        r = _as_fraction(r)
-        return USeries(tuple(c * r**k for k, c in enumerate(self.coeffs)))
-
     def shift_up(self) -> "USeries":
         """Multiply by y, keeping the order (top coefficient falls off)."""
         return USeries((_ZERO,) + self.coeffs[:-1])
-
-    def __str__(self) -> str:
-        parts = [f"{c}*y^{k}" for k, c in enumerate(self.coeffs) if c] or ["0"]
-        return " + ".join(parts) + f" + O(y^{self.order + 1})"
 
 
 def cos_sqrt_series(order: int) -> USeries:
     """c(y) = cos(sqrt(y)) = sum_{n<=K} (-1)**n y**n / (2n)!.
 
     Under y = pi**2 u/4 this is cos(pi*sqrt(u)/2); under y = pi**2 u it is
-    cos(pi*sqrt(u)).  Substituting y -> -y gives the cosh analogue.
+    cos(pi*sqrt(u)).
     """
     if order < 0:
         raise ValueError("order must be >= 0")

@@ -134,9 +134,6 @@ class SymPoly:
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
     def _require_same_vars(self, other: "SymPoly") -> None:
         if self.num_vars != other.num_vars:
             raise ValueError(

@@ -175,46 +175,22 @@ def suite_symmetric(max_n: int = 8, num_vars: int | None = None) -> Report:
                 ok,
             )
     spot_vars, spot_dps = 20_000, 30
+    spots = []  # (id, params, generator expression, exact value)
     for n in range(1, min(max_n, 4) + 1):
-        got = symfunc.specialize_odd_squares(
-            symfunc.GenExpr.elem(n), spot_vars, spot_dps
-        )
-        want = oracle.pi_power_eval(formulas.t_all_twos(n), spot_dps)
-        ok = abs(got.value - want.value) <= got.err + want.err
-        rep.add(
-            f"specialize e_{n}",
-            {"n": n, "num_vars": spot_vars},
-            mp.nstr(want.value, 15),
-            mp.nstr(got.value, 15),
-            ok,
-        )
-        got = symfunc.specialize_odd_squares(
-            symfunc.GenExpr.homog(n), spot_vars, spot_dps
-        )
-        want = oracle.pi_power_eval(formulas.depth_sum_identity(n).rhs, spot_dps)
-        ok = abs(got.value - want.value) <= got.err + want.err
-        rep.add(
-            f"specialize h_{n}",
-            {"n": n, "num_vars": spot_vars},
-            mp.nstr(want.value, 15),
-            mp.nstr(got.value, 15),
-            ok,
-        )
+        spots.append((f"specialize e_{n}", {"n": n}, symfunc.GenExpr.elem(n),
+                      formulas.t_all_twos(n)))
+        spots.append((f"specialize h_{n}", {"n": n}, symfunc.GenExpr.homog(n),
+                      formulas.depth_sum_identity(n).rhs))
     for n, d in ((2, 1), (2, 2), (3, 2), (3, 3)):
-        if n > max_n:
-            continue
-        got = symfunc.specialize_odd_squares(
-            symfunc.monomial_depth_expr(n, d), spot_vars, spot_dps
-        )
-        want = oracle.pi_power_eval(formulas.T_from_euler(n, d), spot_dps)
+        if n <= max_n:
+            spots.append((f"specialize N({n},{d})", {"n": n, "d": d},
+                          symfunc.monomial_depth_expr(n, d), formulas.T_from_euler(n, d)))
+    for id, params, expr, value in spots:
+        got = symfunc.specialize_odd_squares(expr, spot_vars, spot_dps)
+        want = oracle.pi_power_eval(value, spot_dps)
         ok = abs(got.value - want.value) <= got.err + want.err
-        rep.add(
-            f"specialize N({n},{d})",
-            {"n": n, "d": d, "num_vars": spot_vars},
-            mp.nstr(want.value, 15),
-            mp.nstr(got.value, 15),
-            ok,
-        )
+        rep.add(id, {**params, "num_vars": spot_vars},
+                mp.nstr(want.value, 15), mp.nstr(got.value, 15), ok)
     return rep
 
 

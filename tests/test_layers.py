@@ -1,0 +1,56 @@
+"""The independence between layers that makes their agreement meaningful:
+the series oracle and the symmetric-function checks do not reuse the exact
+routes, and the exact routes do not reuse them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tsums
+
+SRC = Path(tsums.__file__).parent
+
+
+def imports(module):
+    """The package modules one module imports from, each with the set of
+    names it takes; a whole-module import is recorded as "*"."""
+    found = {}
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                base = node.module
+            elif node.module == "tsums" or (node.module or "").startswith("tsums."):
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if base is None:  # from . import x
+                    found.setdefault(alias.name, set()).add("*")
+                else:
+                    found.setdefault(base, set()).add(alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "tsums":
+                    found.setdefault(rest or "__init__", set()).add("*")
+    return found
+
+
+def test_oracle_takes_only_pi_power_from_exact():
+    assert imports("oracle") == {"exact": {"PiPower"}}
+
+
+def test_symfunc_takes_only_prec_real_from_oracle():
+    assert imports("symfunc").get("oracle") == {"PrecReal"}
+
+
+@pytest.mark.parametrize("module", ["formulas", "series"])
+def test_exact_routes_do_not_use_the_checks(module):
+    assert not {"oracle", "symfunc"} & set(imports(module))
+
+
+def test_reader_sees_every_import_form():
+    assert imports("verify")["oracle"] == {"*"}
+    assert "t_numeric" in imports("cli")["oracle"]
+    assert imports("formulas")["series"] == {"genfunc_biseries"}

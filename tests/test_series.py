@@ -80,11 +80,6 @@ def test_cos_sqrt_coefficients():
     )
 
 
-def test_cosh_analogue_by_sign_flip():
-    c = cos_sqrt_series(6).scale_variable(-1)
-    assert all(c[n] == Fraction(1, math.factorial(2 * n)) for n in range(7))
-
-
 def test_secant_euler_link():
     # Reciprocal of the cos-type series carries (-1)**j E_{2j}/(2j)!.
     r = cos_sqrt_series(12).recip()
