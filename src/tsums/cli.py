@@ -145,8 +145,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    fields = args.t.split(",")
+    if any(x.strip() == "" for x in fields):
+        print(f"error: empty field in arguments {args.t!r}", file=sys.stderr)
+        return 2
     try:
-        exponents = [int(x) for x in args.t.split(",") if x.strip() != ""]
+        exponents = [int(x) for x in fields]
     except ValueError:
         print(f"error: cannot parse arguments {args.t!r}", file=sys.stderr)
         return 2

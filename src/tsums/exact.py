@@ -8,7 +8,9 @@ Euler numbers, binomial coefficients, and the even zeta / t values
     zeta(2n) = (-1)**(n+1) * B_{2n} * (2*pi)**(2n) / (2 * (2n)!)
     t(2n)    = 2**(-2n) * (2**(2n) - 1) * zeta(2n)
 
-where t(s) = sum over odd m >= 1 of 1/m**s.
+where t(s) = sum over odd m >= 1 of 1/m**s.  Both are memoized: each value
+is built once per process and the same frozen :class:`PiPower` is returned
+on every later call, like the grow-on-demand Bernoulli and Euler tables.
 
 Sign conventions: B_1 = -1/2 (the x/(e^x - 1) generating function) and the
 Euler numbers are the signed integers with sec x = sum (-1)**j E_{2j} x**(2j)
@@ -22,6 +24,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "PiPower",
@@ -162,6 +165,7 @@ def euler_number(m: int) -> int:
     return _euler_even[j]
 
 
+@lru_cache(maxsize=None)
 def zeta_even(n: int) -> PiPower:
     """zeta(2n) as an exact rational multiple of pi**(2n), for n >= 1."""
     if n < 1:
@@ -171,6 +175,7 @@ def zeta_even(n: int) -> PiPower:
     return PiPower(coeff, m)
 
 
+@lru_cache(maxsize=None)
 def t_even(n: int) -> PiPower:
     """t(2n) = 2**(-2n) (2**(2n)-1) zeta(2n) as an exact PiPower, n >= 1."""
     if n < 1:

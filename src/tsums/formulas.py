@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import PiPower, bernoulli, binomial, euler_number, t_even
 from .series import genfunc_biseries
@@ -60,20 +61,28 @@ def T_from_t_values(n: int, d: int) -> PiPower:
     """T(2n,d) as sum_j (-1)**j pi**(2j) binom(2d-2j-2, d-1) t(2n-2j)
     / (2**(2d-2) (2j)! d), summed over 0 <= j <= (d-1)//2.
 
-    The pi**(2j) factor merges with t(2n-2j)'s pi**(2n-2j), so the result
-    is assembled exactly with pi-exponent 2n.
+    The pi**(2j) factor merges with t(2n-2j)'s pi**(2n-2j), so the sum runs
+    on the rational coefficients of the cached depth-d row
+    :func:`_t_value_row` and the t values, and the result is assembled
+    exactly with pi-exponent 2n.
     """
     _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    total = PiPower.zero()
+    coeff = sum((c * t_even(n - j).coeff for j, c in _t_value_row(d)), Fraction(0))
+    return PiPower(coeff, 2 * n)
+
+
+@lru_cache(maxsize=None)
+def _t_value_row(d: int) -> tuple[tuple[int, Fraction], ...]:
+    """Pairs (j, c) with c the coefficient of pi**(2j) t(2n-2j) in T(2n,d),
+    0 <= j <= (d-1)//2; independent of n."""
     scale = Fraction(1, 2 ** (2 * d - 2) * d)
-    for j in range((d - 1) // 2 + 1):
-        c = scale * Fraction((-1) ** j * binomial(2 * d - 2 * j - 2, d - 1),
-                             math.factorial(2 * j))
-        term = c * t_even(n - j) * PiPower(Fraction(1), 2 * j)
-        total = total + term
-    return total
+    return tuple(
+        (j, scale * Fraction((-1) ** j * binomial(2 * d - 2 * j - 2, d - 1),
+                             math.factorial(2 * j)))
+        for j in range((d - 1) // 2 + 1)
+    )
 
 
 def T_from_bernoulli(n: int, d: int) -> PiPower:
@@ -81,19 +90,22 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
 
     binom(2d-2,d-1) t(2n) / (2**(2d-2) d)
       - sum_{j=1}^{(d-1)//2} binom(2d-2j-2,d-1) t(2j) t(2n-2j)
-                             / (2**(2d-3) (2**(2j)-1) B_{2j} d).
+                             / (2**(2d-3) (2**(2j)-1) B_{2j} d),
+
+    summed on the rational coefficients of the cached row
+    :func:`coeff_row` and of the t values (every t(2j) is a rational
+    multiple of pi**(2j)), with pi-exponent 2n.
     """
     _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    row = coeff_row(d)
-    total = PiPower.zero()
-    for j, c in row.pairs:
+    coeff = Fraction(0)
+    for j, c in coeff_row(d).pairs:
         if j == 0:
-            total = total + c * t_even(n)
+            coeff += c * t_even(n).coeff
         else:
-            total = total + c * (t_even(j) * t_even(n - j))
-    return total
+            coeff += c * t_even(j).coeff * t_even(n - j).coeff
+    return PiPower(coeff, 2 * n)
 
 
 def T_from_euler(n: int, d: int) -> PiPower:
@@ -153,8 +165,9 @@ class CoeffRow:
     pairs: tuple[tuple[int, Fraction], ...]
 
 
+@lru_cache(maxsize=None)
 def coeff_row(d: int) -> CoeffRow:
-    """Coefficient row of depth d in the Bernoulli-number form."""
+    """Coefficient row of depth d in the Bernoulli-number form (memoized)."""
     if d < 1:
         raise ValueError(f"depth must be >= 1, got {d}")
     pairs = [(0, Fraction(binomial(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]

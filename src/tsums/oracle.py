@@ -138,10 +138,6 @@ class PrecReal:
             mp.fadd(self.err, other.err, exact=True),
         )
 
-    def agrees_with(self, x) -> bool:
-        """Whether x lies within this value's error bound."""
-        return abs(mp.fsub(self.value, x, exact=True)) <= self.err
-
 
 @dataclass(frozen=True)
 class TruncationParams:

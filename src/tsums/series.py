@@ -57,10 +57,6 @@ class USeries:
     def from_list(coeffs) -> "USeries":
         return USeries(tuple(coeffs))
 
-    @staticmethod
-    def constant(value, order: int) -> "USeries":
-        return USeries((_as_fraction(value),) + (_ZERO,) * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

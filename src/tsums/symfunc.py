@@ -267,7 +267,7 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
             for j in range(d, n + 1):
                 c = (-1) ** (j - d) * binomial(j, d)
                 if c:
-                    rhs = rhs + c * (elementary(j, m) * complete(n - j, m))
+                    rhs = rhs + c * _he_product(n - j, j, m)
             if n == 0:
                 lhs = SymPoly.constant(1, m)
             elif d == 0:

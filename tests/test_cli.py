@@ -253,6 +253,8 @@ class TestVerify:
         ("TSUMS_PRECISION=3", "eval", "--t", "2", "--terms", "100"),
         ("TSUMS_PRECISION=abc", "verify", "--suite", "oracle", "--max-n", "1", "--terms", "2"),
         ("TSUMS_PRECISION=9", "verify", "--suite", "oracle", "--max-n", "1", "--terms", "2"),
+        ("eval", "--t", "2,,2", "--terms", "100"),
+        ("eval", "--t", "2,2,", "--terms", "100"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv):

@@ -136,6 +136,11 @@ class TestEvenValues:
         with pytest.raises(ValueError):
             t_even(0)
 
+    def test_values_are_memoized(self):
+        for n in (1, 6, 30):
+            assert t_even(n) is t_even(n)
+            assert zeta_even(n) is zeta_even(n)
+
 
 class TestPiPower:
     def test_invariants(self):

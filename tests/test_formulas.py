@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import tsums.formulas
 from tsums.exact import PiPower, t_even
 from tsums.formulas import (
     T_from_bernoulli,
@@ -64,13 +65,40 @@ class TestClosedForms:
                 path(3, 0)
 
     def test_triple_path_agreement(self):
-        table = T_table_from_genfunc(12)
-        for n in range(1, 13):
+        # Every cell to n = 60: the first two routes sum over rows cached
+        # per depth, the Euler route caches nothing.
+        table = T_table_from_genfunc(60)
+        for n in range(1, 61):
             for d in range(1, n + 1):
                 ref = T_from_euler(n, d)
                 assert T_from_t_values(n, d) == ref, (n, d)
                 assert T_from_bernoulli(n, d) == ref, (n, d)
                 assert table.value(n, d) == ref, (n, d)
+
+    def test_corrupted_t_value_reaches_both_routes(self, monkeypatch):
+        # Warm every cache first: a corrupted t(12) must still show, so no
+        # per-cell result is cached behind the t values.  T(16,5) reads
+        # t(12) through the product t(4) t(12); T(16,3) does not read it.
+        cells = ((T_from_t_values, 6, 1), (T_from_bernoulli, 8, 5), (T_from_bernoulli, 8, 3))
+        for route, n, d in cells:
+            assert route(n, d) == T_from_euler(n, d)
+
+        def corrupt(n):
+            return t_even(n) * 2 if n == 6 else t_even(n)
+
+        monkeypatch.setattr(tsums.formulas, "t_even", corrupt)
+        assert T_from_t_values(6, 1) != T_from_euler(6, 1)
+        assert T_from_bernoulli(8, 5) != T_from_euler(8, 5)
+        assert T_from_bernoulli(8, 3) == T_from_euler(8, 3)
+
+    def test_rows_are_cached_tuples(self):
+        for d in (1, 5, 12):
+            assert coeff_row(d) is coeff_row(d)
+            assert type(coeff_row(d).pairs) is tuple
+            row = tsums.formulas._t_value_row(d)
+            assert row is tsums.formulas._t_value_row(d)
+            assert type(row) is tuple and all(type(p) is tuple for p in row)
+            assert [j for j, _ in row] == [j for j, _ in coeff_row(d).pairs]
 
 
 class TestGenfuncTable:

@@ -84,7 +84,7 @@ class TestTNumeric:
         with mp.workdps(120):
             for s, got in cases:
                 want = (1 - mp.mpf(2) ** -s) * mp.zeta(s)
-                assert got.agrees_with(want), (s, got.err)
+                assert abs(mp.fsub(got.value, want, exact=True)) <= got.err, (s, got.err)
 
     def test_memory_does_not_grow_with_terms(self):
         tracemalloc.start()
@@ -130,7 +130,8 @@ class TestTNumericSums:
                     ]
                     want = sum(members[1:], members[0])  # exact sums
                     got = T_numeric(n, d, params)
-                    assert got.agrees_with(want.value), (tail_order, n, d)
+                    assert abs(mp.fsub(got.value, want.value, exact=True)) <= got.err, (
+                        tail_order, n, d)
                     assert abs(got.err - want.err) <= mp.mpf("1e-12") * want.err, (
                         tail_order, n, d)
                     if d in (1, n):
@@ -206,11 +207,6 @@ class TestPrecReal:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             PrecReal(mp.mpf(1), mp.mpf(-1))
-
-    def test_agrees_with(self):
-        a = PrecReal(mp.mpf(1), mp.mpf("0.1"))
-        assert a.agrees_with(mp.mpf("1.05"))
-        assert not a.agrees_with(mp.mpf("1.2"))
 
 
 class TestPiPowerEval:
