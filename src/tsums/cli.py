@@ -35,7 +35,8 @@ import mpmath as mp
 
 from .exact import PiPower
 from .formulas import T_from_euler, coeff_row
-from .oracle import DEFAULT_DPS, MIN_DPS, DivergentSeriesError, TruncationParams, t_numeric
+from .oracle import (DEFAULT_DPS, DEFAULT_TERMS, MIN_DPS, DivergentSeriesError,
+                     TruncationParams, t_numeric)
 from .verify import SUITE_DEFAULTS, SUITES, run_suite
 
 __all__ = ["main", "console_main"]
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate t(s_1,...,s_d) numerically")
     p.add_argument("--t", required=True, help="comma-separated exponents, e.g. 2,2")
-    p.add_argument("--terms", type=int, default=1_000_000)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.add_argument("--precision", type=int, default=None)
     p.add_argument("--tail-order", type=int, choices=(0, 1), default=1, dest="tail_order")
     p.set_defaults(func=_cmd_eval)

@@ -75,12 +75,6 @@ class PiPower:
             )
         return PiPower(self.coeff + other.coeff, self.pi_exp)
 
-    def __neg__(self) -> "PiPower":
-        return PiPower(-self.coeff, self.pi_exp)
-
-    def __sub__(self, other: "PiPower") -> "PiPower":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, PiPower):
             return PiPower(self.coeff * other.coeff, self.pi_exp + other.pi_exp)

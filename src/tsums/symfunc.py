@@ -16,13 +16,18 @@ all-twos value t({2}**n) and N_{n,d} to T(2n,d); it extends to infinitely
 many variables, so the numeric image is computed from generator expressions
 (:class:`GenExpr`), truncated at a finite number of variables with a tail
 bound attached.
+
+Each N_{n,d} is written once, as the generator expression
+:func:`monomial_depth_expr`: the exact checks expand it in the m_lambda and
+the numeric checks specialize it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator
 
 import mpmath as mp
@@ -147,9 +152,6 @@ class SymPoly:
             _accumulate(out, lam, c)
         return SymPoly(self.num_vars, out)
 
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-1) * other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
@@ -234,51 +236,6 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
     )
 
 
-@lru_cache(maxsize=None)
-def _he_product(ell: int, k: int, m: int) -> SymPoly:
-    return complete(ell, m) * elementary(k, m)
-
-
-def check_monomial_expansion(n: int, d: int, m: int) -> bool:
-    """Exact check of N_{n,d} = sum_l binom(n-l,d) (-1)**(n-d-l) h_l e_{n-l}."""
-    if not (1 <= d <= n <= m):
-        raise ValueError(f"require 1 <= d <= n <= m, got n={n}, d={d}, m={m}")
-    rhs = SymPoly(m)
-    for ell in range(n - d + 1):
-        c = binomial(n - ell, d) * (-1) ** (n - d - ell)
-        if c:
-            rhs = rhs + c * _he_product(ell, n - ell, m)
-    return monomial_depth_sum(n, d, m) == rhs
-
-
-def check_bivariate_factorization(n_max: int, m: int) -> bool:
-    """Exact check, for all u-degrees n <= n_max and all v-degrees, that
-
-    1 + sum_{n>=d>=1} N_{n,d} u**n v**d  =  E((v-1)u) * H(u).
-
-    The u**n v**d coefficient of the right side is
-    sum_j (-1)**(j-d) binom(j,d) e_j h_{n-j}.
-    """
-    if not (1 <= n_max <= m):
-        raise ValueError(f"require 1 <= n_max <= m, got n_max={n_max}, m={m}")
-    for n in range(n_max + 1):
-        for d in range(n + 1):
-            rhs = SymPoly(m)
-            for j in range(d, n + 1):
-                c = (-1) ** (j - d) * binomial(j, d)
-                if c:
-                    rhs = rhs + c * _he_product(n - j, j, m)
-            if n == 0:
-                lhs = SymPoly.constant(1, m)
-            elif d == 0:
-                lhs = SymPoly(m)
-            else:
-                lhs = monomial_depth_sum(n, d, m)
-            if lhs != rhs:
-                return False
-    return True
-
-
 class GenExpr:
     """Exact linear combination of products of e/h/p generators.
 
@@ -327,33 +284,78 @@ class GenExpr:
             _accumulate(out, key, c)
         return GenExpr(out)
 
-    def __sub__(self, other: "GenExpr") -> "GenExpr":
-        return self + (-1) * other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GenExpr({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, GenExpr):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out: dict[tuple[tuple[str, int], ...], Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _accumulate(out, tuple(sorted(k1 + k2)), c1 * c2)
-        return GenExpr(out)
+        return GenExpr({k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
 
+def _he_key(ell: int, k: int) -> tuple[tuple[str, int], ...]:
+    """The GenExpr key of h_ell * e_k; h_0 = e_0 = 1 are left out, since the
+    specialization evaluates only generators of index >= 1."""
+    return tuple(factor for factor in (("e", k), ("h", ell)) if factor[1])
+
+
 def monomial_depth_expr(n: int, d: int) -> GenExpr:
-    """N_{n,d} written in the h/e generators (valid in the infinite ring)."""
+    """N_{n,d} written in the h/e generators (valid in the infinite ring):
+    sum_{l=0}^{n-d} binom(n-l,d) (-1)**(n-d-l) h_l e_{n-l}."""
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
-    out = GenExpr()
-    for ell in range(n - d + 1):
-        c = binomial(n - ell, d) * (-1) ** (n - d - ell)
-        if c:
-            out = out + c * (GenExpr.homog(ell) * GenExpr.elem(n - ell))
+    terms = {_he_key(ell, n - ell): binomial(n - ell, d) * (-1) ** (n - d - ell)
+             for ell in range(n - d + 1)}
+    return GenExpr(terms)
+
+
+@lru_cache(maxsize=None)
+def _product(key: tuple[tuple[str, int], ...], m: int) -> SymPoly:
+    """The product of the generators in one GenExpr key, in m variables."""
+    polys = {"e": elementary, "h": complete, "p": power_sum}
+    factors = [polys[kind](j, m) for kind, j in key]
+    return reduce(operator.mul, factors) if factors else SymPoly.constant(1, m)
+
+
+def _expand(expr: GenExpr, m: int) -> SymPoly:
+    """A generator expression expanded in the monomial basis of m variables."""
+    out = SymPoly(m)
+    for key, c in expr.terms.items():
+        out = out + c * _product(key, m)
     return out
+
+
+def check_monomial_expansion(n: int, d: int, m: int) -> bool:
+    """Exact check that N_{n,d} equals :func:`monomial_depth_expr`, expanded."""
+    if not (1 <= d <= n <= m):
+        raise ValueError(f"require 1 <= d <= n <= m, got n={n}, d={d}, m={m}")
+    return monomial_depth_sum(n, d, m) == _expand(monomial_depth_expr(n, d), m)
+
+
+def check_bivariate_factorization(n_max: int, m: int) -> bool:
+    """Exact check, for all u-degrees n <= n_max and all v-degrees, that
+
+    1 + sum_{n>=d>=1} N_{n,d} u**n v**d  =  E((v-1)u) * H(u).
+
+    E((v-1)u) = sum_j e_j (v-1)**j u**j, and the v**d coefficient of
+    (v-1)**j is (-1)**(j-d) binom(j,d), so the u**n v**d coefficient of the
+    right side is sum_{j=d}^{n} (-1)**(j-d) binom(j,d) e_j h_{n-j}.  For
+    d >= 1 this is, with l = n-j, the expansion of N_{n,d} that
+    :func:`check_monomial_expansion` compares, so those cells are delegated
+    to it.  Checked here is the column d = 0, where the left side is 1 at
+    n = 0 (e_0 h_0) and 0 above, while the right side is
+    sum_j (-1)**j e_j h_{n-j}.
+    """
+    if not (1 <= n_max <= m):
+        raise ValueError(f"require 1 <= n_max <= m, got n_max={n_max}, m={m}")
+    for n in range(n_max + 1):
+        column = GenExpr({_he_key(n - j, j): (-1) ** j for j in range(n + 1)})
+        if _expand(column, m) != SymPoly.constant(int(n == 0), m):
+            return False
+    return all(
+        check_monomial_expansion(n, d, m)
+        for n in range(1, n_max + 1)
+        for d in range(1, n + 1)
+    )
 
 
 @lru_cache(maxsize=None)

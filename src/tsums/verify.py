@@ -71,7 +71,7 @@ class Report:
         }
 
 
-def suite_closed_forms(max_n: int = 30) -> Report:
+def suite_closed_forms(max_n: int) -> Report:
     """All four exact routes agree on every cell 1 <= d <= n <= max_n."""
     rep = Report("closed-forms")
     table = formulas.T_table_from_genfunc(max_n)
@@ -94,7 +94,7 @@ def suite_closed_forms(max_n: int = 30) -> Report:
     return rep
 
 
-def suite_genfunc(max_n: int = 30) -> Report:
+def suite_genfunc(max_n: int) -> Report:
     """Generating-function facts: extracted table vs the Euler-number form,
     the boundary rows T(2n,1) = t(2n) and T(2n,n) = t({2}**n), the secant
     coefficients (-1)**j E_{2j}/(2j)!, and the tangent-series slots."""
@@ -125,7 +125,7 @@ def suite_genfunc(max_n: int = 30) -> Report:
     return rep
 
 
-def suite_depth_sum(max_n: int = 30) -> Report:
+def suite_depth_sum(max_n: int) -> Report:
     """sum_d T(2n,d) = (-1)**n E_{2n} pi**(2n)/(4**n (2n)!) for n <= max_n."""
     rep = Report("depth-sum")
     for n in range(1, max_n + 1):
@@ -134,7 +134,7 @@ def suite_depth_sum(max_n: int = 30) -> Report:
     return rep
 
 
-def suite_bernoulli_euler(max_n: int = 15, max_d: int = 40) -> Report:
+def suite_bernoulli_euler(max_n: int, max_d: int) -> Report:
     """The Bernoulli-vs-Euler sum identity over the (n,d) grid, all three
     case branches."""
     rep = Report("bernoulli-euler")
@@ -151,7 +151,7 @@ def suite_bernoulli_euler(max_n: int = 15, max_d: int = 40) -> Report:
     return rep
 
 
-def suite_symmetric(max_n: int = 8, num_vars: int | None = None) -> Report:
+def suite_symmetric(max_n: int, num_vars: int | None) -> Report:
     """Symmetric-function identities in m variables plus numeric spot checks
     of the x_j -> 1/(2j-1)**2 specialization."""
     m = num_vars if num_vars is not None else max(max_n, 2)
@@ -194,7 +194,7 @@ def suite_symmetric(max_n: int = 8, num_vars: int | None = None) -> Report:
     return rep
 
 
-def suite_oracle(max_n: int = 5, terms: int = 1_000_000, dps: int = 50) -> Report:
+def suite_oracle(max_n: int, terms: int, dps: int) -> Report:
     """Series-oracle agreement: |T_numeric - eval(closed form)| within the
     reported bound and relative bound <= 1e-6, for 1 <= d <= n <= max_n."""
     rep = Report("oracle")
@@ -231,7 +231,7 @@ SUITE_DEFAULTS = {
     "depth-sum": {"max_n": 30},
     "bernoulli-euler": {"max_n": 15, "max_d": 40},
     "symmetric": {"max_n": 8, "num_vars": None},
-    "oracle": {"max_n": 5, "terms": 1_000_000, "dps": 50},
+    "oracle": {"max_n": 5, "terms": oracle.DEFAULT_TERMS, "dps": oracle.DEFAULT_DPS},
 }
 
 

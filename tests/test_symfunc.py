@@ -150,6 +150,17 @@ class TestIdentities:
         )
         assert not check_monomial_expansion(5, 2, 5)
         assert not check_monomial_expansion(6, 3, 6)
+        assert not check_bivariate_factorization(6, 6)
+
+    def test_checks_expand_monomial_depth_expr(self, monkeypatch):
+        # Both exact checks must expand the expression that the numeric
+        # specialization evaluates, so a wrong expression fails them.
+        real = tsums.symfunc.monomial_depth_expr
+        monkeypatch.setattr(
+            tsums.symfunc, "monomial_depth_expr", lambda n, d: real(n, d) + GenExpr.elem(n)
+        )
+        assert not check_monomial_expansion(5, 2, 5)
+        assert not check_bivariate_factorization(5, 5)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
