@@ -34,9 +34,9 @@ from .oracle import (
     t_numeric,
 )
 from .series import (
-    USeries,
     cos_sqrt_series,
     genfunc_biseries,
+    series_quotient,
     sin_sqrt_series,
     tan_link_series,
 )
@@ -62,7 +62,7 @@ __all__ = [
     "euler_number",
     "zeta_even",
     "t_even",
-    "USeries",
+    "series_quotient",
     "cos_sqrt_series",
     "sin_sqrt_series",
     "genfunc_biseries",

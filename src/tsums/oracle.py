@@ -211,8 +211,11 @@ def t_numeric(
     scale = 10 ** (dps + 20)
 
     # A[i] is A_i of the module docstring over the indices b so far; i
-    # ascending, so A[i+1] still holds the sums below b.
-    steps = list(enumerate(s))
+    # ascending, so A[i+1] still holds the sums below b.  Each A_i <= scale
+    # (1 + ln(2N-1)/2)**d < scale (2N)**d < 2**cap: b**e and b**cap both
+    # floor it to 0 for b >= 3 and are both 1 at b = 1, so the cap is exact.
+    cap = scale.bit_length() + d * (2 * N).bit_length()
+    steps = [(i, min(e, cap)) for i, e in enumerate(s)]
     A = [0] * d + [scale]
     for b in range(1, 2 * N - 1, 2):
         for i, e in steps:

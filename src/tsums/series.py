@@ -1,9 +1,12 @@
 """Truncated formal power series over exact rationals.
 
-One-variable dense series whose sums, products and reciprocals truncate
-consistently at the stored order.  The central convention of the whole
-library lives here: the substitution ``y = pi**2 * u / 4`` turns the
-transcendental generating functions
+A one-variable series truncated at order K is the tuple of its K+1
+coefficients, and a two-variable one is a tuple of such rows.  The one
+operation on them is the triangular division series_quotient, which also
+gives reciprocals; products are written out where they are needed.
+
+The central convention of the whole library lives here: the substitution
+``y = pi**2 * u / 4`` turns the transcendental generating functions
 
     cos(pi*sqrt(u)/2),  sec(pi*sqrt(u)/2),  cos(pi*sqrt((1-v)*u)/2)
 
@@ -16,14 +19,13 @@ Conversion back to pi-power values happens in :mod:`tsums.formulas`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .exact import t_even
 
 __all__ = [
-    "USeries",
+    "series_quotient",
     "cos_sqrt_series",
     "sin_sqrt_series",
     "genfunc_biseries",
@@ -31,88 +33,31 @@ __all__ = [
     "tan_link_expected",
 ]
 
-_ZERO = Fraction(0)
-
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"series coefficients must be exact rationals, got {type(x)!r}")
 
 
-@dataclass(frozen=True)
-class USeries:
-    """Series in one variable y, truncated at order K (inclusive)."""
+def series_quotient(num, den) -> tuple[Fraction, ...]:
+    """num/den to the order of den (num is padded with zeros or truncated).
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("a series stores at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
-
-    @staticmethod
-    def from_list(coeffs) -> "USeries":
-        return USeries(tuple(coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.order else _ZERO
-
-    def __add__(self, other: "USeries") -> "USeries":
-        # Mixed orders truncate to the shorter operand.
-        k = min(self.order, other.order)
-        return USeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(k + 1)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return USeries(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, USeries):
-            return NotImplemented
-        k = min(self.order, other.order)
-        out = [_ZERO] * (k + 1)
-        for i, a in enumerate(self.coeffs[: k + 1]):
-            if a == 0:
-                continue
-            for j in range(k + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return USeries(tuple(out))
-
-    __rmul__ = __mul__
-
-    def recip(self) -> "USeries":
-        """Multiplicative inverse up to the stored order.
-
-        Requires a unit constant term; solved by the triangular recurrence
-        b_0 = 1/a_0, b_k = -(sum_{i=1..k} a_i b_{k-i}) / a_0.
-        """
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            raise ValueError("non-unit series: constant term is zero")
-        inv0 = 1 / a0
-        out = [inv0] + [_ZERO] * self.order
-        for k in range(1, self.order + 1):
-            acc = _ZERO
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if ai:
-                    acc += ai * out[k - i]
-            out[k] = -acc * inv0
-        return USeries(tuple(out))
-
-    def shift_up(self) -> "USeries":
-        """Multiply by y, keeping the order (top coefficient falls off)."""
-        return USeries((_ZERO,) + self.coeffs[:-1])
+    Solved by the triangular recurrence
+    b_k = (a_k - sum_{i=1..k} d_i b_{k-i}) / d_0, so den needs a unit
+    constant term; series_quotient((1,), den) is the reciprocal of den.
+    """
+    d = [_as_fraction(x) for x in den]
+    a = [_as_fraction(x) for x in num] + [0] * len(d)
+    if not d or d[0] == 0:
+        raise ValueError("non-unit series: constant term is zero")
+    out: list[Fraction] = []
+    for k in range(len(d)):
+        out.append((a[k] - sum(d[i] * out[k - i] for i in range(1, k + 1))) / d[0])
+    return tuple(out)
 
 
-def cos_sqrt_series(order: int) -> USeries:
+def cos_sqrt_series(order: int) -> tuple[Fraction, ...]:
     """c(y) = cos(sqrt(y)) = sum_{n<=K} (-1)**n y**n / (2n)!.
 
     Under y = pi**2 u/4 this is cos(pi*sqrt(u)/2); under y = pi**2 u it is
@@ -120,18 +65,14 @@ def cos_sqrt_series(order: int) -> USeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    return USeries(
-        tuple(Fraction((-1) ** n, factorial(2 * n)) for n in range(order + 1))
-    )
+    return tuple(Fraction((-1) ** n, factorial(2 * n)) for n in range(order + 1))
 
 
-def sin_sqrt_series(order: int) -> USeries:
+def sin_sqrt_series(order: int) -> tuple[Fraction, ...]:
     """s(y) = sin(sqrt(y))/sqrt(y) = sum_{n<=K} (-1)**n y**n / (2n+1)!."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return USeries(
-        tuple(Fraction((-1) ** n, factorial(2 * n + 1)) for n in range(order + 1))
-    )
+    return tuple(Fraction((-1) ** n, factorial(2 * n + 1)) for n in range(order + 1))
 
 
 def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -151,7 +92,7 @@ def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
         raise ValueError("order must be >= 1")
     K = order
     c = cos_sqrt_series(K)
-    sec = c.recip()
+    sec = series_quotient((1,), c)
     rows = []
     for n in range(K + 1):
         # c_k = (-1)**k/(2k)! and sec_j = (-1)**j E_2j/(2j)! with integer
@@ -171,7 +112,7 @@ def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def tan_link_series(order: int) -> USeries:
+def tan_link_series(order: int) -> tuple[Fraction, ...]:
     """Normalized half-angle tangent series (y/2) * s(y) / c(y) at y = pi**2 u.
 
     Its y**m coefficient is the rational slot of 4**m * t(2m): multiplying
@@ -180,9 +121,8 @@ def tan_link_series(order: int) -> USeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    s = sin_sqrt_series(order)
-    c = cos_sqrt_series(order)
-    return (s * c.recip() * Fraction(1, 2)).shift_up()
+    half_ys = (0,) + tuple(x / 2 for x in sin_sqrt_series(order - 1))
+    return series_quotient(half_ys, cos_sqrt_series(order))
 
 
 def tan_link_expected(m: int) -> Fraction:

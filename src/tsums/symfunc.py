@@ -53,7 +53,7 @@ _ZERO = Fraction(0)
 
 def _accumulate(out: dict, key, c: Fraction) -> None:
     """out[key] += c in a sparse dict that never stores a zero."""
-    s = out.get(key, _ZERO) + c
+    s = out[key] + c if key in out else c
     if s:
         out[key] = s
     else:
@@ -248,9 +248,9 @@ class GenExpr:
 
     def __init__(self, terms: dict[tuple[tuple[str, int], ...], Fraction] | None = None):
         self.terms: dict[tuple[tuple[str, int], ...], Fraction] = {}
+        # Keys that sort equal name the same product: their coefficients add.
         for key, c in (terms or {}).items():
-            if c:
-                self.terms[tuple(sorted(key))] = Fraction(c)
+            _accumulate(self.terms, tuple(sorted(key)), Fraction(c))
 
     @staticmethod
     def const(c) -> "GenExpr":

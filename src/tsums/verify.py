@@ -112,7 +112,7 @@ def suite_genfunc(max_n: int) -> Report:
         got = table.value(n, n)
         want = formulas.t_all_twos(n)
         rep.add(f"all-twos cell n={n}", {"n": n}, want, got, got == want)
-    sec = series.cos_sqrt_series(max_n).recip()
+    sec = series.series_quotient((1,), series.cos_sqrt_series(max_n))
     for j in range(max_n + 1):
         want = Fraction((-1) ** j * exact.euler_number(2 * j), math.factorial(2 * j))
         got = sec[j]

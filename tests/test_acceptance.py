@@ -24,7 +24,12 @@ from tsums.formulas import (
     t_all_twos,
 )
 from tsums.oracle import TruncationParams, T_numeric, pi_power_eval
-from tsums.series import cos_sqrt_series, tan_link_expected, tan_link_series
+from tsums.series import (
+    cos_sqrt_series,
+    series_quotient,
+    tan_link_expected,
+    tan_link_series,
+)
 from tsums.symfunc import check_bivariate_factorization, check_monomial_expansion
 
 
@@ -148,7 +153,7 @@ def test_criterion_7_oracle_agreement():
 
 def test_criterion_8_secant_euler_coefficients():
     t0 = time.perf_counter()
-    r = cos_sqrt_series(30).recip()
+    r = series_quotient((1,), cos_sqrt_series(30))
     ok = all(
         r[j] == Fraction((-1) ** j * euler_number(2 * j), math.factorial(2 * j))
         for j in range(31)

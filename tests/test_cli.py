@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -382,6 +383,13 @@ class TestEval:
         assert rc == 0 and "err ~ " in out and "err <=" not in out
         rc, out, _ = run_cli(capsys, "eval", "--t", "2,2", "--terms", "1000")
         assert rc == 0 and "err <= " in out and "err ~" not in out
+
+    def test_huge_exponent_is_cheap(self, capsys):
+        # 3**(10**7) alone would take seconds to build; the pass caps it.
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "eval", "--t", "10000000", "--terms", "3")
+        assert time.perf_counter() - t0 < 2
+        assert rc == 0 and out.startswith("t(10000000) = 1.0  err <= ")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "eval", "--t", "2,4", "--terms", "20000")

@@ -3,6 +3,7 @@ the series oracle and the symmetric-function checks do not reuse the exact
 routes, and the exact routes do not reuse them."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import tsums
 
 SRC = Path(tsums.__file__).parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
 def imports(module):
@@ -54,3 +56,9 @@ def test_reader_sees_every_import_form():
     assert imports("verify")["oracle"] == {"*"}
     assert "t_numeric" in imports("cli")["oracle"]
     assert imports("formulas")["series"] == {"genfunc_biseries"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = tsums if module == "__init__" else importlib.import_module(f"tsums.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

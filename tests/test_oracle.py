@@ -15,6 +15,8 @@ from tsums.oracle import (
     PrecReal,
     TruncationParams,
     T_numeric,
+    _finish,
+    _reach,
     _weight_ladder,
     pi_power_eval,
     t_numeric,
@@ -30,7 +32,35 @@ def compositions(n, d):
     return [c for c in itertools.product(parts, repeat=d) if sum(c) == n]
 
 
+def _uncapped_t_numeric(s, params, dps):
+    """t_numeric's pass dividing by the real powers b**s_i, finished as
+    t_numeric finishes: a reference for its exponent cap."""
+    N, d, scale = params.terms, len(s), 10 ** (dps + 20)
+    A = [0] * d + [scale]
+    for b in range(1, 2 * N, 2):
+        if b == 2 * N - 1:
+            inner = A[:]
+        for i, e in enumerate(s):
+            A[i] += A[i + 1] // b**e
+    cap, drift = 1.0, 0.0
+    for i in range(d - 1, 0, -1):
+        drift = cap * _reach(s[i], N)
+        cap = inner[i] / scale + drift
+    return _finish(A[0], [(s[0], inner[1], drift, cap)], 2 * (d + 1) * (N + 1),
+                   N, scale, params, dps)
+
+
 class TestTNumeric:
+    @pytest.mark.parametrize("tail_order", [0, 1])
+    def test_capped_exponents_are_exact(self, tail_order):
+        # At dps 10 and N <= 3 the cap is at most 100 + 3d bits, so every
+        # exponent here from 150 up is capped.
+        for N in (1, 2, 3):
+            params = TruncationParams(terms=N, tail_order=tail_order)
+            for s in ([2], [150], [2, 200], [300, 1, 2], [3, 2, 1000], [1000, 150, 2]):
+                got = t_numeric(s, params, dps=10)
+                assert got == _uncapped_t_numeric(s, params, 10), (s, N)
+
     def test_depth_one(self):
         got = t_numeric([2], FAST)
         want = pi_power_eval(t_even(1))

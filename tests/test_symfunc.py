@@ -208,6 +208,11 @@ class TestSpecialization:
         want = specialize_odd_squares(GenExpr.power(1), self.M, self.DPS)
         assert abs(got.value - want.value) <= got.err + want.err
 
+    def test_keys_that_sort_equal_add(self):
+        he, eh = (("h", 1), ("e", 2)), (("e", 2), ("h", 1))
+        assert GenExpr({he: 1, eh: 1}).terms == {eh: 2}
+        assert GenExpr({he: 1, eh: -1}).terms == {}
+
 
 def _odd_square_values(kind, j, m):
     """p_j, e_j or h_j of x_i = 1/(2i-1)**2, i <= m, as an exact Fraction,
