@@ -34,13 +34,15 @@ to S_k[w].  T_numeric runs this weight ladder,
 ``g = (S[k-1][w-1] + g) // (2m-1)**2; S[k][w] += g``, over the cells
 1 <= k <= w <= n: k descending, so that S[k-1] still holds the sums over
 indices below m, and w ascending, so that g carries G_k[w-1].  One pass
-gives every depth of weight n in n(n+1)/2 updates per index and O(n**2)
-memory.  The member bounds sum by leading part j_1 over the cells
-S_{d-1}[n-j_1](N-1), with the caps from the float recursion
-C_k[w] = S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j], C_0[0] = 1, summed over the
-compositions; so the bound equals the sum of the member bounds up to float
-rounding.  Both passes end in _finish, which converts the fixed-point sum
-and adds one tail correction and bound per leading exponent.
+of the top weight n serves every depth of every weight w <= n, because a
+cell S[k][w] depends only on cells of weight below w and never on n; it
+costs n(n+1)/2 updates per index and O(n**2) memory.  The member bounds
+sum by leading part j_1 over the cells S_{d-1}[n-j_1](N-1), with the caps
+from the float recursion C_k[w] = S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j],
+C_0[0] = 1, summed over the compositions; so the bound equals the sum of
+the member bounds up to float rounding.  Both passes end in _finish, which
+converts the fixed-point sum and adds one tail correction and bound per
+leading exponent.
 
 Quantization.  Each floor division subtracts some theta in [0, 1) ulp from a
 linear recurrence with non-negative coefficients, so every sum falls short
@@ -85,7 +87,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -244,18 +245,25 @@ def _weight_ladder(n: int, N: int, scale: int) -> tuple[list[list[int]], list[li
     for m in range(1, N + 1):
         if m == N:
             inner = [row[:] for row in S]
-        q = (2 * m - 1) ** 2
+        # Two divisions by b = 2m-1 < 2**30, one CPython digit, floor
+        # exactly as one by b**2, which takes two digits from m > 16384 on.
+        b = 2 * m - 1
         for prev, row, weights in ladder:
             g = 0
             for w in weights:
-                g = (prev[w - 1] + g) // q
+                g = (prev[w - 1] + g) // b // b
                 row[w] += g
     return inner, S
 
 
-@lru_cache(maxsize=None)
-def _weight_row(n: int, params: TruncationParams, dps: int) -> tuple[PrecReal, ...]:
-    """T(2n,d) for d = 1..n from one pass of the weight ladder."""
+# The finished rows of every weight up to the top weight of the last ladder
+# pass, per (params, dps): _rows[key][w-1][d-1] is T(2w,d).
+_rows: dict[tuple[TruncationParams, int], tuple[tuple[PrecReal, ...], ...]] = {}
+
+
+def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[PrecReal, ...], ...]:
+    """T(2w,d) for 1 <= d <= w <= n from one pass of the weight ladder of
+    weight n, stored in _rows."""
     N = params.terms
     scale = 10 ** (dps + 20)
     inner, S = _weight_ladder(n, N, scale)
@@ -270,17 +278,22 @@ def _weight_row(n: int, params: TruncationParams, dps: int) -> tuple[PrecReal, .
         C.append([inner[k][w] / scale + D[k][w] for w in range(n + 1)])
 
     # One tail per leading part j = j_1, and the quantization allowance of
-    # the C(n-1,d-1) per-composition passes, which covers the ladder's.
-    return tuple(
-        _finish(
-            S[d][n],
-            [(2 * j, inner[d - 1][n - j], D[d - 1][n - j], C[d - 1][n - j])
-             for j in range(1, n - d + 2)],
-            math.comb(n - 1, d - 1) * 2 * (d + 1) * (N + 1),
-            N, scale, params, dps,
+    # the C(w-1,d-1) per-composition passes, which covers the ladder's.
+    rows = tuple(
+        tuple(
+            _finish(
+                S[d][w],
+                [(2 * j, inner[d - 1][w - j], D[d - 1][w - j], C[d - 1][w - j])
+                 for j in range(1, w - d + 2)],
+                math.comb(w - 1, d - 1) * 2 * (d + 1) * (N + 1),
+                N, scale, params, dps,
+            )
+            for d in range(1, w + 1)
         )
-        for d in range(1, n + 1)
+        for w in range(1, n + 1)
     )
+    _rows[params, dps] = rows
+    return rows
 
 
 def T_numeric(
@@ -290,14 +303,20 @@ def T_numeric(
     dps: int = DEFAULT_DPS,
 ) -> PrecReal:
     """T(2n,d), the sum of t(2j_1,...,2j_d) over the compositions of n into
-    d parts, from one weight-ladder pass shared by every depth of weight n
-    (memoized).  The bound equals the sum of the t_numeric member bounds up
-    to float rounding.  Cost O(n**2 * N) per weight."""
+    d parts, from the weight-ladder pass of the highest weight asked for so
+    far, which serves every depth of every lower weight (memoized).  The
+    bound equals the sum of the t_numeric member bounds up to float
+    rounding.  Cost O(n**2 * N) per new top weight."""
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
     if d > n:
         return PrecReal(mp.mpf(0), mp.mpf(0))
-    return _weight_row(n, params if params is not None else TruncationParams(), dps)[d - 1]
+    if params is None:
+        params = TruncationParams()
+    rows = _rows.get((params, dps), ())
+    if len(rows) < n:
+        rows = _weight_rows(n, params, dps)
+    return rows[n - 1][d - 1]
 
 
 def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:

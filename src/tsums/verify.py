@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,6 +26,7 @@ class Case:
     expected: str
     actual: str
     passed: bool
+    elapsed_s: float  # since the previous case was added, or the report made
 
 
 @dataclass
@@ -33,6 +34,8 @@ class Report:
     suite: str
     cases: list[Case] = field(default_factory=list)
     wall_time_s: float = 0.0
+    _last: float = field(default_factory=time.perf_counter, init=False, repr=False,
+                         compare=False)
 
     @property
     def total(self) -> int:
@@ -47,7 +50,9 @@ class Report:
         return self.total - self.passed
 
     def add(self, id: str, params: dict, expected, actual, passed: bool) -> None:
-        self.cases.append(Case(id, params, str(expected), str(actual), passed))
+        now = time.perf_counter()
+        self.cases.append(Case(id, params, str(expected), str(actual), passed, now - self._last))
+        self._last = now
 
     def to_dict(self) -> dict:
         return {
@@ -59,6 +64,7 @@ class Report:
                     "expected": c.expected,
                     "actual": c.actual,
                     "pass": c.passed,
+                    "elapsed_s": round(c.elapsed_s, 3),
                 }
                 for c in self.cases
             ],
@@ -199,6 +205,7 @@ def suite_oracle(max_n: int, terms: int, dps: int) -> Report:
     reported bound and relative bound <= 1e-6, for 1 <= d <= n <= max_n."""
     rep = Report("oracle")
     params = oracle.TruncationParams(terms=terms, tail_order=1)
+    oracle.T_numeric(max_n, 1, params, dps)  # one ladder pass serves every cell
     for n in range(1, max_n + 1):
         for d in range(1, n + 1):
             num = oracle.T_numeric(n, d, params, dps)
@@ -244,9 +251,7 @@ def run_suite(name: str, **overrides) -> Report:
         rep = Report("all")
         for sub in SUITES:
             for c in run_suite(sub, **overrides).cases:
-                rep.cases.append(
-                    Case(f"{sub}/{c.id}", c.params, c.expected, c.actual, c.passed)
-                )
+                rep.cases.append(replace(c, id=f"{sub}/{c.id}"))
     elif name in SUITES:
         kwargs = dict(SUITE_DEFAULTS[name])
         for key, value in overrides.items():

@@ -138,7 +138,7 @@ def test_criterion_7_oracle_agreement():
     t0 = time.perf_counter()
     params = TruncationParams(terms=1_000_000, tail_order=1)
     ok = True
-    for n in range(1, 6):
+    for n in range(5, 0, -1):
         for d in range(1, n + 1):
             num = T_numeric(n, d, params, dps=50)
             ref = pi_power_eval(T_from_euler(n, d), dps=50)

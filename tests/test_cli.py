@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsums.formulas
+import tsums.oracle
 from tsums.cli import main
 from tsums.exact import PiPower
 from tsums.formulas import T_from_euler
@@ -167,6 +168,29 @@ class TestVerify:
         report = json.loads(out)
         assert report["summary"] == {"total": 3, "passed": 3, "failed": 0}
 
+    def test_oracle_first_case_carries_the_pass(self, capsys, monkeypatch):
+        # A pass made slow on purpose: the one ladder pass of the suite runs
+        # before its first case, and every later case reads its rows.  The
+        # exit code is not the point here (at 2000 terms the bound of T(6,3)
+        # is 3.4e-6 relative, above the suite's 1e-6).
+        calls = []
+
+        def slow_ladder(*args):
+            calls.append(args[0])
+            time.sleep(0.3)
+            return ladder(*args)
+
+        ladder = tsums.oracle._weight_ladder
+        monkeypatch.setattr(tsums.oracle, "_rows", {})
+        monkeypatch.setattr(tsums.oracle, "_weight_ladder", slow_ladder)
+        _, out, _ = run_cli(
+            capsys, "verify", "--suite", "oracle", "--max-n", "3", "--terms", "2000"
+        )
+        assert calls == [3]
+        elapsed = [c["elapsed_s"] for c in json.loads(out)["cases"]]
+        assert len(elapsed) == 6 and elapsed[0] >= 0.3
+        assert all(0 <= e < 0.3 for e in elapsed[1:]), elapsed
+
     def test_oracle_suite_reaches_weight_16(self, capsys):
         # 40 000 terms: at 20 000 the bounds of T(14,7), T(16,7) and T(16,8)
         # exceed the suite's relative limit of 1e-6.
@@ -221,6 +245,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["suite"] == "all"
         assert report["summary"]["failed"] == 0
+        assert all(c["elapsed_s"] >= 0 for c in report["cases"])
         prefixes = {c["id"].split("/")[0] for c in report["cases"]}
         assert prefixes == {
             "closed-forms",

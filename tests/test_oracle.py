@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from tsums import oracle
 from tsums.exact import t_even
 from tsums.formulas import T_from_euler, t_all_twos
 from tsums.oracle import (
@@ -225,6 +226,51 @@ class TestWeightLadder:
     def test_row_is_memoized(self):
         params = TruncationParams(terms=50)
         assert T_numeric(4, 2, params) is T_numeric(4, 2, params)
+
+    def test_one_digit_division_matches_square(self):
+        # (x // b) // b == x // b**2; N = 17000 runs past m = 16384, where
+        # (2m-1)**2 needs a second 30-bit digit.
+        n, N, scale = 2, 17_000, 10**30
+        S = [[scale] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+        for m in range(1, N + 1):
+            if m == N:
+                inner = [row[:] for row in S]
+            for k in range(n, 0, -1):
+                g = 0
+                for w in range(k, n + 1):
+                    g = (S[k - 1][w - 1] + g) // (2 * m - 1) ** 2
+                    S[k][w] += g
+        assert _weight_ladder(n, N, scale) == (inner, S)
+
+    @pytest.mark.parametrize("tail_order", [0, 1])
+    @pytest.mark.parametrize("N", [1, 2, 3, 1000])
+    def test_top_weight_pass_serves_lower_weights(self, monkeypatch, N, tail_order):
+        params = TruncationParams(terms=N, tail_order=tail_order)
+        cells = [(n, d) for n in range(1, 6) for d in range(1, n + 1)]
+        monkeypatch.setattr(oracle, "_rows", {})
+        ascending = [T_numeric(n, d, params) for n, d in cells]  # one pass per weight
+        monkeypatch.setattr(oracle, "_rows", {})
+        T_numeric(5, 1, params)
+        shared = [T_numeric(n, d, params) for n, d in cells]
+        for (n, d), a, b in zip(cells, ascending, shared):
+            assert (a.value, a.err) == (b.value, b.err), (n, d)
+
+    def test_lower_weights_run_no_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _weight_ladder(*args)
+
+        monkeypatch.setattr(oracle, "_rows", {})
+        monkeypatch.setattr(oracle, "_weight_ladder", counted)
+        params = TruncationParams(terms=50)
+        T_numeric(5, 1, params)
+        T_numeric(3, 2, params)
+        T_numeric(1, 1, params)
+        assert calls == [5]
+        T_numeric(6, 2, params)
+        assert calls == [5, 6]
 
 
 class TestPrecReal:
