@@ -86,6 +86,7 @@ its factor 2 (tail_order=1) or its (2N-1)**-s_1 term (tail_order=0).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,10 +149,15 @@ class TruncationParams:
     tail_order: int = 1  # 0: raw partial sum, 1: first-order integral correction
 
     def __post_init__(self) -> None:
-        if self.terms < 1:
+        if operator.index(self.terms) < 1:
             raise ValueError(f"terms must be >= 1, got {self.terms}")
         if self.tail_order not in (0, 1):
             raise ValueError(f"tail_order must be 0 or 1, got {self.tail_order}")
+
+
+def _check_dps(dps: int) -> None:
+    if dps < MIN_DPS:
+        raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
 
 
 def _reach(s: int, N: int) -> float:
@@ -194,9 +200,11 @@ def t_numeric(
 ) -> PrecReal:
     """Evaluate t(s_1,...,s_d) by truncated summation of the defining series.
 
-    Requires s_1 >= 2 (convergence) and s_i >= 1.  Cost O(d*N), memory O(d).
+    Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
+    and dps >= MIN_DPS.  Cost O(d*N), memory O(d).
     """
-    s = [int(x) for x in exponents]
+    s = [operator.index(x) for x in exponents]
+    _check_dps(dps)
     if not s:
         raise ValueError("empty argument list")
     if any(x < 1 for x in s):
@@ -264,6 +272,7 @@ _rows: dict[tuple[TruncationParams, int], tuple[tuple[PrecReal, ...], ...]] = {}
 def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[PrecReal, ...], ...]:
     """T(2w,d) for 1 <= d <= w <= n from one pass of the weight ladder of
     weight n, stored in _rows."""
+    _check_dps(dps)
     N = params.terms
     scale = 10 ** (dps + 20)
     inner, S = _weight_ladder(n, N, scale)
@@ -306,7 +315,8 @@ def T_numeric(
     d parts, from the weight-ladder pass of the highest weight asked for so
     far, which serves every depth of every lower weight (memoized).  The
     bound equals the sum of the t_numeric member bounds up to float
-    rounding.  Cost O(n**2 * N) per new top weight."""
+    rounding.  Requires dps >= MIN_DPS.  Cost O(n**2 * N) per new top
+    weight."""
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
     if d > n:
@@ -324,8 +334,7 @@ def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:
 
     The error bound reflects rounding only.
     """
-    if dps < MIN_DPS:
-        raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
+    _check_dps(dps)
     if x.is_zero():
         return PrecReal(mp.mpf(0), mp.mpf(0))
     with mp.workdps(dps + 5):

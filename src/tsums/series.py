@@ -22,15 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import t_even
-
 __all__ = [
     "series_quotient",
     "cos_sqrt_series",
     "sin_sqrt_series",
     "genfunc_biseries",
     "tan_link_series",
-    "tan_link_expected",
 ]
 
 
@@ -123,8 +120,3 @@ def tan_link_series(order: int) -> tuple[Fraction, ...]:
         raise ValueError("order must be >= 1")
     half_ys = (0,) + tuple(x / 2 for x in sin_sqrt_series(order - 1))
     return series_quotient(half_ys, cos_sqrt_series(order))
-
-
-def tan_link_expected(m: int) -> Fraction:
-    """Independent target for the tan-link slot: 4**m * t(2m) / pi**(2m)."""
-    return t_even(m).coeff * 4**m

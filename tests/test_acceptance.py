@@ -27,7 +27,6 @@ from tsums.oracle import TruncationParams, T_numeric, pi_power_eval
 from tsums.series import (
     cos_sqrt_series,
     series_quotient,
-    tan_link_expected,
     tan_link_series,
 )
 from tsums.symfunc import check_bivariate_factorization, check_monomial_expansion
@@ -165,6 +164,6 @@ def test_criterion_8_secant_euler_coefficients():
 def test_criterion_9_tangent_series_slots():
     t0 = time.perf_counter()
     s = tan_link_series(20)
-    ok = all(s[m] == tan_link_expected(m) for m in range(1, 21))
+    ok = all(s[m] == t_even(m).coeff * 4**m for m in range(1, 21))
     _criterion(9, "tangent series matches 4**m t(2m) slots, m <= 20", ok,
                time.perf_counter() - t0)

@@ -12,6 +12,7 @@ import tsums
 
 SRC = Path(tsums.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+LAYERS = ["exact", "series", "formulas", "symfunc", "oracle"]
 
 
 def imports(module):
@@ -47,6 +48,10 @@ def test_symfunc_takes_only_prec_real_from_oracle():
     assert imports("symfunc").get("oracle") == {"PrecReal"}
 
 
+def test_series_imports_nothing_from_the_package():
+    assert imports("series") == {}
+
+
 @pytest.mark.parametrize("module", ["formulas", "series"])
 def test_exact_routes_do_not_use_the_checks(module):
     assert not {"oracle", "symfunc"} & set(imports(module))
@@ -62,3 +67,13 @@ def test_reader_sees_every_import_form():
 def test_every_exported_name_resolves(module):
     mod = tsums if module == "__init__" else importlib.import_module(f"tsums.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_exports_each_layer_name_once():
+    layers = [importlib.import_module(f"tsums.{name}") for name in LAYERS]
+    names = [name for mod in layers for name in mod.__all__]
+    assert tsums.__all__ == [*names, "__version__"]
+    # A name in two layers would be shadowed silently by the star imports.
+    assert len(set(names)) == len(names)
+    assert [(mod.__name__, name) for mod in layers for name in mod.__all__
+            if getattr(tsums, name) is not getattr(mod, name)] == []

@@ -97,6 +97,15 @@ class TestTNumeric:
         with pytest.raises(ValueError):
             t_numeric([2, 0], FAST)
 
+    def test_rejects_non_integer_exponent(self):
+        # Truncating 2.5 to 2 would silently return t(2).
+        with pytest.raises(TypeError):
+            t_numeric([2.5], FAST)
+
+    def test_rejects_low_precision(self):
+        with pytest.raises(ValueError):
+            t_numeric([2], FAST, dps=-25)
+
     def test_monotone_error_refinement(self):
         errs = [
             t_numeric([2, 2], TruncationParams(terms=N)).err
@@ -181,6 +190,12 @@ class TestTNumericSums:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             T_numeric(0, 1, FAST)
+
+    def test_rejects_low_precision(self):
+        params = TruncationParams(terms=50)
+        with pytest.raises(ValueError):
+            T_numeric(2, 1, params, dps=-25)
+        assert (params, -25) not in oracle._rows
 
 
 class TestCompositions:
@@ -310,3 +325,7 @@ class TestTruncationParams:
             TruncationParams(terms=0)
         with pytest.raises(ValueError):
             TruncationParams(tail_order=2)
+
+    def test_rejects_non_integer_terms(self):
+        with pytest.raises(TypeError):
+            TruncationParams(terms=2.5)
