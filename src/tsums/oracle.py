@@ -151,7 +151,9 @@ class TruncationParams:
     def __post_init__(self) -> None:
         if operator.index(self.terms) < 1:
             raise ValueError(f"terms must be >= 1, got {self.terms}")
-        if self.tail_order not in (0, 1):
+        if isinstance(self.tail_order, bool):
+            raise TypeError(f"tail_order must be the integer 0 or 1, got {self.tail_order}")
+        if operator.index(self.tail_order) not in (0, 1):
             raise ValueError(f"tail_order must be 0 or 1, got {self.tail_order}")
 
 
@@ -272,7 +274,6 @@ _rows: dict[tuple[TruncationParams, int], tuple[tuple[PrecReal, ...], ...]] = {}
 def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[PrecReal, ...], ...]:
     """T(2w,d) for 1 <= d <= w <= n from one pass of the weight ladder of
     weight n, stored in _rows."""
-    _check_dps(dps)
     N = params.terms
     scale = 10 ** (dps + 20)
     inner, S = _weight_ladder(n, N, scale)
@@ -315,18 +316,22 @@ def T_numeric(
     d parts, from the weight-ladder pass of the highest weight asked for so
     far, which serves every depth of every lower weight (memoized).  The
     bound equals the sum of the t_numeric member bounds up to float
-    rounding.  Requires dps >= MIN_DPS.  Cost O(n**2 * N) per new top
-    weight."""
-    if n < 1 or d < 1:
-        raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
-    if d > n:
-        return PrecReal(mp.mpf(0), mp.mpf(0))
+    rounding.  Requires integers n, d >= 1 and dps >= MIN_DPS.  A memoized
+    cell costs one dict lookup, and a non-integer n or d fails its tuple
+    index there; any other call checks n and d (operator.index) and dps
+    before any work.  Cost O(n**2 * N) per new top weight."""
     if params is None:
         params = TruncationParams()
     rows = _rows.get((params, dps), ())
-    if len(rows) < n:
-        rows = _weight_rows(n, params, dps)
-    return rows[n - 1][d - 1]
+    if 1 <= d <= n <= len(rows):
+        return rows[n - 1][d - 1]
+    n, d = operator.index(n), operator.index(d)
+    if n < 1 or d < 1:
+        raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
+    _check_dps(dps)
+    if d > n:
+        return PrecReal(mp.mpf(0), mp.mpf(0))
+    return _weight_rows(n, params, dps)[n - 1][d - 1]
 
 
 def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:

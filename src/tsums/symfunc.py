@@ -20,14 +20,26 @@ bound attached.
 Each N_{n,d} is written once, as the generator expression
 :func:`monomial_depth_expr`: the exact checks expand it in the m_lambda and
 the numeric checks specialize it.
+
+The expansion multiplies only one e_k by one h_l, by a counting lemma: for
+|lambda| = k + l, the coefficient of m_lambda in e_k h_l is
+binom(len(lambda), k).  It is the coefficient of the monomial x**lambda;
+the e_k factor supplies x**S for a k-subset S of the variables, and h_l
+then supplies x**(lambda - 1_S) once, which exists exactly when S lies in
+the support of lambda, a set of len(lambda) variables.  The lemma proves
+the factorization in every degree: the u**n v**d coefficient of the right
+side is sum_k (-1)**(k-d) binom(k,d) e_k h_{n-k}, and at a partition of
+length L its m_lambda coefficient is sum_k (-1)**(k-d) binom(k,d)
+binom(L,k) = delta_{L,d}, because binom(L,k) binom(k,d) = binom(L,d)
+binom(L-d,k-d) and the alternating row sum of binom(L-d, .) is 0 unless
+L = d.  That is N_{n,d}, and 1 at n = d = 0.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterator
 
 import mpmath as mp
@@ -47,8 +59,6 @@ __all__ = [
     "monomial_depth_expr",
     "specialize_odd_squares",
 ]
-
-_ZERO = Fraction(0)
 
 
 def _accumulate(out: dict, key, c: Fraction) -> None:
@@ -78,39 +88,14 @@ def _is_partition(lam: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[-1] >= 1)
 
 
-def _complements(lam: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """lam - alpha, sorted into a partition, for every distinct rearrangement
-    alpha of mu (padded with zeros to len(lam)) with alpha <= lam."""
-    if len(mu) > len(lam):
-        return
-    counts = dict.fromkeys(mu, 0)
-    for part in mu:
-        counts[part] += 1
-    counts[0] = len(lam) - len(mu)
-    rest = [0] * len(lam)
-
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(lam):
-            yield tuple(sorted((r for r in rest if r), reverse=True))
-            return
-        for part, left in counts.items():
-            if left and part <= lam[i]:
-                counts[part] = left - 1
-                rest[i] = lam[i] - part
-                yield from place(i + 1)
-                counts[part] = left
-
-    yield from place(0)
-
-
 class SymPoly:
     """Symmetric polynomial over Q in a fixed number m of variables, stored
     in the monomial basis: ``terms`` maps a partition lambda (a weakly
     decreasing tuple of positive parts, at most m of them; () is the
     constant) to the coefficient of m_lambda.  Symmetric by construction.
 
-    Treated as immutable after construction; zero coefficients are never
-    stored.
+    Supports ``+`` and scalar ``*`` only.  Treated as immutable after
+    construction; zero coefficients are never stored.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -153,35 +138,9 @@ class SymPoly:
         return SymPoly(self.num_vars, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return SymPoly(self.num_vars)
-            return SymPoly(
-                self.num_vars, {lam: c * other for lam, c in self.terms.items()}
-            )
-        if not isinstance(other, SymPoly):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._require_same_vars(other)
-        # The coefficient of m_lam in a*b is that of the monomial x**lam:
-        # the sum over exponent vectors alpha <= lam of a_sort(alpha) *
-        # b_sort(lam - alpha).  Rearrange the factor with fewer terms.
-        a, b = sorted((self, other), key=lambda p: len(p.terms))
-        b_degrees = {sum(nu) for nu in b.terms}
-        targets = {sum(mu) + e for mu in a.terms for e in b_degrees}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for total in targets:
-            for lam in _partitions(total, self.num_vars):
-                c = _ZERO
-                for mu, a_mu in a.terms.items():
-                    if total - sum(mu) in b_degrees:
-                        c += a_mu * sum(
-                            (b.terms.get(nu, _ZERO) for nu in _complements(lam, mu)),
-                            _ZERO,
-                        )
-                if c:
-                    out[lam] = c
-        return SymPoly(self.num_vars, out)
+        return SymPoly(self.num_vars, {lam: c * other for lam, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -310,10 +269,14 @@ def monomial_depth_expr(n: int, d: int) -> GenExpr:
 
 @lru_cache(maxsize=None)
 def _product(key: tuple[tuple[str, int], ...], m: int) -> SymPoly:
-    """The product of the generators in one GenExpr key, in m variables."""
-    polys = {"e": elementary, "h": complete, "p": power_sum}
-    factors = [polys[kind](j, m) for kind, j in key]
-    return reduce(operator.mul, factors) if factors else SymPoly.constant(1, m)
+    """The product e_k * h_l of one GenExpr key, in m variables, from the
+    counting lemma of the module docstring: m_lambda has the coefficient
+    binom(len(lambda), k)."""
+    k, ell = (dict(key).get(kind, 0) for kind in "eh")
+    if key != _he_key(ell, k):
+        raise ValueError(f"only products e_k * h_l expand, got {key}")
+    return SymPoly(m, {lam: binomial(len(lam), k)
+                       for lam in _partitions(k + ell, m) if len(lam) >= k})
 
 
 def _expand(expr: GenExpr, m: int) -> SymPoly:

@@ -197,6 +197,22 @@ class TestTNumericSums:
             T_numeric(2, 1, params, dps=-25)
         assert (params, -25) not in oracle._rows
 
+    def test_rejects_low_precision_beyond_depth(self):
+        # The exact zero for d > n is no way round the precision check.
+        with pytest.raises(ValueError):
+            T_numeric(2, 3, FAST, dps=-25)
+
+    def test_rejects_non_integer_depth(self):
+        # Rejected before the ladder pass, not at the row index after it.
+        params = TruncationParams(terms=51)
+        with pytest.raises(TypeError):
+            T_numeric(3, 1.5, params)
+        assert (params, oracle.DEFAULT_DPS) not in oracle._rows
+        # A memoized row does not take it either.
+        T_numeric(3, 1, params)
+        with pytest.raises(TypeError):
+            T_numeric(3, 1.5, params)
+
 
 class TestCompositions:
     def test_counts(self):
@@ -329,3 +345,8 @@ class TestTruncationParams:
     def test_rejects_non_integer_terms(self):
         with pytest.raises(TypeError):
             TruncationParams(terms=2.5)
+
+    @pytest.mark.parametrize("tail_order", [1.0, True])
+    def test_rejects_non_integer_tail_order(self, tail_order):
+        with pytest.raises(TypeError):
+            TruncationParams(tail_order=tail_order)

@@ -7,8 +7,6 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import tsums.symfunc
 from tsums.formulas import T_from_euler, depth_sum_identity, t_all_twos
@@ -16,6 +14,9 @@ from tsums.oracle import pi_power_eval
 from tsums.symfunc import (
     GenExpr,
     SymPoly,
+    _expand,
+    _he_key,
+    _product,
     check_bivariate_factorization,
     check_monomial_expansion,
     complete,
@@ -55,10 +56,8 @@ class TestGenerators:
         # E(-u) H(u) = 1, coefficient by coefficient, degrees <= 8.
         m = 8
         for n in range(1, 9):
-            acc = SymPoly(m)
-            for j in range(n + 1):
-                acc = acc + (-1) ** j * (elementary(j, m) * complete(n - j, m))
-            assert acc.is_zero(), n
+            column = GenExpr({_he_key(n - j, j): (-1) ** j for j in range(n + 1)})
+            assert _expand(column, m).is_zero(), n
 
 
 class TestMonomialDepthSums:
@@ -76,7 +75,7 @@ class TestMonomialDepthSums:
             assert monomial_depth_sum(n, n, 6) == elementary(n, 6)
 
 
-def _expand(p):
+def _exponent_vectors(p):
     """Exponent-vector form of a SymPoly: every distinct rearrangement of
     each partition, padded with zeros to the variable count."""
     out = {}
@@ -96,39 +95,26 @@ def _exponent_vector_product(f, g):
     return {k: c for k, c in out.items() if c}
 
 
-def _partitions_up_to(n, max_part=None):
-    """Every partition of every degree 0..n."""
-    yield ()
-    for first in range(min(n, max_part or n), 0, -1):
-        for rest in _partitions_up_to(n - first, first):
-            yield (first,) + rest
-
-
-def _sympoly_st(m, max_degree=4):
-    keys = [lam for lam in _partitions_up_to(max_degree) if len(lam) <= m]
-    coeffs = st.integers(min_value=-3, max_value=3).map(Fraction)
-    return st.dictionaries(st.sampled_from(keys), coeffs, max_size=4).map(
-        lambda terms: SymPoly(m, terms)
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda m: st.tuples(_sympoly_st(m), _sympoly_st(m))
-    )
-)
-def test_product_matches_exponent_vector_product(pair):
-    # Brute-force reference: multiply every monomial of both factors in m
-    # variables, then compare every exponent vector of the result.
-    f, g = pair
-    assert _expand(f * g) == _exponent_vector_product(_expand(f), _expand(g))
+def test_product_matches_exponent_vector_product():
+    # Brute-force reference for the counting lemma: multiply every monomial
+    # of e_k and of h_l in m variables, then compare every exponent vector.
+    cases = [(k, ell, m) for m, top in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 6))
+             for k in range(top + 1) for ell in range(top + 1 - k)]
+    assert len(cases) == 208
+    for k, ell, m in cases:
+        want = _exponent_vector_product(
+            _exponent_vectors(elementary(k, m)), _exponent_vectors(complete(ell, m))
+        )
+        assert _exponent_vectors(_product(_he_key(ell, k), m)) == want, (k, ell, m)
 
 
 class TestIdentities:
     def test_factorization_small(self):
         assert check_bivariate_factorization(1, 1)
         assert check_bivariate_factorization(4, 4)
+
+    def test_factorization_above_degree_eight(self):
+        assert check_bivariate_factorization(12, 12)
 
     def test_expansion_examples(self):
         assert check_monomial_expansion(2, 1, 2)
@@ -139,9 +125,15 @@ class TestIdentities:
     def test_expansion_two_variable_hand_case(self):
         # N_{2,1} = -2 e_2 + h_1 e_1 = p_2 in two variables.
         m = 2
-        rhs = -2 * elementary(2, m) + complete(1, m) * elementary(1, m)
-        assert rhs == power_sum(2, m)
+        rhs = GenExpr({(("e", 2),): -2, (("e", 1), ("h", 1)): 1})
+        assert monomial_depth_expr(2, 1).terms == rhs.terms
+        assert _expand(rhs, m) == power_sum(2, m)
         assert monomial_depth_sum(2, 1, m) == power_sum(2, m)
+
+    def test_expand_rejects_other_products(self):
+        for key in ((("p", 2),), (("e", 1), ("e", 2)), (("e", 1), ("h", 1), ("h", 2))):
+            with pytest.raises(ValueError):
+                _expand(GenExpr({key: 1}), 4)
 
     def test_expansion_detects_wrong_depth(self, monkeypatch):
         real = tsums.symfunc.monomial_depth_sum
