@@ -37,7 +37,7 @@ from .exact import PiPower
 from .formulas import T_from_euler, coeff_row
 from .oracle import (DEFAULT_DPS, DEFAULT_TERMS, MIN_DPS, DivergentSeriesError,
                      TruncationParams, t_numeric)
-from .verify import SUITE_DEFAULTS, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "console_main"]
 
@@ -133,7 +133,6 @@ def _cmd_verify(args) -> int:
         "max_d": args.max_d,
         "terms": args.terms,
         "dps": _precision(args),
-        "num_vars": args.num_vars,
     }
     report = run_suite(args.suite, **overrides)
     print(json.dumps(report.to_dict(), indent=2))
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=int, default=None, dest="max_d")
     p.add_argument("--terms", type=int, default=None)
     p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--num-vars", type=int, default=None, dest="num_vars")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate t(s_1,...,s_d) numerically")
@@ -227,14 +225,10 @@ def _usage_error(args) -> str | None:
         if args.depth < 1:
             return "--depth must be >= 1"
     elif args.command == "verify":
-        for dest in ("max_n", "max_d", "terms", "num_vars"):
+        for dest in ("max_n", "max_d", "terms"):
             value = getattr(args, dest)
             if value is not None and value < 1:
                 return f"--{dest.replace('_', '-')} must be >= 1"
-        if args.num_vars is not None and args.suite in ("symmetric", "all"):
-            max_n = args.max_n or SUITE_DEFAULTS["symmetric"]["max_n"]
-            if args.num_vars < max_n:
-                return f"--num-vars must be >= --max-n ({max_n}) for the symmetric suite"
     if args.command in ("verify", "eval"):
         if args.precision is not None:
             if args.precision < MIN_DPS:

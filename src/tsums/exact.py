@@ -90,8 +90,9 @@ class PiPower:
         return f"{self.coeff}*pi^{self.pi_exp}"
 
 
-# Grow-on-demand caches.  Entries are immutable once written; growth is
-# serialized so concurrent readers always see a consistent prefix.
+# Grow-on-demand caches; entries are immutable once written.  The lock is for
+# library callers that share these tables across threads (the package and its
+# CLI start none): growth is serialized, so every reader sees a consistent prefix.
 _lock = threading.Lock()
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 _euler_even: list[int] = [1]  # E_0, E_2, E_4, ...

@@ -158,7 +158,8 @@ class TruncationParams:
 
 
 def _check_dps(dps: int) -> None:
-    if dps < MIN_DPS:
+    """dps must be an integer (a float makes the fixed-point scale one)."""
+    if operator.index(dps) < MIN_DPS:
         raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
 
 

@@ -38,6 +38,7 @@ L = d.  That is N_{n,d}, and 1 at n = d = 0.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -94,7 +95,7 @@ class SymPoly:
     decreasing tuple of positive parts, at most m of them; () is the
     constant) to the coefficient of m_lambda.  Symmetric by construction.
 
-    Supports ``+`` and scalar ``*`` only.  Treated as immutable after
+    A value: built from a dict, compared with ``==``, never changed after
     construction; zero coefficients are never stored.
     """
 
@@ -124,26 +125,6 @@ class SymPoly:
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
 
-    def _require_same_vars(self, other: "SymPoly") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"variable count mismatch: {self.num_vars} vs {other.num_vars}"
-            )
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        self._require_same_vars(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            _accumulate(out, lam, c)
-        return SymPoly(self.num_vars, out)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return SymPoly(self.num_vars, {lam: c * other for lam, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         if not self.terms:
             return "SymPoly(0)"
@@ -153,7 +134,6 @@ class SymPoly:
         return "SymPoly(" + " + ".join(bits) + ")"
 
 
-@lru_cache(maxsize=None)
 def elementary(j: int, m: int) -> SymPoly:
     """e_j in m variables; zero for j > m, one for j = 0."""
     if j < 0:
@@ -163,7 +143,6 @@ def elementary(j: int, m: int) -> SymPoly:
     return SymPoly(m, {(1,) * j: Fraction(1)})
 
 
-@lru_cache(maxsize=None)
 def complete(j: int, m: int) -> SymPoly:
     """h_j in m variables: every m_lambda with lambda |- j, at most m parts."""
     if j < 0:
@@ -200,7 +179,8 @@ class GenExpr:
 
     Keys are sorted tuples of (kind, index) factors; the empty tuple is the
     constant term.  Written in generators (rather than expanded monomials)
-    so the infinite-variable specialization below applies directly.
+    so the infinite-variable specialization below applies directly.  A
+    value like :class:`SymPoly`: built from a dict, never changed after.
     """
 
     __slots__ = ("terms",)
@@ -237,19 +217,6 @@ class GenExpr:
     def power(j: int) -> "GenExpr":
         return GenExpr._gen("p", j)
 
-    def __add__(self, other: "GenExpr") -> "GenExpr":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return GenExpr(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return GenExpr({k: c * other for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
 
 def _he_key(ell: int, k: int) -> tuple[tuple[str, int], ...]:
     """The GenExpr key of h_ell * e_k; h_0 = e_0 = 1 are left out, since the
@@ -280,11 +247,13 @@ def _product(key: tuple[tuple[str, int], ...], m: int) -> SymPoly:
 
 
 def _expand(expr: GenExpr, m: int) -> SymPoly:
-    """A generator expression expanded in the monomial basis of m variables."""
-    out = SymPoly(m)
+    """A generator expression expanded in the monomial basis of m variables:
+    c times the cached e_k * h_l of each term, added into one dict."""
+    out: dict[tuple[int, ...], Fraction] = {}
     for key, c in expr.terms.items():
-        out = out + c * _product(key, m)
-    return out
+        for lam, x in _product(key, m).terms.items():
+            _accumulate(out, lam, c * x)
+    return SymPoly(m, out)
 
 
 def check_monomial_expansion(n: int, d: int, m: int) -> bool:
@@ -375,8 +344,10 @@ def specialize_odd_squares(
     """Numeric image of a generator expression under x_j -> 1/(2j-1)**2.
 
     Truncates the variable list at num_vars and attaches a first-order tail
-    bound; the value itself is the truncated specialization.
+    bound; the value itself is the truncated specialization.  dps must be
+    an integer: the power sums are fixed-point passes at 10**(dps+20).
     """
+    dps = operator.index(dps)
     if num_vars < 2:
         raise ValueError(f"need at least 2 variables, got {num_vars}")
     with mp.workdps(dps + 10):

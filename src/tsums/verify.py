@@ -157,10 +157,11 @@ def suite_bernoulli_euler(max_n: int, max_d: int) -> Report:
     return rep
 
 
-def suite_symmetric(max_n: int, num_vars: int | None) -> Report:
-    """Symmetric-function identities in m variables plus numeric spot checks
-    of the x_j -> 1/(2j-1)**2 specialization."""
-    m = num_vars if num_vars is not None else max(max_n, 2)
+def suite_symmetric(max_n: int) -> Report:
+    """Symmetric-function identities in m = max_n variables, faithful at
+    every degree n <= max_n it checks (m >= n variables see every partition
+    of n), plus numeric spot checks of the x_j -> 1/(2j-1)**2 specialization."""
+    m = max_n
     rep = Report("symmetric")
     ok = symfunc.check_bivariate_factorization(max_n, m)
     rep.add(
@@ -237,7 +238,7 @@ SUITE_DEFAULTS = {
     "genfunc": {"max_n": 30},
     "depth-sum": {"max_n": 30},
     "bernoulli-euler": {"max_n": 15, "max_d": 40},
-    "symmetric": {"max_n": 8, "num_vars": None},
+    "symmetric": {"max_n": 8},
     "oracle": {"max_n": 5, "terms": oracle.DEFAULT_TERMS, "dps": oracle.DEFAULT_DPS},
 }
 

@@ -213,15 +213,16 @@ class TestVerify:
         report = json.loads(out)
         assert report["summary"]["failed"] == 1
 
-    def test_symmetric_num_vars_reaches_suite(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "verify", "--suite", "symmetric", "--max-n", "3",
-            "--num-vars", "10",
-        )
+    def test_symmetric_suite_runs_in_max_n_variables(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "symmetric", "--max-n", "3")
         assert rc == 0
         report = json.loads(out)
-        assert report["cases"][0]["params"] == {"n_max": 3, "m": 10}
+        assert report["cases"][0]["params"] == {"n_max": 3, "m": 3}
         assert report["summary"]["failed"] == 0
+        # No other variable count can change a verdict, so none is offered.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "symmetric", "--num-vars", "10"])
+        assert exc.value.code == 2
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -265,10 +266,10 @@ class TestVerify:
         ("verify", "--suite", "bernoulli-euler", "--max-d", "0"),
         ("verify", "--suite", "oracle", "--terms", "0"),
         ("verify", "--suite", "oracle", "--precision", "0"),
-        ("verify", "--suite", "symmetric", "--num-vars", "0"),
-        ("verify", "--suite", "symmetric", "--num-vars", "5"),
-        ("verify", "--suite", "symmetric", "--max-n", "4", "--num-vars", "3"),
-        ("verify", "--suite", "all", "--max-n", "3", "--num-vars", "2"),
+        ("verify", "--suite", "symmetric", "--max-n", "0"),
+        ("coeffs", "--depth", "0"),
+        ("eval", "--t", "2,0", "--terms", "100"),
+        ("eval", "--t", "2", "--terms", "0"),
         ("table", "--max-n", "3", "--depth", "0"),
         ("table", "--max-n", "3", "--depth", "4"),
         ("verify", "--suite", "oracle", "--max-n", "1", "--terms", "2", "--precision", "1"),
@@ -321,7 +322,7 @@ def cli_calls(draw):
         # Sizes are always given: the defaults run the full suites.
         argv += ["--suite", draw(st.sampled_from([*SUITES, "all", "nonsense"]))]
         argv += ["--max-n", draw(SIZES), "--terms", draw(TERMS)]
-        argv += maybe("--max-d", SIZES) + maybe("--num-vars", SIZES)
+        argv += maybe("--max-d", SIZES)
         argv += maybe("--precision", PRECISIONS)
     else:
         exponents = st.lists(st.integers(1, 4).map(str), max_size=4).map(",".join)

@@ -106,6 +106,11 @@ class TestTNumeric:
         with pytest.raises(ValueError):
             t_numeric([2], FAST, dps=-25)
 
+    def test_rejects_non_integer_precision(self):
+        # A float dps would make the fixed-point scale a float.
+        with pytest.raises(TypeError):
+            t_numeric([4], TruncationParams(terms=50), dps=30.0)
+
     def test_monotone_error_refinement(self):
         errs = [
             t_numeric([2, 2], TruncationParams(terms=N)).err
@@ -196,6 +201,15 @@ class TestTNumericSums:
         with pytest.raises(ValueError):
             T_numeric(2, 1, params, dps=-25)
         assert (params, -25) not in oracle._rows
+
+    def test_rejects_non_integer_precision(self):
+        # On a cold memo a float dps would run the ladder in floats, report
+        # a bound far below the real error and store that row under a key
+        # equal to (params, 50), where integer calls would find it.
+        params = TruncationParams(terms=53)
+        with pytest.raises(TypeError):
+            T_numeric(5, 1, params, 50.0)
+        assert (params, 50) not in oracle._rows
 
     def test_rejects_low_precision_beyond_depth(self):
         # The exact zero for d > n is no way round the precision check.
@@ -333,6 +347,10 @@ class TestPiPowerEval:
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
             pi_power_eval(t_even(1), dps=5)
+
+    def test_rejects_non_integer_precision(self):
+        with pytest.raises(TypeError):
+            pi_power_eval(t_even(1), dps=30.0)
 
 
 class TestTruncationParams:

@@ -148,11 +148,23 @@ class TestIdentities:
         # Both exact checks must expand the expression that the numeric
         # specialization evaluates, so a wrong expression fails them.
         real = tsums.symfunc.monomial_depth_expr
-        monkeypatch.setattr(
-            tsums.symfunc, "monomial_depth_expr", lambda n, d: real(n, d) + GenExpr.elem(n)
-        )
+
+        def wrong(n, d):
+            terms = dict(real(n, d).terms)
+            terms[(("e", n),)] += 1
+            return GenExpr(terms)
+
+        monkeypatch.setattr(tsums.symfunc, "monomial_depth_expr", wrong)
         assert not check_monomial_expansion(5, 2, 5)
         assert not check_bivariate_factorization(5, 5)
+
+    def test_expansion_is_the_same_in_more_variables(self):
+        # N_{n,d} has degree n, so m = n variables already see every
+        # partition: more variables add no term and change no coefficient.
+        for n in range(1, 7):
+            for d in range(1, n + 1):
+                expr = monomial_depth_expr(n, d)
+                assert _expand(expr, n).terms == _expand(expr, n + 3).terms, (n, d)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -195,10 +207,21 @@ class TestSpecialization:
             assert abs(got.value - want.value) <= got.err, (n, d)
 
     def test_expression_arithmetic(self):
-        e = (GenExpr.elem(1) + GenExpr.homog(1)) * Fraction(1, 2)
+        e = GenExpr({(("e", 1),): Fraction(1, 2), (("h", 1),): Fraction(1, 2)})
         got = specialize_odd_squares(e, self.M, self.DPS)
         want = specialize_odd_squares(GenExpr.power(1), self.M, self.DPS)
         assert abs(got.value - want.value) <= got.err + want.err
+
+    def test_rejects_non_integer_precision(self):
+        # A float dps would sum the power sums in floats and cache them
+        # under a key equal to the integer one.
+        with pytest.raises(TypeError):
+            specialize_odd_squares(GenExpr.power(1), 7, 30.0)
+        got = specialize_odd_squares(GenExpr.power(1), 7, 30)
+        exact = _odd_square_values("p", 1, 7)
+        with mp.workdps(50):
+            gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
+        assert gap <= mp.mpf(10) ** -20
 
     def test_keys_that_sort_equal_add(self):
         he, eh = (("h", 1), ("e", 2)), (("e", 2), ("h", 1))
