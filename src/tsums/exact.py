@@ -21,6 +21,7 @@ sequences vanish (except B_1).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,16 +41,24 @@ __all__ = [
 class PiPower:
     """Exact value ``coeff * pi**pi_exp`` with ``pi_exp`` even and >= 0.
 
-    A zero coefficient is normalized to exponent 0, so equality of values
-    coincides with field-wise equality.
+    ``coeff`` is exact (an ``int`` or ``Fraction``; a ``float`` raises
+    ``TypeError`` rather than storing its binary approximation) and
+    ``pi_exp`` is an integer (not a ``bool``).  A zero coefficient is
+    normalized to exponent 0, so equality of values coincides with
+    field-wise equality.
     """
 
     coeff: Fraction
     pi_exp: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.coeff, float):
+            raise TypeError(f"PiPower coefficient must be exact, got float {self.coeff!r}")
         if not isinstance(self.coeff, Fraction):
             object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if isinstance(self.pi_exp, bool):
+            raise TypeError(f"pi exponent must be an integer, got {self.pi_exp!r}")
+        object.__setattr__(self, "pi_exp", operator.index(self.pi_exp))
         if self.pi_exp < 0 or self.pi_exp % 2 != 0:
             raise ValueError(f"pi exponent must be even and >= 0, got {self.pi_exp}")
         if self.coeff == 0:

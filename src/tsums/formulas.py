@@ -21,6 +21,7 @@ nonzero value has pi-exponent exactly 2n.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,6 +51,27 @@ def _check_args(n: int, d: int) -> None:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
 
 
+def _sum_products(terms: Iterable[tuple[Fraction | int, ...]]) -> Fraction:
+    """Exact sum of the products of the tuples in ``terms``.
+
+    Each product is formed on plain integer numerators and denominators;
+    the products are then summed over the lcm of their denominators and
+    normalised once, which saves the gcds of a Fraction operation per
+    multiply and add.  An empty input sums to 0.
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    for factors in terms:
+        p = q = 1
+        for f in factors:
+            p *= f.numerator
+            q *= f.denominator
+        nums.append(p)
+        dens.append(q)
+    den = math.lcm(*dens)
+    return Fraction(sum(p * (den // q) for p, q in zip(nums, dens)), den)
+
+
 def t_all_twos(n: int) -> PiPower:
     """t(2,2,...,2) with n twos: pi**(2n) / (4**n (2n)!)."""
     if n < 1:
@@ -63,13 +85,14 @@ def T_from_t_values(n: int, d: int) -> PiPower:
 
     The pi**(2j) factor merges with t(2n-2j)'s pi**(2n-2j), so the sum runs
     on the rational coefficients of the cached depth-d row
-    :func:`_t_value_row` and the t values, and the result is assembled
+    :func:`_t_value_row` and the t values.  The terms are summed over one
+    common denominator and normalised once, and the result is assembled
     exactly with pi-exponent 2n.
     """
     _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    coeff = sum((c * t_even(n - j).coeff for j, c in _t_value_row(d)), Fraction(0))
+    coeff = _sum_products((c, t_even(n - j).coeff) for j, c in _t_value_row(d))
     return PiPower(coeff, 2 * n)
 
 
@@ -94,17 +117,16 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
 
     summed on the rational coefficients of the cached row
     :func:`coeff_row` and of the t values (every t(2j) is a rational
-    multiple of pi**(2j)), with pi-exponent 2n.
+    multiple of pi**(2j)), with pi-exponent 2n.  The terms are summed over
+    one common denominator and normalised once.
     """
     _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    coeff = Fraction(0)
-    for j, c in coeff_row(d).pairs:
-        if j == 0:
-            coeff += c * t_even(n).coeff
-        else:
-            coeff += c * t_even(j).coeff * t_even(n - j).coeff
+    coeff = _sum_products(
+        (c, t_even(n).coeff) if j == 0 else (c, t_even(j).coeff, t_even(n - j).coeff)
+        for j, c in coeff_row(d).pairs
+    )
     return PiPower(coeff, 2 * n)
 
 
@@ -185,12 +207,14 @@ class DepthSumResult:
 
 
 def depth_sum_identity(n: int) -> DepthSumResult:
-    """Check sum_{d=1}^{n} T(2n,d) = (-1)**n E_{2n} pi**(2n) / (4**n (2n)!)."""
+    """Check sum_{d=1}^{n} T(2n,d) = (-1)**n E_{2n} pi**(2n) / (4**n (2n)!).
+
+    The lhs sums the coefficients of every T_from_euler(n, d) over one
+    common denominator and normalises once.
+    """
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
-    lhs = PiPower.zero()
-    for d in range(1, n + 1):
-        lhs = lhs + T_from_euler(n, d)
+    lhs = PiPower(_sum_products((T_from_euler(n, d).coeff,) for d in range(1, n + 1)), 2 * n)
     rhs = PiPower(
         Fraction((-1) ** n * euler_number(2 * n), 4**n * math.factorial(2 * n)),
         2 * n,
@@ -206,17 +230,18 @@ def bernoulli_euler_lhs(n: int, d: int) -> Fraction:
 
     Terms with 2j > 2n vanish through binom(2n,2j) = 0 (and are skipped
     before touching a negative Bernoulli index); the j = n term vanishes
-    through the factor 2**0 - 1 = 0.
+    through the factor 2**0 - 1 = 0.  The terms B_m times their integer
+    weight are summed over one common denominator and normalised once.
     """
     _check_args(n, d)
-    acc = Fraction(0)
+    terms = []
     for j in range((d - 1) // 2 + 1):
         b2 = binomial(2 * n, 2 * j)
         if b2 == 0:
             continue
         m = 2 * n - 2 * j
-        acc += (2**m - 1) * bernoulli(m) * binomial(2 * d - 2 * j - 2, d - 1) * b2
-    return acc / (2 ** (2 * d - 1) * d)
+        terms.append((bernoulli(m), (2**m - 1) * binomial(2 * d - 2 * j - 2, d - 1) * b2))
+    return _sum_products(terms) / (2 ** (2 * d - 1) * d)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,16 @@ class TestPiPower:
         with pytest.raises(ValueError):
             PiPower(Fraction(1), -2)
 
+    def test_input_contract(self):
+        # A float exponent or coefficient, or a bool exponent, is refused
+        # rather than printed as pi^2.0 or stored as a binary approximation.
+        for bad in ((Fraction(1, 6), 2.0), (Fraction(1, 6), True), (0.1, 2), (0.0, 0)):
+            with pytest.raises(TypeError):
+                PiPower(*bad)
+        assert PiPower(3, 2) == PiPower(Fraction(3), 2)
+        value = PiPower(Fraction(1, 6), 2)
+        assert type(value.pi_exp) is int and str(value) == "1/6*pi^2"
+
     def test_zero_normalization(self):
         # A zero value compares equal regardless of the exponent it was
         # built with.

@@ -1,8 +1,12 @@
 """The closed forms for T(2n,d) and the identities tying them together."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsums.formulas
 from tsums.exact import PiPower, t_even
@@ -91,6 +95,17 @@ class TestClosedForms:
         assert T_from_bernoulli(8, 5) != T_from_euler(8, 5)
         assert T_from_bernoulli(8, 3) == T_from_euler(8, 3)
 
+        # A corrupted t(2j) factor: T(16,3) reads t(2) t(14) on the
+        # Bernoulli route, while the t-value route reads only t(16) and
+        # t(14), so the factor t(2j) is read on every call and not folded
+        # into a cached row.
+        def corrupt_t2(n):
+            return t_even(n) * 2 if n == 1 else t_even(n)
+
+        monkeypatch.setattr(tsums.formulas, "t_even", corrupt_t2)
+        assert T_from_bernoulli(8, 3) != T_from_euler(8, 3)
+        assert T_from_t_values(8, 3) == T_from_euler(8, 3)
+
     def test_rows_are_cached_tuples(self):
         for d in (1, 5, 12):
             assert coeff_row(d) is coeff_row(d)
@@ -99,6 +114,30 @@ class TestClosedForms:
             assert row is tsums.formulas._t_value_row(d)
             assert type(row) is tuple and all(type(p) is tuple for p in row)
             assert [j for j, _ in row] == [j for j, _ in coeff_row(d).pairs]
+
+
+# Signed and zero numerators, large denominators; terms of 1 to 3 factors.
+fractions_st = st.builds(
+    Fraction, st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**30),
+)
+terms_st = st.lists(st.lists(fractions_st, min_size=1, max_size=3).map(tuple), max_size=8)
+
+
+@settings(max_examples=200)
+@given(terms_st)
+def test_sum_products_equals_fraction_fold(terms):
+    want = sum((reduce(mul, factors) for factors in terms), Fraction(0))
+    got = tsums.formulas._sum_products(terms)
+    assert type(got) is Fraction and got == want
+    assert tsums.formulas._sum_products(iter(terms)) == want
+
+
+def test_sum_products_edge_cases():
+    sum_products = tsums.formulas._sum_products
+    assert sum_products([]) == 0
+    assert sum_products([(Fraction(0, 7),), (Fraction(-3, 4), 2)]) == Fraction(-3, 2)
+    assert sum_products([(Fraction(1, 6), Fraction(-6))]) == -1
 
 
 class TestGenfuncTable:
