@@ -15,7 +15,8 @@ The specialization x_j -> 1/(2j-1)**2 sends p_n to t(2n), e_n to the
 all-twos value t({2}**n) and N_{n,d} to T(2n,d); it extends to infinitely
 many variables, so the numeric image is computed from generator expressions
 (:class:`GenExpr`), truncated at a finite number of variables with a tail
-bound attached.
+bound attached.  A generator expression is a sum of terms c e_k h_l, keyed
+by (k, l), since every expression the checks need has that form.
 
 Each N_{n,d} is written once, as the generator expression
 :func:`monomial_depth_expr`: the exact checks expand it in the m_lambda and
@@ -175,53 +176,32 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
 
 
 class GenExpr:
-    """Exact linear combination of products of e/h/p generators.
+    """Exact linear combination sum c e_k h_l, with e_0 = h_0 = 1.
 
-    Keys are sorted tuples of (kind, index) factors; the empty tuple is the
-    constant term.  Written in generators (rather than expanded monomials)
-    so the infinite-variable specialization below applies directly.  A
-    value like :class:`SymPoly`: built from a dict, never changed after.
+    ``terms`` maps (k, l), two integers >= 0, to the coefficient c; zero
+    coefficients are dropped.  Written in generators (rather than expanded
+    monomials) so the infinite-variable specialization below applies
+    directly.  A value like :class:`SymPoly`: built from a dict, never
+    changed after.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[tuple[str, int], ...], Fraction] | None = None):
-        self.terms: dict[tuple[tuple[str, int], ...], Fraction] = {}
-        # Keys that sort equal name the same product: their coefficients add.
-        for key, c in (terms or {}).items():
-            _accumulate(self.terms, tuple(sorted(key)), Fraction(c))
-
-    @staticmethod
-    def const(c) -> "GenExpr":
-        return GenExpr({(): Fraction(c)})
-
-    @staticmethod
-    def _gen(kind: str, j: int) -> "GenExpr":
-        if j < 0:
-            raise ValueError(f"generator index must be >= 0, got {j}")
-        if j == 0:
-            if kind == "p":
-                raise ValueError("p_0 is not a generator")
-            return GenExpr.const(1)
-        return GenExpr({((kind, j),): Fraction(1)})
+    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
+        self.terms: dict[tuple[int, int], Fraction] = {}
+        for (k, ell), c in (terms or {}).items():
+            k, ell = operator.index(k), operator.index(ell)
+            if k < 0 or ell < 0:
+                raise ValueError(f"generator indices must be >= 0, got e_{k} h_{ell}")
+            _accumulate(self.terms, (k, ell), Fraction(c))
 
     @staticmethod
     def elem(j: int) -> "GenExpr":
-        return GenExpr._gen("e", j)
+        return GenExpr({(j, 0): 1})
 
     @staticmethod
     def homog(j: int) -> "GenExpr":
-        return GenExpr._gen("h", j)
-
-    @staticmethod
-    def power(j: int) -> "GenExpr":
-        return GenExpr._gen("p", j)
-
-
-def _he_key(ell: int, k: int) -> tuple[tuple[str, int], ...]:
-    """The GenExpr key of h_ell * e_k; h_0 = e_0 = 1 are left out, since the
-    specialization evaluates only generators of index >= 1."""
-    return tuple(factor for factor in (("e", k), ("h", ell)) if factor[1])
+        return GenExpr({(0, j): 1})
 
 
 def monomial_depth_expr(n: int, d: int) -> GenExpr:
@@ -229,19 +209,14 @@ def monomial_depth_expr(n: int, d: int) -> GenExpr:
     sum_{l=0}^{n-d} binom(n-l,d) (-1)**(n-d-l) h_l e_{n-l}."""
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
-    terms = {_he_key(ell, n - ell): binomial(n - ell, d) * (-1) ** (n - d - ell)
-             for ell in range(n - d + 1)}
-    return GenExpr(terms)
+    return GenExpr({(n - ell, ell): binomial(n - ell, d) * (-1) ** (n - d - ell)
+                    for ell in range(n - d + 1)})
 
 
 @lru_cache(maxsize=None)
-def _product(key: tuple[tuple[str, int], ...], m: int) -> SymPoly:
-    """The product e_k * h_l of one GenExpr key, in m variables, from the
-    counting lemma of the module docstring: m_lambda has the coefficient
-    binom(len(lambda), k)."""
-    k, ell = (dict(key).get(kind, 0) for kind in "eh")
-    if key != _he_key(ell, k):
-        raise ValueError(f"only products e_k * h_l expand, got {key}")
+def _product(k: int, ell: int, m: int) -> SymPoly:
+    """e_k * h_l in m variables, from the counting lemma of the module
+    docstring: m_lambda has the coefficient binom(len(lambda), k)."""
     return SymPoly(m, {lam: binomial(len(lam), k)
                        for lam in _partitions(k + ell, m) if len(lam) >= k})
 
@@ -250,8 +225,8 @@ def _expand(expr: GenExpr, m: int) -> SymPoly:
     """A generator expression expanded in the monomial basis of m variables:
     c times the cached e_k * h_l of each term, added into one dict."""
     out: dict[tuple[int, ...], Fraction] = {}
-    for key, c in expr.terms.items():
-        for lam, x in _product(key, m).terms.items():
+    for (k, ell), c in expr.terms.items():
+        for lam, x in _product(k, ell, m).terms.items():
             _accumulate(out, lam, c * x)
     return SymPoly(m, out)
 
@@ -280,7 +255,7 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
     if not (1 <= n_max <= m):
         raise ValueError(f"require 1 <= n_max <= m, got n_max={n_max}, m={m}")
     for n in range(n_max + 1):
-        column = GenExpr({_he_key(n - j, j): (-1) ** j for j in range(n + 1)})
+        column = GenExpr({(j, n - j): (-1) ** j for j in range(n + 1)})
         if _expand(column, m) != SymPoly.constant(int(n == 0), m):
             return False
     return all(
@@ -293,11 +268,13 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
 @lru_cache(maxsize=None)
 def _generator_value(kind: str, j: int, num_vars: int, dps: int):
     """Numeric image of one generator under x_i -> 1/(2i-1)**2, truncated to
-    the first num_vars variables.  Returns (value, err) as mpf.
+    the first num_vars variables.  Returns (value, err) as mpf, and the
+    exact (1, 0) for e_0 = h_0 = 1.
 
-    p_j is one fixed-point integer pass, sum_{i<=M} scale // (2i-1)**(2j)
-    with scale = 10**(dps+20).  e_j and h_j follow from the power sums by
-    Newton's identities, which hold in any number of variables:
+    p_j, asked for only at j >= 1, is one fixed-point integer pass,
+    sum_{i<=M} scale // (2i-1)**(2j) with scale = 10**(dps+20).  e_j and h_j
+    follow from the power sums by Newton's identities, which hold in any
+    number of variables:
 
       j e_j = sum_{r=1}^{j} (-1)**(r-1) e_{j-r} p_r,
       j h_j = sum_{r=1}^{j} h_{j-r} p_r,
@@ -318,6 +295,8 @@ def _generator_value(kind: str, j: int, num_vars: int, dps: int):
     digits of terms below 2.  The absolute error therefore grows at most
     polynomially in j (about j**2 * 10**-(dps+10)), far below the allowance.
     """
+    if j == 0:
+        return 1, 0
     M = num_vars
     with mp.workdps(dps + 10):
         rounding = mp.mpf(10) ** (10 - dps)
@@ -328,7 +307,7 @@ def _generator_value(kind: str, j: int, num_vars: int, dps: int):
             return mp.mpf(total) / scale, +(err + rounding)
         if kind not in ("e", "h"):
             raise ValueError(f"unknown generator kind {kind!r}")
-        below = [mp.mpf(1)] + [_generator_value(kind, r, M, dps)[0] for r in range(1, j)]
+        below = [_generator_value(kind, r, M, dps)[0] for r in range(j)]
         sign = -1 if kind == "e" else 1
         tail_p1 = mp.mpf(1) / (2 * (2 * M - 1))
         value = err = mp.mpf(0)
@@ -346,6 +325,8 @@ def specialize_odd_squares(
     Truncates the variable list at num_vars and attaches a first-order tail
     bound; the value itself is the truncated specialization.  dps must be
     an integer: the power sums are fixed-point passes at 10**(dps+20).
+    Each term c e_k h_l contributes c v_e v_h, with the error
+    |c| (err_e (|v_h| + err_h) + err_h (|v_e| + err_e)) of a product.
     """
     dps = operator.index(dps)
     if num_vars < 2:
@@ -353,19 +334,10 @@ def specialize_odd_squares(
     with mp.workdps(dps + 10):
         total = mp.mpf(0)
         total_err = mp.mpf(0)
-        for key, coeff in expr.terms.items():
-            vals = [_generator_value(kind, j, num_vars, dps) for kind, j in key]
-            prod = mp.mpf(1)
-            for v, _ in vals:
-                prod *= v
-            term_err = mp.mpf(0)
-            for i, (_, e) in enumerate(vals):
-                piece = e
-                for k, (v, ek) in enumerate(vals):
-                    if k != i:
-                        piece *= abs(v) + ek
-                term_err += piece
+        for (k, ell), coeff in expr.terms.items():
+            v_e, err_e = _generator_value("e", k, num_vars, dps)
+            v_h, err_h = _generator_value("h", ell, num_vars, dps)
             c = mp.mpf(coeff.numerator) / coeff.denominator
-            total += c * prod
-            total_err += abs(c) * term_err
+            total += c * (v_e * v_h)
+            total_err += abs(c) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
         return PrecReal(+total, +total_err)

@@ -15,7 +15,7 @@ from tsums.symfunc import (
     GenExpr,
     SymPoly,
     _expand,
-    _he_key,
+    _generator_value,
     _product,
     check_bivariate_factorization,
     check_monomial_expansion,
@@ -56,7 +56,7 @@ class TestGenerators:
         # E(-u) H(u) = 1, coefficient by coefficient, degrees <= 8.
         m = 8
         for n in range(1, 9):
-            column = GenExpr({_he_key(n - j, j): (-1) ** j for j in range(n + 1)})
+            column = GenExpr({(j, n - j): (-1) ** j for j in range(n + 1)})
             assert _expand(column, m).is_zero(), n
 
 
@@ -105,7 +105,7 @@ def test_product_matches_exponent_vector_product():
         want = _exponent_vector_product(
             _exponent_vectors(elementary(k, m)), _exponent_vectors(complete(ell, m))
         )
-        assert _exponent_vectors(_product(_he_key(ell, k), m)) == want, (k, ell, m)
+        assert _exponent_vectors(_product(k, ell, m)) == want, (k, ell, m)
 
 
 class TestIdentities:
@@ -125,14 +125,17 @@ class TestIdentities:
     def test_expansion_two_variable_hand_case(self):
         # N_{2,1} = -2 e_2 + h_1 e_1 = p_2 in two variables.
         m = 2
-        rhs = GenExpr({(("e", 2),): -2, (("e", 1), ("h", 1)): 1})
+        rhs = GenExpr({(2, 0): -2, (1, 1): 1})
         assert monomial_depth_expr(2, 1).terms == rhs.terms
         assert _expand(rhs, m) == power_sum(2, m)
         assert monomial_depth_sum(2, 1, m) == power_sum(2, m)
 
     def test_expand_rejects_other_products(self):
-        for key in ((("p", 2),), (("e", 1), ("e", 2)), (("e", 1), ("h", 1), ("h", 2))):
-            with pytest.raises(ValueError):
+        # A term is one e_k h_l: a p_j, an e_k e_l or three factors cannot
+        # be written as a key, so the expression is refused when built.
+        for key, error in (((("p", 2),), ValueError), ((("e", 1), ("e", 2)), TypeError),
+                           ((("e", 1), ("h", 1), ("h", 2)), ValueError)):
+            with pytest.raises(error):
                 _expand(GenExpr({key: 1}), 4)
 
     def test_expansion_detects_wrong_depth(self, monkeypatch):
@@ -151,7 +154,7 @@ class TestIdentities:
 
         def wrong(n, d):
             terms = dict(real(n, d).terms)
-            terms[(("e", n),)] += 1
+            terms[(n, 0)] += 1
             return GenExpr(terms)
 
         monkeypatch.setattr(tsums.symfunc, "monomial_depth_expr", wrong)
@@ -178,9 +181,9 @@ class TestSpecialization:
     DPS = 25
 
     def test_power_sum_hits_t(self):
-        got = specialize_odd_squares(GenExpr.power(1), self.M, self.DPS)
+        value, err = _generator_value("p", 1, self.M, self.DPS)
         want = pi_power_eval(t_all_twos(1), self.DPS)
-        assert abs(got.value - want.value) <= got.err
+        assert abs(value - want.value) <= err
 
     def test_elementary_hits_all_twos(self):
         for n in (1, 2, 3, 4):
@@ -195,10 +198,10 @@ class TestSpecialization:
             assert abs(got.value - want.value) <= got.err, n
 
     def test_degree_one_images_identical(self):
-        a = specialize_odd_squares(GenExpr.power(1), self.M, self.DPS)
+        a, _ = _generator_value("p", 1, self.M, self.DPS)
         b = specialize_odd_squares(GenExpr.elem(1), self.M, self.DPS)
         c = specialize_odd_squares(GenExpr.homog(1), self.M, self.DPS)
-        assert a.value == b.value == c.value
+        assert a == b.value == c.value
 
     def test_monomial_depth_expr_hits_T(self):
         for n, d in ((2, 1), (2, 2), (3, 2), (3, 3)):
@@ -207,26 +210,45 @@ class TestSpecialization:
             assert abs(got.value - want.value) <= got.err, (n, d)
 
     def test_expression_arithmetic(self):
-        e = GenExpr({(("e", 1),): Fraction(1, 2), (("h", 1),): Fraction(1, 2)})
+        e = GenExpr({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
         got = specialize_odd_squares(e, self.M, self.DPS)
-        want = specialize_odd_squares(GenExpr.power(1), self.M, self.DPS)
-        assert abs(got.value - want.value) <= got.err + want.err
+        want, want_err = _generator_value("p", 1, self.M, self.DPS)
+        assert abs(got.value - want) <= got.err + want_err
 
     def test_rejects_non_integer_precision(self):
         # A float dps would sum the power sums in floats and cache them
         # under a key equal to the integer one.
         with pytest.raises(TypeError):
-            specialize_odd_squares(GenExpr.power(1), 7, 30.0)
-        got = specialize_odd_squares(GenExpr.power(1), 7, 30)
-        exact = _odd_square_values("p", 1, 7)
+            specialize_odd_squares(GenExpr.elem(1), 7, 30.0)
+        got = specialize_odd_squares(GenExpr.elem(1), 7, 30)
+        exact = _odd_square_values("e", 1, 7)
         with mp.workdps(50):
             gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
         assert gap <= mp.mpf(10) ** -20
 
-    def test_keys_that_sort_equal_add(self):
-        he, eh = (("h", 1), ("e", 2)), (("e", 2), ("h", 1))
-        assert GenExpr({he: 1, eh: 1}).terms == {eh: 2}
-        assert GenExpr({he: 1, eh: -1}).terms == {}
+
+class TestGenExpr:
+    def test_terms_keyed_by_k_and_l(self):
+        # (k, l) is e_k h_l: e_2 h_1 and e_1 h_2 are different terms.
+        assert GenExpr({(2, 1): 1, (1, 2): 2}).terms == {(2, 1): 1, (1, 2): 2}
+        assert GenExpr({(2, 1): 0}).terms == {}
+        assert GenExpr.elem(3).terms == {(3, 0): 1}
+        assert GenExpr.homog(3).terms == {(0, 3): 1}
+
+    def test_indices_are_non_negative_integers(self):
+        with pytest.raises(ValueError):
+            GenExpr({(-1, 0): 1})
+        with pytest.raises(ValueError):
+            GenExpr.homog(-2)
+        with pytest.raises(TypeError):
+            GenExpr({(0.5, 1): 1})
+
+    def test_index_zero_term_is_the_constant(self):
+        # e_0 = h_0 = 1: the term c e_0 h_0 is c, exactly and in any m.
+        c = Fraction(-3, 4)
+        got = specialize_odd_squares(GenExpr({(0, 0): c}), 7, 30)
+        assert got.value == mp.mpf(-0.75) and got.err == 0
+        assert _expand(GenExpr({(0, 0): c}), 3).terms == {(): c}
 
 
 def _odd_square_values(kind, j, m):
@@ -248,7 +270,16 @@ class TestSpecializationExact:
     infinite-variable value must lie within the (large) tail bound."""
 
     DPS = 30
-    GENERATORS = {"p": GenExpr.power, "e": GenExpr.elem, "h": GenExpr.homog}
+    KINDS = "peh"
+
+    @staticmethod
+    def _truncated_value(kind, j, m, dps):
+        """(value, err) of one generator in m variables: the p_j pass
+        itself, or e_j or h_j through the specialization."""
+        if kind == "p":
+            return _generator_value("p", j, m, dps)
+        got = specialize_odd_squares({"e": GenExpr.elem, "h": GenExpr.homog}[kind](j), m, dps)
+        return got.value, got.err
 
     @staticmethod
     def _infinite_value(kind, j, dps):
@@ -261,18 +292,36 @@ class TestSpecializationExact:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_truncated_value_is_exact(self, m):
         allowance = mp.mpf(10) ** (10 - self.DPS)
-        for kind, gen in self.GENERATORS.items():
+        for kind in self.KINDS:
             for j in range(1, 9):
-                got = specialize_odd_squares(gen(j), m, self.DPS)
+                value, _ = self._truncated_value(kind, j, m, self.DPS)
                 exact = _odd_square_values(kind, j, m)
                 with mp.workdps(self.DPS + 20):
-                    gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
+                    gap = abs(value - mp.mpf(exact.numerator) / exact.denominator)
                 assert gap <= allowance, (kind, j, m, gap)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_infinite_value_within_tail_bound(self, m):
-        for kind, gen in self.GENERATORS.items():
+        for kind in self.KINDS:
             for j in range(1, 9):
-                got = specialize_odd_squares(gen(j), m, self.DPS)
+                value, err = self._truncated_value(kind, j, m, self.DPS)
                 want = self._infinite_value(kind, j, self.DPS)
-                assert abs(got.value - want.value) <= got.err, (kind, j, m)
+                assert abs(value - want.value) <= err, (kind, j, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_two_factor_terms(self, m):
+        # N_{n,d} mixes e_k h_l products, whose error bound combines two
+        # large tail bounds: the truncated value is still exact, and
+        # T(2n,d) still lies within the reported err.
+        allowance = mp.mpf(10) ** (10 - self.DPS)
+        for n in range(1, 7):
+            for d in range(1, n + 1):
+                expr = monomial_depth_expr(n, d)
+                got = specialize_odd_squares(expr, m, self.DPS)
+                exact = sum(c * _odd_square_values("e", k, m) * _odd_square_values("h", ell, m)
+                            for (k, ell), c in expr.terms.items())
+                with mp.workdps(self.DPS + 20):
+                    gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
+                assert gap <= allowance, (n, d, m, gap)
+                want = pi_power_eval(T_from_euler(n, d), self.DPS)
+                assert abs(got.value - want.value) <= got.err, (n, d, m)
