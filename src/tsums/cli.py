@@ -65,6 +65,34 @@ def _latex_pi_power(x: PiPower) -> str:
     return f"{sign}{_latex_abs_fraction(c)}\\pi^{{{x.pi_exp}}}"
 
 
+# One table row as ``json.dumps(..., indent=2)`` prints it inside the list.
+# The fields are integers and digit strings, which JSON prints unescaped, so
+# the text is assembled directly: the indenting encoder is pure Python and
+# took longer than computing the cells of ``table --max-n 60``.
+_TABLE_JSON_ROW = """  {{
+    "weight": {weight},
+    "depth": {depth},
+    "coefficient": {{
+      "num": "{num}",
+      "den": "{den}"
+    }},
+    "pi_exp": {pi_exp}
+  }}"""
+
+
+def _table_json(rows: list[tuple[int, int, PiPower]]) -> str:
+    """The rows as the indent-2 JSON list of weight, depth, coefficient
+    {num, den} (decimal strings) and pi_exp objects."""
+    if not rows:
+        return "[]"
+    body = ",\n".join(
+        _TABLE_JSON_ROW.format(weight=2 * n, depth=d, num=v.coeff.numerator,
+                               den=v.coeff.denominator, pi_exp=v.pi_exp)
+        for n, d, v in rows
+    )
+    return f"[\n{body}\n]"
+
+
 def _cmd_table(args) -> int:
     rows = []
     for n in range(1, args.max_n + 1):
@@ -73,19 +101,7 @@ def _cmd_table(args) -> int:
                 continue
             rows.append((n, d, T_from_euler(n, d)))
     if args.format == "json":
-        payload = [
-            {
-                "weight": 2 * n,
-                "depth": d,
-                "coefficient": {
-                    "num": str(v.coeff.numerator),
-                    "den": str(v.coeff.denominator),
-                },
-                "pi_exp": v.pi_exp,
-            }
-            for n, d, v in rows
-        ]
-        print(json.dumps(payload, indent=2))
+        print(_table_json(rows))
     elif args.format == "csv":
         print("weight,depth,num,den,pi_exp")
         for n, d, v in rows:

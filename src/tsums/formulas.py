@@ -21,6 +21,7 @@ nonzero value has pi-exponent exactly 2n.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,9 +47,19 @@ __all__ = [
 ]
 
 
-def _check_args(n: int, d: int) -> None:
+def _index(k: int) -> int:
+    """k as a plain int through ``operator.index``; a bool raises TypeError."""
+    if isinstance(k, bool):
+        raise TypeError(f"expected an integer, got {k!r}")
+    return operator.index(k)
+
+
+def _check_args(n: int, d: int) -> tuple[int, int]:
+    """n and d as plain ints, both >= 1."""
+    n, d = _index(n), _index(d)
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
+    return n, d
 
 
 def _sum_products(terms: Iterable[tuple[Fraction | int, ...]]) -> Fraction:
@@ -74,6 +85,7 @@ def _sum_products(terms: Iterable[tuple[Fraction | int, ...]]) -> Fraction:
 
 def t_all_twos(n: int) -> PiPower:
     """t(2,2,...,2) with n twos: pi**(2n) / (4**n (2n)!)."""
+    n = _index(n)
     if n < 1:
         raise ValueError(f"t_all_twos requires n >= 1, got {n}")
     return PiPower(Fraction(1, 4**n * math.factorial(2 * n)), 2 * n)
@@ -89,7 +101,7 @@ def T_from_t_values(n: int, d: int) -> PiPower:
     common denominator and normalised once, and the result is assembled
     exactly with pi-exponent 2n.
     """
-    _check_args(n, d)
+    n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
     coeff = _sum_products((c, t_even(n - j).coeff) for j, c in _t_value_row(d))
@@ -120,7 +132,7 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
     multiple of pi**(2j)), with pi-exponent 2n.  The terms are summed over
     one common denominator and normalised once.
     """
-    _check_args(n, d)
+    n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
     coeff = _sum_products(
@@ -130,15 +142,51 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
     return PiPower(coeff, 2 * n)
 
 
+_euler_weight_rows: dict[int, tuple[int, ...]] = {}
+
+
+def _euler_weights(n: int, length: int) -> tuple[int, ...]:
+    """At least the first ``length`` weights binom(2n,2l) E_{2l} of row n.
+
+    A row is kept from the second time its n is asked for on, and is then
+    grown on demand and shared by every depth of that n, so a cell computes
+    only the weights that no earlier cell of its row did.  A command that
+    asks for one depth per n (``table --depth``) keeps no row: the rows of
+    n <= 300 hold about 10 MB.  A row is replaced, never extended in place:
+    a concurrent caller keeps a complete tuple, and a race only repeats
+    work.
+    """
+    row = _euler_weight_rows.get(n)
+    if row is None:
+        _euler_weight_rows[n] = ()
+        return tuple(math.comb(2 * n, 2 * ell) * euler_number(2 * ell) for ell in range(length))
+    if len(row) < length:
+        row += tuple(
+            math.comb(2 * n, 2 * ell) * euler_number(2 * ell) for ell in range(len(row), length)
+        )
+        _euler_weight_rows[n] = row
+    return row
+
+
+@lru_cache(maxsize=None, typed=True)
 def T_from_euler(n: int, d: int) -> PiPower:
     """T(2n,d) as (-1)**(n-d) pi**(2n) / (4**n (2n)!) times the integer
-    sum_{l=0}^{n-d} binom(n-l,d) binom(2n,2l) E_{2l}."""
-    _check_args(n, d)
+    sum_{l=0}^{n-d} binom(n-l,d) binom(2n,2l) E_{2l}.
+
+    Memoized per cell, like :func:`coeff_row`: each cell is computed once
+    per process from the Euler table, through the weights binom(2n,2l)
+    E_{2l} that the cells of one n share (:func:`_euler_weights`), and
+    every later call returns the same frozen :class:`PiPower`.  The memo
+    is keyed by argument type too, so a bool or float never hits the entry
+    of the equal int and is refused on every call.  The route reads no row
+    or value of the other two, so it stays an independent reference for
+    them.
+    """
+    n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    acc = 0
-    for ell in range(n - d + 1):
-        acc += binomial(n - ell, d) * binomial(2 * n, 2 * ell) * euler_number(2 * ell)
+    weights = _euler_weights(n, n - d + 1)
+    acc = sum(math.comb(n - ell, d) * weights[ell] for ell in range(n - d + 1))
     coeff = Fraction((-1) ** (n - d) * acc, 4**n * math.factorial(2 * n))
     return PiPower(coeff, 2 * n)
 
@@ -154,7 +202,7 @@ class TTable:
     entries: dict[tuple[int, int], PiPower]
 
     def value(self, n: int, d: int) -> PiPower:
-        _check_args(n, d)
+        n, d = _check_args(n, d)
         if n > self.max_n:
             raise KeyError(f"table holds n <= {self.max_n}, got n={n}")
         return self.entries.get((n, d), PiPower.zero())
@@ -163,6 +211,7 @@ class TTable:
 def T_table_from_genfunc(max_n: int) -> TTable:
     """All T(2n,d) for n <= max_n by coefficient extraction from the
     generating function c((1-v)y)/c(y), rescaled by pi**(2n) / 4**n."""
+    max_n = _index(max_n)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     phi = genfunc_biseries(max_n)
@@ -187,9 +236,10 @@ class CoeffRow:
     pairs: tuple[tuple[int, Fraction], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def coeff_row(d: int) -> CoeffRow:
     """Coefficient row of depth d in the Bernoulli-number form (memoized)."""
+    d = _index(d)
     if d < 1:
         raise ValueError(f"depth must be >= 1, got {d}")
     pairs = [(0, Fraction(binomial(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
@@ -212,6 +262,7 @@ def depth_sum_identity(n: int) -> DepthSumResult:
     The lhs sums the coefficients of every T_from_euler(n, d) over one
     common denominator and normalises once.
     """
+    n = _index(n)
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     lhs = PiPower(_sum_products((T_from_euler(n, d).coeff,) for d in range(1, n + 1)), 2 * n)
@@ -233,7 +284,7 @@ def bernoulli_euler_lhs(n: int, d: int) -> Fraction:
     through the factor 2**0 - 1 = 0.  The terms B_m times their integer
     weight are summed over one common denominator and normalised once.
     """
-    _check_args(n, d)
+    n, d = _check_args(n, d)
     terms = []
     for j in range((d - 1) // 2 + 1):
         b2 = binomial(2 * n, 2 * j)
@@ -262,7 +313,7 @@ def bernoulli_euler_check(n: int, d: int) -> BernoulliEulerResult:
     * n < d < 2n: the sum is 0;
     * d >= 2n: the sum is n binom(2d-2n-1, d-1) / (2**(2d-1) d).
     """
-    _check_args(n, d)
+    n, d = _check_args(n, d)
     lhs = bernoulli_euler_lhs(n, d)
     if d <= n:
         case = "d<=n"

@@ -1,6 +1,7 @@
 """Command surface: formats, round-trips, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsums.cli
 import tsums.formulas
 import tsums.oracle
 from tsums.cli import main
@@ -117,6 +119,71 @@ class TestCoeffs:
             "T(2n,5) = \\frac{7}{128}t(2n) - \\frac{3}{64}t(2)t(2n-2)"
             " + \\frac{1}{320}t(4)t(2n-4)"
         )
+
+
+# sha256 of each command's stdout, recorded before T_from_euler was
+# memoized per cell and before table assembled its JSON text itself, so
+# neither may change a byte of any output.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("table", "--max-n", "60", "--format", "json"),
+         "6d24a987935866fc28b49463cd316b204bcc429af54a71be15c903f0cd826adf"),
+        (("table", "--max-n", "60", "--format", "csv"),
+         "175c07740143094d75de8ae288d5742806800668cf5a1c6ba97f308747737a08"),
+        (("table", "--max-n", "60", "--format", "latex"),
+         "50d90643a8a5d692f1e0884441044369f65496e5fc045de5fa4007ba33f9dacc"),
+        (("coeffs", "--depth", "1", "--format", "json"),
+         "3b143c8420c6ea1d8aa4ef2ab3181f441896a314676f580ef7b208ca4c243b78"),
+        (("coeffs", "--depth", "1", "--format", "csv"),
+         "c633f289cb30c2125709a8993599bc98865bc80747a7366a64e5d004c3d41a22"),
+        (("coeffs", "--depth", "1", "--format", "latex"),
+         "bf75ac93bd220c7aa2f3282c2d10bb3671408e0fbf6c04689768fd17d49da341"),
+        (("coeffs", "--depth", "5", "--format", "json"),
+         "f3c78d1e7050ec9bfac77f6f3c5d2216febd999d22e9ec52484b5523acb8d449"),
+        (("coeffs", "--depth", "5", "--format", "csv"),
+         "a69b59891a88bb4978a44d0a09c174b1bc6c878656f25a1d265539e26911792a"),
+        (("coeffs", "--depth", "5", "--format", "latex"),
+         "cf5d1cb4e788ec30980259a92bef81da179cea9c85a0d07e8c304b7c7da501d8"),
+        (("coeffs", "--depth", "6", "--format", "json"),
+         "9c4a66c08558b115af3f76b74e8eae70693e3cf97f690e4a2d61ff52b25091c5"),
+        (("coeffs", "--depth", "6", "--format", "csv"),
+         "5c931aeee8b75095c25736a271cdf0649e8b4a9ea94a637a53a742b96eb67442"),
+        (("coeffs", "--depth", "6", "--format", "latex"),
+         "20a8d8ac5155494f20b103c37863ad0108698d5288f2daddbcdd0ada000fc3fd"),
+        (("coeffs", "--depth", "13", "--format", "json"),
+         "7f08ebb75e67392c924edf9beb6041b2c7589b6f921cd06847b27085a6e0f913"),
+        (("coeffs", "--depth", "13", "--format", "csv"),
+         "80e15c4f52f1c0b5f0b569962c1aeff12ab08fddf3a707b963befddafd112cd6"),
+        (("coeffs", "--depth", "13", "--format", "latex"),
+         "0a9ba9de411ae620f3b00a2e79a3b83aed65fb0d90db37e8fb615019fecbbfd9"),
+        (("coeffs", "--depth", "30", "--format", "json"),
+         "979ce2fd80eba24e0b04d007b46b5f55a113835ddbb458aefea463e15b847a93"),
+        (("coeffs", "--depth", "30", "--format", "csv"),
+         "f46a80885a29f09afbab91b61d60d91295d764cbb9aa1793be7cecc2455a96e2"),
+        (("coeffs", "--depth", "30", "--format", "latex"),
+         "dbaf5ad4fd457548ea5aa23b5d57500e84f949578378d8f3554a5f2fcee30afa"),
+    ],
+)
+def test_output_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "cells", [[], [(1, 1)], [(3, 2)], [(n, d) for n in range(1, 13) for d in range(1, n + 1)]]
+)
+def test_table_json_matches_indenting_encoder(cells):
+    # table prints its rows without json.dumps; the text must not differ.
+    rows = [(n, d, T_from_euler(n, d)) for n, d in cells]
+    payload = [
+        {"weight": 2 * n, "depth": d,
+         "coefficient": {"num": str(v.coeff.numerator), "den": str(v.coeff.denominator)},
+         "pi_exp": v.pi_exp}
+        for n, d, v in rows
+    ]
+    assert tsums.cli._table_json(rows) == json.dumps(payload, indent=2)
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """The closed forms for T(2n,d) and the identities tying them together."""
 
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsums.formulas
-from tsums.exact import PiPower, t_even
+from tsums.exact import PiPower, binomial, euler_number, t_even
 from tsums.formulas import (
     T_from_bernoulli,
     T_from_euler,
@@ -70,7 +71,7 @@ class TestClosedForms:
 
     def test_triple_path_agreement(self):
         # Every cell to n = 60: the first two routes sum over rows cached
-        # per depth, the Euler route caches nothing.
+        # per depth, the Euler route memoizes each cell from the Euler table.
         table = T_table_from_genfunc(60)
         for n in range(1, 61):
             for d in range(1, n + 1):
@@ -114,6 +115,89 @@ class TestClosedForms:
             assert row is tsums.formulas._t_value_row(d)
             assert type(row) is tuple and all(type(p) is tuple for p in row)
             assert [j for j, _ in row] == [j for j, _ in coeff_row(d).pairs]
+
+
+class TestEulerMemo:
+    def test_cell_is_memoized(self):
+        for n, d in ((1, 1), (7, 3), (30, 12), (5, 9)):
+            assert T_from_euler(n, d) is T_from_euler(n, d)
+
+    def test_equals_per_cell_loop(self):
+        # The Euler sum written out term by term with the range-checked
+        # binomial, for every 1 <= d <= n + 2 <= 62.
+        for n in range(1, 61):
+            for d in range(1, n + 3):
+                acc = 0
+                for ell in range(n - d + 1):
+                    acc += binomial(n - ell, d) * binomial(2 * n, 2 * ell) * euler_number(2 * ell)
+                sign = -1 if (n - d) % 2 else 1
+                want = PiPower(Fraction(sign * acc, 4**n * math.factorial(2 * n)), 2 * n)
+                assert T_from_euler(n, d) == want, (n, d)
+
+    def test_filled_from_euler_table(self, monkeypatch):
+        # T(6,1) reads E_4; a corrupted E_4 must reach a freshly filled memo
+        # through fresh weight rows.
+        good = T_from_euler(3, 1)
+
+        def corrupt(m):
+            return euler_number(m) + 2 if m == 4 else euler_number(m)
+
+        monkeypatch.setattr(tsums.formulas, "euler_number", corrupt)
+        monkeypatch.setattr(tsums.formulas, "_euler_weight_rows", {})
+        T_from_euler.cache_clear()
+        try:
+            assert T_from_euler(3, 1) != good
+            assert T_from_euler(3, 2) == PiPower(Fraction(1, 3840), 6)
+        finally:
+            T_from_euler.cache_clear()
+
+    def test_weight_rows_grow_on_demand(self, monkeypatch):
+        # A row is kept from the second cell of its n on.  Deepest cell
+        # first, so each later cell extends it by one weight; a deep cell of
+        # a long row computes only the weights it sums.
+        rows = {}
+        monkeypatch.setattr(tsums.formulas, "_euler_weight_rows", rows)
+        T_from_euler.cache_clear()
+        try:
+            T_from_euler(150, 140)
+            assert rows[150] == ()
+            T_from_euler(150, 139)
+            assert len(rows[150]) == 12
+            for n in (7, 30):
+                for d in range(n, 0, -1):
+                    acc = sum(binomial(n - ell, d) * binomial(2 * n, 2 * ell) * euler_number(2 * ell)
+                              for ell in range(n - d + 1))
+                    want = Fraction((-1) ** (n - d) * acc, 4**n * math.factorial(2 * n))
+                    assert T_from_euler(n, d) == PiPower(want, 2 * n), (n, d)
+                    assert len(rows[n]) == (0 if d == n else n - d + 1)
+        finally:
+            T_from_euler.cache_clear()
+
+    def test_rejected_arguments_raise_on_every_call(self):
+        # The equal int cells are memoized first: a bool or float must not
+        # hit their entries, and a refusal is not cached.
+        T_from_euler(1, 1), T_from_euler(2, 1), coeff_row(1), coeff_row(2)
+        rejected = [
+            (TypeError, T_from_euler, (True, 1)),
+            (TypeError, T_from_euler, (1, True)),
+            (TypeError, T_from_euler, (2.0, 1)),
+            (TypeError, T_from_t_values, (2, True)),
+            (TypeError, T_from_bernoulli, (2.0, 1)),
+            (TypeError, coeff_row, (True,)),
+            (TypeError, coeff_row, (2.0,)),
+            (TypeError, t_all_twos, (True,)),
+            (TypeError, depth_sum_identity, (True,)),
+            (TypeError, depth_sum_identity, (2.0,)),
+            (TypeError, bernoulli_euler_check, (1, True)),
+            (TypeError, T_table_from_genfunc, (True,)),
+            (ValueError, T_from_euler, (0, 1)),
+            (ValueError, T_from_euler, (3, -1)),
+            (ValueError, coeff_row, (0,)),
+        ]
+        for error, func, args in rejected:
+            for _ in range(2):
+                with pytest.raises(error):
+                    func(*args)
 
 
 # Signed and zero numerators, large denominators; terms of 1 to 3 factors.
