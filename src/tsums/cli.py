@@ -25,6 +25,7 @@ equals 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -194,7 +195,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs about a millisecond,
+    and parsing leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="tsums",
         description="Exact sums of multiple t-values at even arguments.",

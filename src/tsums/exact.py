@@ -12,6 +12,11 @@ where t(s) = sum over odd m >= 1 of 1/m**s.  Both are memoized: each value
 is built once per process and the same frozen :class:`PiPower` is returned
 on every later call, like the grow-on-demand Bernoulli and Euler tables.
 
+Every index is taken through :func:`_index`: a bool or float raises
+``TypeError`` before any work.  The two memos are keyed by argument type,
+so ``t_even(True)`` misses the entry of 1 and is refused, while a hit on an
+int entry runs no check at all.
+
 Sign conventions: B_1 = -1/2 (the x/(e^x - 1) generating function) and the
 Euler numbers are the signed integers with sec x = sum (-1)**j E_{2j} x**(2j)
 / (2j)!, so E_0 = 1, E_2 = -1, E_4 = 5, E_6 = -61.  Odd-index entries of both
@@ -107,6 +112,13 @@ _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 _euler_even: list[int] = [1]  # E_0, E_2, E_4, ...
 
 
+def _index(k: int) -> int:
+    """k as a plain int through ``operator.index``; a bool raises TypeError."""
+    if isinstance(k, bool):
+        raise TypeError(f"expected an integer, got {k!r}")
+    return operator.index(k)
+
+
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient with the out-of-range convention binom(a,b) = 0.
 
@@ -134,6 +146,7 @@ def _grow_bernoulli(upto_pairs: int) -> None:
 
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m, with B_1 = -1/2 (x/(e^x-1) convention)."""
+    m = _index(m)
     if m < 0:
         raise ValueError(f"bernoulli requires m >= 0, got {m}")
     if m == 1:
@@ -158,6 +171,7 @@ def _grow_euler(upto_pairs: int) -> None:
 
 def euler_number(m: int) -> int:
     """Signed Euler number E_m (integer); E_m = 0 for odd m."""
+    m = _index(m)
     if m < 0:
         raise ValueError(f"euler_number requires m >= 0, got {m}")
     if m % 2 == 1:
@@ -169,9 +183,10 @@ def euler_number(m: int) -> int:
     return _euler_even[j]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zeta_even(n: int) -> PiPower:
     """zeta(2n) as an exact rational multiple of pi**(2n), for n >= 1."""
+    n = _index(n)
     if n < 1:
         raise ValueError(f"zeta_even requires n >= 1, got {n}")
     m = 2 * n
@@ -179,9 +194,10 @@ def zeta_even(n: int) -> PiPower:
     return PiPower(coeff, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def t_even(n: int) -> PiPower:
     """t(2n) = 2**(-2n) (2**(2n)-1) zeta(2n) as an exact PiPower, n >= 1."""
+    n = _index(n)
     if n < 1:
         raise ValueError(f"t_even requires n >= 1, got {n}")
     return zeta_even(n) * Fraction(2 ** (2 * n) - 1, 2 ** (2 * n))

@@ -21,13 +21,13 @@ nonzero value has pi-exponent exactly 2n.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .exact import PiPower, bernoulli, binomial, euler_number, t_even
+from .exact import PiPower, _index, bernoulli, binomial, euler_number, t_even
 from .series import genfunc_biseries
 
 __all__ = [
@@ -47,13 +47,6 @@ __all__ = [
 ]
 
 
-def _index(k: int) -> int:
-    """k as a plain int through ``operator.index``; a bool raises TypeError."""
-    if isinstance(k, bool):
-        raise TypeError(f"expected an integer, got {k!r}")
-    return operator.index(k)
-
-
 def _check_args(n: int, d: int) -> tuple[int, int]:
     """n and d as plain ints, both >= 1."""
     n, d = _index(n), _index(d)
@@ -62,13 +55,15 @@ def _check_args(n: int, d: int) -> tuple[int, int]:
     return n, d
 
 
-def _sum_products(terms: Iterable[tuple[Fraction | int, ...]]) -> Fraction:
-    """Exact sum of the products of the tuples in ``terms``.
+def _over_one_denominator(
+    terms: Iterable[tuple[Fraction | int, ...]],
+) -> tuple[int, tuple[int, ...]]:
+    """The products of the tuples in ``terms`` as integers over one
+    denominator: (L, (Q_1, Q_2, ...)) with product i equal to Q_i / L.
 
-    Each product is formed on plain integer numerators and denominators;
-    the products are then summed over the lcm of their denominators and
-    normalised once, which saves the gcds of a Fraction operation per
-    multiply and add.  An empty input sums to 0.
+    Each product is formed on plain integer numerators and denominators,
+    and L is the lcm of their denominators, which saves the gcds of a
+    Fraction operation per multiply and add.  An empty input gives (1, ()).
     """
     nums: list[int] = []
     dens: list[int] = []
@@ -80,7 +75,14 @@ def _sum_products(terms: Iterable[tuple[Fraction | int, ...]]) -> Fraction:
         nums.append(p)
         dens.append(q)
     den = math.lcm(*dens)
-    return Fraction(sum(p * (den // q) for p, q in zip(nums, dens)), den)
+    return den, tuple(p * (den // q) for p, q in zip(nums, dens))
+
+
+def _sum_products(terms: Iterable[tuple[Fraction | int, ...]]) -> Fraction:
+    """Exact sum of the products of the tuples in ``terms``, summed over one
+    common denominator and normalised once.  An empty input sums to 0."""
+    den, nums = _over_one_denominator(terms)
+    return Fraction(sum(nums), den)
 
 
 def t_all_twos(n: int) -> PiPower:
@@ -91,21 +93,39 @@ def t_all_twos(n: int) -> PiPower:
     return PiPower(Fraction(1, 4**n * math.factorial(2 * n)), 2 * n)
 
 
+# The terms of row n of the two t-value routes: the t values they were built
+# from, their common denominator L_n and the integer numerators Q_{n,j} for
+# j <= (n-1)//2, so that term j is Q_{n,j} / L_n.  An entry is replaced,
+# never changed in place, like the Euler weight rows: a race only repeats
+# work.
+_t_value_terms: dict[int, tuple[tuple[PiPower, ...], int, tuple[int, ...]]] = {}
+_bernoulli_terms: dict[
+    int, tuple[tuple[PiPower, ...], tuple[PiPower, ...], int, tuple[int, ...]]
+] = {}
+
+
 def T_from_t_values(n: int, d: int) -> PiPower:
     """T(2n,d) as sum_j (-1)**j pi**(2j) binom(2d-2j-2, d-1) t(2n-2j)
     / (2**(2d-2) (2j)! d), summed over 0 <= j <= (d-1)//2.
 
     The pi**(2j) factor merges with t(2n-2j)'s pi**(2n-2j), so the sum runs
-    on the rational coefficients of the cached depth-d row
-    :func:`_t_value_row` and the t values.  The terms are summed over one
-    common denominator and normalised once, and the result is assembled
-    exactly with pi-exponent 2n.
+    on rationals: the depth-d row :func:`_t_value_row` as integers C_{d,j}
+    over one denominator M_d, and the t values of row n as integers
+    Q_{n,j} over one denominator L_n, kept per n.  The cell is
+    sum_j C_{d,j} Q_{n,j} / (M_d L_n), normalised once, with pi-exponent 2n.
+    Every call reads t(2n-2j) for its j; the row of n is rebuilt when they
+    are not the values it was built from, so no value is cached behind them.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    coeff = _sum_products((c, t_even(n - j).coeff) for j, c in _t_value_row(d))
-    return PiPower(coeff, 2 * n)
+    m, coeffs = _t_value_ints(d)
+    ts = tuple(map(t_even, range(n, n - len(coeffs), -1)))
+    terms = _t_value_terms.get(n)
+    if terms is None or terms[0][: len(ts)] != ts:
+        ts += tuple(map(t_even, range(n - len(ts), n // 2, -1)))
+        terms = _t_value_terms[n] = (ts, *_over_one_denominator((t.coeff,) for t in ts))
+    return PiPower(Fraction(sum(map(mul, coeffs, terms[2])), m * terms[1]), 2 * n)
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +140,12 @@ def _t_value_row(d: int) -> tuple[tuple[int, Fraction], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _t_value_ints(d: int) -> tuple[int, tuple[int, ...]]:
+    """The row :func:`_t_value_row` as (M_d, (C_{d,0}, C_{d,1}, ...))."""
+    return _over_one_denominator((c,) for _, c in _t_value_row(d))
+
+
 def T_from_bernoulli(n: int, d: int) -> PiPower:
     """T(2n,d) in the Bernoulli-number form
 
@@ -127,19 +153,33 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
       - sum_{j=1}^{(d-1)//2} binom(2d-2j-2,d-1) t(2j) t(2n-2j)
                              / (2**(2d-3) (2**(2j)-1) B_{2j} d),
 
-    summed on the rational coefficients of the cached row
-    :func:`coeff_row` and of the t values (every t(2j) is a rational
-    multiple of pi**(2j)), with pi-exponent 2n.  The terms are summed over
-    one common denominator and normalised once.
+    summed on rationals (every t(2j) is a rational multiple of pi**(2j)):
+    the row :func:`coeff_row` as integers C_{d,j} over one denominator M_d,
+    and the terms t(2n) and t(2j) t(2n-2j) of row n as integers Q_{n,j}
+    over one denominator L_n, kept per n.  The cell is
+    sum_j C_{d,j} Q_{n,j} / (M_d L_n), normalised once, with pi-exponent 2n.
+    Every call reads t(2n), and t(2j) and t(2n-2j) for its j >= 1; the row
+    of n is rebuilt when they are not the values it was built from.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    coeff = _sum_products(
-        (c, t_even(n).coeff) if j == 0 else (c, t_even(j).coeff, t_even(n - j).coeff)
-        for j, c in coeff_row(d).pairs
-    )
-    return PiPower(coeff, 2 * n)
+    m, coeffs = _bernoulli_ints(d)
+    highs = tuple(map(t_even, range(n, n - len(coeffs), -1)))
+    lows = tuple(map(t_even, range(1, len(coeffs))))
+    terms = _bernoulli_terms.get(n)
+    if terms is None or terms[0][: len(highs)] != highs or terms[1][: len(lows)] != lows:
+        highs += tuple(map(t_even, range(n - len(highs), n // 2, -1)))
+        lows += tuple(map(t_even, range(len(lows) + 1, len(highs))))
+        products = [(highs[0].coeff,)] + [(lo.coeff, hi.coeff) for lo, hi in zip(lows, highs[1:])]
+        terms = _bernoulli_terms[n] = (highs, lows, *_over_one_denominator(products))
+    return PiPower(Fraction(sum(map(mul, coeffs, terms[3])), m * terms[2]), 2 * n)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_ints(d: int) -> tuple[int, tuple[int, ...]]:
+    """The row :func:`coeff_row` as (M_d, (C_{d,0}, C_{d,1}, ...))."""
+    return _over_one_denominator((c,) for _, c in coeff_row(d).pairs)
 
 
 _euler_weight_rows: dict[int, tuple[int, ...]] = {}
@@ -159,13 +199,25 @@ def _euler_weights(n: int, length: int) -> tuple[int, ...]:
     row = _euler_weight_rows.get(n)
     if row is None:
         _euler_weight_rows[n] = ()
-        return tuple(math.comb(2 * n, 2 * ell) * euler_number(2 * ell) for ell in range(length))
+        return _weights(n, 0, length)
     if len(row) < length:
-        row += tuple(
-            math.comb(2 * n, 2 * ell) * euler_number(2 * ell) for ell in range(len(row), length)
-        )
+        row += _weights(n, len(row), length)
         _euler_weight_rows[n] = row
     return row
+
+
+def _weights(n: int, start: int, stop: int) -> tuple[int, ...]:
+    """The weights binom(2n,2l) E_{2l} of row n for start <= l < stop.
+
+    One ``math.comb`` gives binom(2n,2start); each later binomial is the
+    one before times (2n-2l)(2n-2l-1), divided exactly by (2l+1)(2l+2).
+    """
+    b = math.comb(2 * n, 2 * start)
+    out = []
+    for ell in range(start, stop):
+        out.append(b * euler_number(2 * ell))
+        b = b * ((2 * n - 2 * ell) * (2 * n - 2 * ell - 1)) // ((2 * ell + 1) * (2 * ell + 2))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None, typed=True)

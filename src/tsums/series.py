@@ -83,28 +83,28 @@ def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
 
     The numerator's y**k v**d coefficient is (-1)**d binom(k,d) c_k, so each
     cell is the 1-D convolution (-1)**d sum_{k=d..n} binom(k,d) c_k sec_{n-k}
-    with the secant series sec = 1/c.
+    with the secant series sec = 1/c.  It runs in integers: with
+    a_j = sec_j (2j)! (the integer |E_2j|), c_k sec_{n-k} (2n)! is
+    p_k = (-1)**k binom(2n,2k) a_{n-k}, and the sums sum_k binom(k,d) p_k
+    for every d are the coefficients of P(x+1), P(x) = sum_k p_k x**k,
+    which one in-place Taylor shift per row gives.  The cells with d > n
+    share one ``Fraction(0)``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     K = order
-    c = cos_sqrt_series(K)
-    sec = series_quotient((1,), c)
+    sec = series_quotient((1,), cos_sqrt_series(K))
+    a = [int(s * factorial(2 * j)) for j, s in enumerate(sec)]
+    zero = Fraction(0)
     rows = []
     for n in range(K + 1):
-        # c_k = (-1)**k/(2k)! and sec_j = (-1)**j E_2j/(2j)! with integer
-        # Euler numbers, so c_k sec_{n-k} (2n)! is +-binom(2n,2k) E_{2n-2k},
-        # an integer: the convolution runs in integers.
+        p = [(-1) ** k * comb(2 * n, 2 * k) * a[n - k] for k in range(n + 1)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                p[j] += p[j + 1]
         scale = factorial(2 * n)
-        prods = [int(c[k] * sec[n - k] * scale) for k in range(n + 1)]
         rows.append(
-            tuple(
-                Fraction(
-                    (-1) ** d * sum(comb(k, d) * prods[k] for k in range(d, n + 1)),
-                    scale,
-                )
-                for d in range(K + 1)
-            )
+            tuple(Fraction((-1) ** d * p[d], scale) for d in range(n + 1)) + (zero,) * (K - n)
         )
     return tuple(rows)
 

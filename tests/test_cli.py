@@ -420,6 +420,48 @@ def test_any_input_gives_an_exit_code(call):
     assert "Traceback" not in err.getvalue()
 
 
+def _captured(argv):
+    """(exit code, stdout, stderr) of one in-process call; the timings of a
+    verify report are dropped from its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    stdout = out.getvalue()
+    if argv[0] == "verify":
+        report = json.loads(stdout)
+        del report["wall_time_s"]
+        for case in report["cases"]:
+            del case["elapsed_s"]
+        stdout = json.dumps(report)
+    return rc, stdout, err.getvalue()
+
+
+def test_one_parser_serves_every_call():
+    # One process: usage errors first, then table, coeffs and verify on the
+    # shared parser print what a freshly built parser prints.
+    calls = [
+        ["table", "--max-n", "2", "--format", "xml"],
+        ["table", "--max-n", "0"],
+        ["table", "--max-n", "5", "--format", "json"],
+        ["table", "--max-n", "6", "--depth", "3", "--format", "latex"],
+        ["coeffs", "--depth", "7", "--format", "csv"],
+        ["verify", "--suite", "depth-sum", "--max-n", "6"],
+        ["verify", "--suite", "bernoulli-euler", "--max-n", "3", "--max-d", "5"],
+    ]
+    shared = [_captured(argv) for argv in calls]
+    assert tsums.cli.build_parser() is tsums.cli.build_parser()
+    fresh = []
+    for argv in calls:
+        tsums.cli.build_parser.cache_clear()
+        fresh.append(_captured(argv))
+    assert [rc for rc, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0]
+    assert [(rc, out) for rc, out, _ in shared] == [(rc, out) for rc, out, _ in fresh]
+    assert [err for _, _, err in shared[:2]] == [err for _, _, err in fresh[:2]]
+
+
 class TestEval:
     def test_basic_line(self, capsys):
         rc, out, err = run_cli(capsys, "eval", "--t", "2", "--terms", "100000")

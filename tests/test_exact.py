@@ -8,6 +8,8 @@ the library's recurrences.
 import math
 from fractions import Fraction
 
+import tsums.exact
+
 import mpmath as mp
 import pytest
 
@@ -140,6 +142,34 @@ class TestEvenValues:
         for n in (1, 6, 30):
             assert t_even(n) is t_even(n)
             assert zeta_even(n) is zeta_even(n)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "func, bad, good",
+        [(t_even, True, 1), (zeta_even, True, 1), (euler_number, True, 1), (bernoulli, 2.0, 2)],
+    )
+    def test_bool_or_float_index_raises(self, monkeypatch, func, bad, good):
+        # Before and after the equal int entry is cached: the memos and the
+        # tables start empty, so the int call below is what fills them.
+        monkeypatch.setattr(tsums.exact, "_bernoulli_even", [Fraction(1)])
+        monkeypatch.setattr(tsums.exact, "_euler_even", [1])
+        t_even.cache_clear()
+        zeta_even.cache_clear()
+        try:
+            with pytest.raises(TypeError):
+                func(bad)
+            func(good)
+            with pytest.raises(TypeError):
+                func(bad)
+        finally:
+            t_even.cache_clear()
+            zeta_even.cache_clear()
+
+    def test_float_index_raises(self):
+        for func in (t_even, zeta_even, euler_number, bernoulli):
+            with pytest.raises(TypeError):
+                func(2.0)
 
 
 class TestPiPower:

@@ -107,6 +107,40 @@ class TestClosedForms:
         assert T_from_bernoulli(8, 3) != T_from_euler(8, 3)
         assert T_from_t_values(8, 3) == T_from_euler(8, 3)
 
+    @pytest.mark.parametrize("route, memo", [(T_from_t_values, "_t_value_terms"),
+                                             (T_from_bernoulli, "_bernoulli_terms")])
+    def test_cell_order_does_not_matter(self, monkeypatch, route, memo):
+        # From an empty memo, the cells of one n are the same values whether
+        # the deepest or the shallowest cell builds the row of n.
+        for n in (1, 2, 9, 40):
+            monkeypatch.setattr(tsums.formulas, memo, {})
+            deep_first = [route(n, d) for d in range(n, 0, -1)][::-1]
+            monkeypatch.setattr(tsums.formulas, memo, {})
+            shallow_first = [route(n, d) for d in range(1, n + 1)]
+            assert deep_first == shallow_first == [T_from_euler(n, d) for d in range(1, n + 1)]
+
+    @pytest.mark.parametrize("route, memo", [(T_from_t_values, "_t_value_terms"),
+                                             (T_from_bernoulli, "_bernoulli_terms")])
+    def test_row_of_corrupted_values_is_rebuilt(self, monkeypatch, route, memo):
+        # T(16,5) reads t(12) on both routes.  The terms of n = 8 built from
+        # a corrupted t(12) are replaced by the first call that reads the
+        # restored value, and the new entry serves every later cell.
+        terms = {}
+        monkeypatch.setattr(tsums.formulas, memo, terms)
+
+        def corrupt(n):
+            return t_even(n) * 2 if n == 6 else t_even(n)
+
+        monkeypatch.setattr(tsums.formulas, "t_even", corrupt)
+        assert route(8, 5) != T_from_euler(8, 5)
+        corrupted = terms[8]
+        monkeypatch.setattr(tsums.formulas, "t_even", t_even)
+        assert route(8, 5) == T_from_euler(8, 5)
+        restored = terms[8]
+        assert restored is not corrupted
+        assert [route(8, d) for d in range(1, 9)] == [T_from_euler(8, d) for d in range(1, 9)]
+        assert terms[8] is restored
+
     def test_rows_are_cached_tuples(self):
         for d in (1, 5, 12):
             assert coeff_row(d) is coeff_row(d)
@@ -172,6 +206,13 @@ class TestEulerMemo:
                     assert len(rows[n]) == (0 if d == n else n - d + 1)
         finally:
             T_from_euler.cache_clear()
+
+    def test_running_binomial_weights(self):
+        # The weights of any stretch of a row equal math.comb times E_{2l}.
+        for n in range(1, 61):
+            want = tuple(math.comb(2 * n, 2 * ell) * euler_number(2 * ell) for ell in range(n + 1))
+            for start in sorted({0, 1, n // 2, n}):
+                assert tsums.formulas._weights(n, start, n + 1) == want[start:], (n, start)
 
     def test_rejected_arguments_raise_on_every_call(self):
         # The equal int cells are memoized first: a bool or float must not

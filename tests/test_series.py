@@ -142,6 +142,22 @@ def test_genfunc_table_matches_bivariate_product(order):
     assert genfunc_biseries(K) == tuple(tuple(row) for row in product)
 
 
+def test_genfunc_table_matches_comb_sums():
+    # Each cell written out as (-1)**d sum_{k=d..n} binom(k,d) c_k sec_{n-k},
+    # with c_k sec_{n-k} (2n)! = (-1)**k binom(2n,2k) |E_{2n-2k}|, for every
+    # order up to 40: the Taylor shift must give these sums exactly.
+    for K in range(1, 41):
+        phi = genfunc_biseries(K)
+        assert len(phi) == K + 1 and all(len(row) == K + 1 for row in phi)
+        for n in range(K + 1):
+            prods = [(-1) ** k * math.comb(2 * n, 2 * k) * abs(euler_number(2 * n - 2 * k))
+                     for k in range(n + 1)]
+            for d in range(K + 1):
+                acc = sum(math.comb(k, d) * prods[k] for k in range(d, n + 1))
+                want = Fraction((-1) ** d * acc, math.factorial(2 * n))
+                assert type(phi[n][d]) is Fraction and phi[n][d] == want, (K, n, d)
+
+
 @settings(max_examples=40)
 @given(unit_series_st)
 def test_recip_is_right_inverse(a):
