@@ -22,13 +22,15 @@ Each N_{n,d} is written once, as the generator expression
 :func:`monomial_depth_expr`: the exact checks expand it in the m_lambda and
 the numeric checks specialize it.
 
-The expansion multiplies only one e_k by one h_l, by a counting lemma: for
-|lambda| = k + l, the coefficient of m_lambda in e_k h_l is
-binom(len(lambda), k).  It is the coefficient of the monomial x**lambda;
-the e_k factor supplies x**S for a k-subset S of the variables, and h_l
-then supplies x**(lambda - 1_S) once, which exists exactly when S lies in
-the support of lambda, a set of len(lambda) variables.  The lemma proves
-the factorization in every degree: the u**n v**d coefficient of the right
+The expansion rests on a counting lemma: for |lambda| = k + l, the
+coefficient of m_lambda in e_k h_l is binom(len(lambda), k).  It is the
+coefficient of the monomial x**lambda; the e_k factor supplies x**S for a
+k-subset S of the variables, and h_l then supplies x**(lambda - 1_S) once,
+which exists exactly when S lies in the support of lambda, a set of
+len(lambda) variables.  So in a generator expression the coefficient of
+m_lambda depends only on |lambda| and the length len(lambda), and the
+expansion computes it once per degree and length.  The lemma proves the
+factorization in every degree: the u**n v**d coefficient of the right
 side is sum_k (-1)**(k-d) binom(k,d) e_k h_{n-k}, and at a partition of
 length L its m_lambda coefficient is sum_k (-1)**(k-d) binom(k,d)
 binom(L,k) = delta_{L,d}, because binom(L,k) binom(k,d) = binom(L,d)
@@ -46,14 +48,11 @@ from typing import Iterator
 
 import mpmath as mp
 
-from .exact import binomial
+from .exact import _index, binomial
 from .oracle import PrecReal
 
 __all__ = [
     "SymPoly",
-    "elementary",
-    "complete",
-    "power_sum",
     "monomial_depth_sum",
     "check_bivariate_factorization",
     "check_monomial_expansion",
@@ -118,9 +117,6 @@ class SymPoly:
     def constant(value, num_vars: int) -> "SymPoly":
         return SymPoly(num_vars, {(): Fraction(value)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymPoly):
             return NotImplemented
@@ -135,37 +131,13 @@ class SymPoly:
         return "SymPoly(" + " + ".join(bits) + ")"
 
 
-def elementary(j: int, m: int) -> SymPoly:
-    """e_j in m variables; zero for j > m, one for j = 0."""
-    if j < 0:
-        raise ValueError(f"degree must be >= 0, got {j}")
-    if j > m:
-        return SymPoly(m)
-    return SymPoly(m, {(1,) * j: Fraction(1)})
-
-
-def complete(j: int, m: int) -> SymPoly:
-    """h_j in m variables: every m_lambda with lambda |- j, at most m parts."""
-    if j < 0:
-        raise ValueError(f"degree must be >= 0, got {j}")
-    return SymPoly(m, {lam: Fraction(1) for lam in _partitions(j, m)})
-
-
-def power_sum(j: int, m: int) -> SymPoly:
-    """p_j = x_1**j + ... + x_m**j; p_0 is the constant m by convention."""
-    if j < 0:
-        raise ValueError(f"degree must be >= 0, got {j}")
-    if j == 0:
-        return SymPoly.constant(m, m)
-    return SymPoly(m, {(j,): Fraction(1)})
-
-
 def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
     """N_{n,d}: sum of monomial symmetric functions m_lambda over partitions
     of n with exactly d parts, in m variables.  Zero when d > n.
 
     Faithful (no truncation artifacts) when m >= n.
     """
+    n, d, m = _index(n), _index(d), _index(m)
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
     if d > m:
@@ -207,32 +179,42 @@ class GenExpr:
 def monomial_depth_expr(n: int, d: int) -> GenExpr:
     """N_{n,d} written in the h/e generators (valid in the infinite ring):
     sum_{l=0}^{n-d} binom(n-l,d) (-1)**(n-d-l) h_l e_{n-l}."""
+    n, d = _index(n), _index(d)
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
     return GenExpr({(n - ell, ell): binomial(n - ell, d) * (-1) ** (n - d - ell)
                     for ell in range(n - d + 1)})
 
 
-@lru_cache(maxsize=None)
-def _product(k: int, ell: int, m: int) -> SymPoly:
-    """e_k * h_l in m variables, from the counting lemma of the module
-    docstring: m_lambda has the coefficient binom(len(lambda), k)."""
-    return SymPoly(m, {lam: binomial(len(lam), k)
-                       for lam in _partitions(k + ell, m) if len(lam) >= k})
-
-
 def _expand(expr: GenExpr, m: int) -> SymPoly:
-    """A generator expression expanded in the monomial basis of m variables:
-    c times the cached e_k * h_l of each term, added into one dict."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    """A generator expression expanded in the monomial basis of m variables.
+
+    By the counting lemma of the module docstring, the terms c e_k h_l of
+    degree n = k + l give m_lambda, for each lambda |- n, the coefficient
+    f(len(lambda)) = sum c binom(len(lambda), k).  f is summed in integers
+    over one common denominator for each length L <= min(n, m); one pass
+    over the partitions of n, no longer than the longest L with f(L) != 0,
+    then keeps those with f(len(lambda)) != 0.
+    """
+    by_degree: dict[int, list[tuple[int, Fraction]]] = {}
     for (k, ell), c in expr.terms.items():
-        for lam, x in _product(k, ell, m).terms.items():
-            _accumulate(out, lam, c * x)
+        by_degree.setdefault(k + ell, []).append((k, c))
+    out: dict[tuple[int, ...], Fraction] = {}
+    for n, terms in by_degree.items():
+        den = math.lcm(*(c.denominator for _, c in terms))
+        nums = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+        # A partition of n >= 1 has length >= 1; () is the one of n = 0.
+        by_len = {L: Fraction(sum(a * math.comb(L, k) for k, a in nums), den)
+                  for L in range(1 if n else 0, min(n, m) + 1)}
+        top = max((L for L, f in by_len.items() if f), default=None)
+        if top is not None:
+            out.update((lam, by_len[len(lam)]) for lam in _partitions(n, top) if by_len[len(lam)])
     return SymPoly(m, out)
 
 
 def check_monomial_expansion(n: int, d: int, m: int) -> bool:
     """Exact check that N_{n,d} equals :func:`monomial_depth_expr`, expanded."""
+    n, d, m = _index(n), _index(d), _index(m)
     if not (1 <= d <= n <= m):
         raise ValueError(f"require 1 <= d <= n <= m, got n={n}, d={d}, m={m}")
     return monomial_depth_sum(n, d, m) == _expand(monomial_depth_expr(n, d), m)
@@ -252,6 +234,7 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
     n = 0 (e_0 h_0) and 0 above, while the right side is
     sum_j (-1)**j e_j h_{n-j}.
     """
+    n_max, m = _index(n_max), _index(m)
     if not (1 <= n_max <= m):
         raise ValueError(f"require 1 <= n_max <= m, got n_max={n_max}, m={m}")
     for n in range(n_max + 1):

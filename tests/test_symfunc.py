@@ -16,14 +16,10 @@ from tsums.symfunc import (
     SymPoly,
     _expand,
     _generator_value,
-    _product,
     check_bivariate_factorization,
     check_monomial_expansion,
-    complete,
-    elementary,
     monomial_depth_expr,
     monomial_depth_sum,
-    power_sum,
     specialize_odd_squares,
 )
 
@@ -32,17 +28,18 @@ ONE = Fraction(1)
 
 class TestGenerators:
     def test_elementary(self):
-        assert elementary(2, 3).terms == {(1, 1): ONE}
-        assert elementary(4, 3).is_zero()
-        assert elementary(0, 2) == SymPoly.constant(1, 2)
+        assert _expand(GenExpr.elem(2), 3) == SymPoly(3, {(1, 1): ONE})
+        assert _expand(GenExpr.elem(4), 3) == SymPoly(3)
+        assert _expand(GenExpr.elem(0), 2) == SymPoly.constant(1, 2)
 
     def test_complete(self):
-        assert complete(2, 2).terms == {(2,): ONE, (1, 1): ONE}
-        assert complete(3, 2).terms == {(3,): ONE, (2, 1): ONE}
+        assert _expand(GenExpr.homog(2), 2) == SymPoly(2, {(2,): ONE, (1, 1): ONE})
+        assert _expand(GenExpr.homog(3), 2) == SymPoly(2, {(3,): ONE, (2, 1): ONE})
 
     def test_power_sum(self):
-        assert power_sum(3, 2).terms == {(3,): ONE}
-        assert power_sum(0, 2).terms == {(): Fraction(2)}
+        # p_j = N_{j,1}, the one-part monomial sum.
+        assert monomial_depth_sum(3, 1, 2) == SymPoly(2, {(3,): ONE})
+        assert _expand(monomial_depth_expr(3, 1), 2) == SymPoly(2, {(3,): ONE})
 
     def test_non_partition_keys_rejected(self):
         for key in ((1, 2), (1, 0), (1, 1, 1)):
@@ -50,29 +47,31 @@ class TestGenerators:
                 SymPoly(2, {key: ONE})
 
     def test_degree_one_coincidence(self):
-        assert elementary(1, 4) == complete(1, 4) == power_sum(1, 4)
+        p_1 = SymPoly(4, {(1,): ONE})
+        assert _expand(GenExpr.elem(1), 4) == _expand(GenExpr.homog(1), 4) == p_1
+        assert monomial_depth_sum(1, 1, 4) == p_1
 
     def test_newton_consistency(self):
         # E(-u) H(u) = 1, coefficient by coefficient, degrees <= 8.
         m = 8
         for n in range(1, 9):
             column = GenExpr({(j, n - j): (-1) ** j for j in range(n + 1)})
-            assert _expand(column, m).is_zero(), n
+            assert _expand(column, m) == SymPoly(m), n
 
 
 class TestMonomialDepthSums:
     def test_examples(self):
-        assert monomial_depth_sum(2, 1, 3) == power_sum(2, 3)
-        assert monomial_depth_sum(2, 2, 3) == elementary(2, 3)
+        assert monomial_depth_sum(2, 1, 3) == SymPoly(3, {(2,): ONE})
+        assert monomial_depth_sum(2, 2, 3) == SymPoly(3, {(1, 1): ONE})
         assert monomial_depth_sum(3, 2, 3).terms == {(2, 1): ONE}
         assert monomial_depth_sum(6, 2, 6).terms == {(5, 1): ONE, (4, 2): ONE, (3, 3): ONE}
 
     def test_no_partitions_gives_zero(self):
-        assert monomial_depth_sum(2, 3, 4).is_zero()
+        assert monomial_depth_sum(2, 3, 4) == SymPoly(4)
 
     def test_full_depth_is_elementary(self):
         for n in range(1, 6):
-            assert monomial_depth_sum(n, n, 6) == elementary(n, 6)
+            assert monomial_depth_sum(n, n, 6) == SymPoly(6, {(1,) * n: ONE})
 
 
 def _exponent_vectors(p):
@@ -83,6 +82,19 @@ def _exponent_vectors(p):
         padded = lam + (0,) * (p.num_vars - len(lam))
         for alpha in set(itertools.permutations(padded)):
             out[alpha] = c
+    return out
+
+
+def _monomials(choose, j, m):
+    """e_j (choose = combinations) or h_j (combinations_with_replacement)
+    in m variables as exponent vectors: one monomial per choice of j
+    variable indices, each with coefficient 1."""
+    out = {}
+    for picked in choose(range(m), j):
+        alpha = [0] * m
+        for i in picked:
+            alpha[i] += 1
+        out[tuple(alpha)] = 1
     return out
 
 
@@ -103,9 +115,11 @@ def test_product_matches_exponent_vector_product():
     assert len(cases) == 208
     for k, ell, m in cases:
         want = _exponent_vector_product(
-            _exponent_vectors(elementary(k, m)), _exponent_vectors(complete(ell, m))
+            _monomials(itertools.combinations, k, m),
+            _monomials(itertools.combinations_with_replacement, ell, m),
         )
-        assert _exponent_vectors(_product(k, ell, m)) == want, (k, ell, m)
+        got = _expand(GenExpr({(k, ell): 1}), m)
+        assert _exponent_vectors(got) == want, (k, ell, m)
 
 
 class TestIdentities:
@@ -127,8 +141,9 @@ class TestIdentities:
         m = 2
         rhs = GenExpr({(2, 0): -2, (1, 1): 1})
         assert monomial_depth_expr(2, 1).terms == rhs.terms
-        assert _expand(rhs, m) == power_sum(2, m)
-        assert monomial_depth_sum(2, 1, m) == power_sum(2, m)
+        p_2 = SymPoly(m, {(2,): ONE})
+        assert _expand(rhs, m) == p_2
+        assert monomial_depth_sum(2, 1, m) == p_2
 
     def test_expand_rejects_other_products(self):
         # A term is one e_k h_l: a p_j, an e_k e_l or three factors cannot
@@ -161,6 +176,23 @@ class TestIdentities:
         assert not check_monomial_expansion(5, 2, 5)
         assert not check_bivariate_factorization(5, 5)
 
+    def test_every_coefficient_mutation_fails_the_check(self, monkeypatch):
+        # Each coefficient of each N_{n,d} expression, moved by +1, -1 or
+        # +1/2 alone, must make the exact check fail.
+        real = tsums.symfunc.monomial_depth_expr
+        mutations = 0
+        for n in range(2, 10):
+            for d in range(1, n + 1):
+                terms = real(n, d).terms
+                for key in terms:
+                    for delta in (1, -1, Fraction(1, 2)):
+                        wrong = GenExpr({**terms, key: terms[key] + delta})
+                        monkeypatch.setattr(tsums.symfunc, "monomial_depth_expr",
+                                            lambda n, d, wrong=wrong: wrong)
+                        assert not check_monomial_expansion(n, d, n), (n, d, key, delta)
+                        mutations += 1
+        assert mutations == 492
+
     def test_expansion_is_the_same_in_more_variables(self):
         # N_{n,d} has degree n, so m = n variables already see every
         # partition: more variables add no term and change no coefficient.
@@ -174,6 +206,23 @@ class TestIdentities:
             check_bivariate_factorization(5, 4)
         with pytest.raises(ValueError):
             check_monomial_expansion(3, 4, 8)
+
+
+@pytest.mark.parametrize("call, args, want", [
+    (monomial_depth_sum, (3, 2, 3), {(2, 1): ONE}),
+    (monomial_depth_expr, (3, 2), {(3, 0): -3, (2, 1): 1}),
+    (check_monomial_expansion, (3, 2, 3), True),
+    (check_bivariate_factorization, (2, 3), True),
+])
+def test_indices_must_be_integers(call, args, want):
+    # A bool or a float index is refused before any work, as in the exact
+    # layer; the integer call keeps its result.
+    for i, arg in enumerate(args):
+        for bad in (True, float(arg)):
+            with pytest.raises(TypeError):
+                call(*args[:i], bad, *args[i + 1:])
+    got = call(*args)
+    assert getattr(got, "terms", got) == want
 
 
 class TestSpecialization:
