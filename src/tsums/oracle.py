@@ -1,14 +1,18 @@
 """Brute-force numeric evaluation of the defining series, with error bounds.
 
 t(s_1,...,s_d) = sum over n_1 > ... > n_d >= 1 of prod (2n_i - 1)**-s_i.
-t_numeric sums it in one pass over the indices m = 1..N, keeping the d+1
-partial sums A_i(m) over m >= n_{i+1} > ... > n_d of prod_{j>i}
-(2n_j - 1)**-s_j (A_d = 1): index m adds A_{i+1}(m-1) (2m-1)**-s_{i+1} to
-A_i for i = 0..d-1 ascending, so that A_{i+1} still holds the sums below m
-(the indices stay strict).  A_0(N) is the partial sum; the inner sums
-A_i(N-1), kept from before the last index, feed the bound.  Cost O(d*N),
-memory O(d).  Both passes here run in fixed-point integers scaled by
-10**(dps+20); one ulp is 10**-(dps+20).
+t_numeric sums it over the indices m = 1..N, keeping the d+1 partial sums
+A_i(m) over m >= n_{i+1} > ... > n_d of prod_{j>i} (2n_j - 1)**-s_j
+(A_d = 1): index m adds A_{i+1}(m-1) (2m-1)**-s_{i+1} to A_i, reading
+A_{i+1} before index m adds to it (the indices stay strict).  The indices
+run in blocks of B = _BLOCK, and each block one level at a time, i = d-1
+down to 0: level i's additions over the block are the floor divisions of
+level i+1's values before each index, and their running sums
+(itertools.accumulate) are the values before each index that level i-1
+reads; A_0 feeds nothing, so its additions are only summed.  A_0(N) is the
+partial sum; the inner sums A_i(N-1), kept from before the last index, feed
+the bound.  Cost O(d*N), memory O(d*B), whatever N.  Both passes here run
+in fixed-point integers scaled by 10**(dps+20); one ulp is 10**-(dps+20).
 
 Tail (tail_order=1): when the inner exponents are >= 2 the inner sums
 increase to a finite limit, so the first-order integral correction
@@ -32,11 +36,17 @@ at k = d, w = n, M -> inf.  Adding the index m adds
 G_k[w] = sum_{j>=1} x_m**j S_{k-1}[w-j](m-1) = x_m (S_{k-1}[w-1](m-1) + G_k[w-1])
 to S_k[w].  T_numeric runs this weight ladder,
 ``g = (S[k-1][w-1] + g) // (2m-1)**2; S[k][w] += g``, over the cells
-1 <= k <= w <= n: k descending, so that S[k-1] still holds the sums over
-indices below m, and w ascending, so that g carries G_k[w-1].  One pass
+1 <= k <= w <= n, in blocks of B indices like t_numeric: per block k
+ascending, and per k, w ascending, so that g carries G_k[w-1].  A cell's
+g over the block divides the values of S[k-1][w-1] before each index, and
+its running sums are the values of S[k][w] before each index that level
+k+1 reads; the cells with k = n or w = n feed no later cell, so their g
+is only summed.  While the block's 2m-1 < 2**15, (2m-1)**2 fits one 30-bit
+CPython digit and the division is one; beyond, it is two divisions by
+2m-1, which floor the same (floor(floor(x/b)/b) = floor(x/b**2)).  One pass
 of the top weight n serves every depth of every weight w <= n, because a
 cell S[k][w] depends only on cells of weight below w and never on n; it
-costs n(n+1)/2 updates per index and O(n**2) memory.  The member bounds
+costs n(n+1)/2 updates per index and O(n*B) memory.  The member bounds
 sum by leading part j_1 over the cells S_{d-1}[n-j_1](N-1), with the caps
 from the float recursion C_k[w] = S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j],
 C_0[0] = 1, summed over the compositions; so the bound equals the sum of
@@ -44,8 +54,12 @@ the member bounds up to float rounding.  Both passes end in _finish, which
 converts the fixed-point sum and adds one tail correction and bound per
 leading exponent.
 
-Quantization.  Each floor division subtracts some theta in [0, 1) ulp from a
-linear recurrence with non-negative coefficients, so every sum falls short
+Quantization.  The blocks change only the order in which the floors run:
+each floor divides the sum it read one index at a time, as it stood before
+its index, by the same divisor.  So every sum is the same integer for any
+B, and the bounds below, proved for one index at a time, hold unchanged.
+Each floor division subtracts some theta in [0, 1) ulp from a linear
+recurrence with non-negative coefficients, so every sum falls short
 by the thetas, each weighted by how much a unit in it adds to that sum;
 index 1 divides by 1 exactly.  With e_v and h_v the elementary and complete
 homogeneous symmetric polynomials, cosh(pi z/2) and cos(pi z/2) =
@@ -88,7 +102,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate, repeat
+from operator import add, floordiv, mul
+from typing import Iterator, Sequence
 
 import mpmath as mp
 
@@ -106,6 +122,11 @@ __all__ = [
 DEFAULT_TERMS = 1_000_000
 DEFAULT_DPS = 50
 MIN_DPS = 10
+
+# Indices per block of the two passes (see the module docstring): large
+# enough that the loops over indices run in C, small enough that a block's
+# lists of big integers stay well under a megabyte.
+_BLOCK = 512
 
 
 class DivergentSeriesError(ValueError):
@@ -196,6 +217,41 @@ def _finish(total: int, tails: Sequence[tuple[int, int, float, float]], ulps: in
         return PrecReal(+value, +err)
 
 
+def _blocks(M: int) -> Iterator[range]:
+    """The odd b = 2m-1 of the indices m = 1..M, in ranges of _BLOCK."""
+    end = 2 * M + 1
+    return (range(b, min(b + 2 * _BLOCK, end), 2) for b in range(1, end, 2 * _BLOCK))
+
+
+def _t_block(A: list[int], exps: Sequence[int], bs: range) -> None:
+    """Add the indices b in bs to the partial sums A of t_numeric, with
+    exponents exps, one level at a time (see the module docstring)."""
+    powers = {e: bs if e == 1 else list(map(pow, bs, repeat(e))) for e in set(exps)}
+    below = repeat(A[-1])  # A_d before each index
+    for i in range(len(exps) - 1, 0, -1):
+        run = list(accumulate(map(floordiv, below, powers[exps[i]]), initial=A[i]))
+        A[i] = run.pop()
+        below = run
+    A[0] += sum(map(floordiv, below, powers[exps[0]]))
+
+
+def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]:
+    """The fixed-point sums A[i] = A_i of t_numeric for exponents s, before
+    and after the last index N (see the module docstring)."""
+    d = len(s)
+    # Each A_i <= scale (1 + ln(2N-1)/2)**d < scale (2N)**d < 2**cap: b**e
+    # and b**cap both floor it to 0 for b >= 3 and are both 1 at b = 1, so
+    # the cap is exact.
+    cap = scale.bit_length() + d * (2 * N).bit_length()
+    exps = [min(e, cap) for e in s]
+    A = [0] * d + [scale]
+    for bs in _blocks(N - 1):
+        _t_block(A, exps, bs)
+    inner = A[:]
+    _t_block(A, exps, range(2 * N - 1, 2 * N, 2))
+    return inner, A
+
+
 def t_numeric(
     exponents: Sequence[int],
     params: TruncationParams | None = None,
@@ -204,7 +260,7 @@ def t_numeric(
     """Evaluate t(s_1,...,s_d) by truncated summation of the defining series.
 
     Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
-    and dps >= MIN_DPS.  Cost O(d*N), memory O(d).
+    and dps >= MIN_DPS.  Cost O(d*N); memory O(d*_BLOCK), whatever N.
     """
     s = [operator.index(x) for x in exponents]
     _check_dps(dps)
@@ -221,21 +277,7 @@ def t_numeric(
     N = params.terms
     d = len(s)
     scale = 10 ** (dps + 20)
-
-    # A[i] is A_i of the module docstring over the indices b so far; i
-    # ascending, so A[i+1] still holds the sums below b.  Each A_i <= scale
-    # (1 + ln(2N-1)/2)**d < scale (2N)**d < 2**cap: b**e and b**cap both
-    # floor it to 0 for b >= 3 and are both 1 at b = 1, so the cap is exact.
-    cap = scale.bit_length() + d * (2 * N).bit_length()
-    steps = [(i, min(e, cap)) for i, e in enumerate(s)]
-    A = [0] * d + [scale]
-    for b in range(1, 2 * N - 1, 2):
-        for i, e in steps:
-            A[i] += A[i + 1] // b**e
-    inner = A[:]  # before the last index
-    b = 2 * N - 1
-    for i, e in steps:
-        A[i] += A[i + 1] // b**e
+    inner, A = _t_sums(s, N, scale)
 
     # Float upper bounds on the inner sums (cap) and on how far they can
     # still move beyond N (drift); used only for the error bound.
@@ -247,23 +289,40 @@ def t_numeric(
                    N, scale, params, dps)
 
 
+def _ladder_block(S: list[list[int]], bs: range) -> None:
+    """Add the indices b = 2m-1 in bs to the weight-ladder sums S, k
+    ascending (see the module docstring)."""
+    n = len(S) - 1
+    # One division by b**2 while it fits one 30-bit CPython digit; beyond,
+    # two by the one-digit b, which floor the same.
+    squares = list(map(mul, bs, bs)) if bs[-1] < 1 << 15 else None
+    below = {0: repeat(S[0][0])}  # S_0[w] before each index; 0 for w >= 1
+    for k in range(1, n + 1):
+        row, before, g = S[k], {}, None
+        for w in range(k, n + 1):
+            x = below.get(w - 1)  # None for S_0[w-1] = 0
+            if g is not None:
+                x = g if x is None else map(add, x, g)
+            q = (map(floordiv, x, squares) if squares
+                 else map(floordiv, map(floordiv, x, bs), bs))
+            if w == n:  # feeds no later cell
+                row[w] += sum(q)
+            else:
+                g = list(q)
+                run = list(accumulate(g, initial=row[w]))
+                row[w] = run.pop()
+                before[w] = run
+        below = before
+
+
 def _weight_ladder(n: int, N: int, scale: int) -> tuple[list[list[int]], list[list[int]]]:
     """The fixed-point sums S[k][w] for 0 <= k <= w <= n, before and after
     the last index N (see the module docstring)."""
     S = [[scale] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    # k descending: S[k-1] still holds the sums over indices below m.
-    ladder = [(S[k - 1], S[k], range(k, n + 1)) for k in range(n, 0, -1)]
-    for m in range(1, N + 1):
-        if m == N:
-            inner = [row[:] for row in S]
-        # Two divisions by b = 2m-1 < 2**30, one CPython digit, floor
-        # exactly as one by b**2, which takes two digits from m > 16384 on.
-        b = 2 * m - 1
-        for prev, row, weights in ladder:
-            g = 0
-            for w in weights:
-                g = (prev[w - 1] + g) // b // b
-                row[w] += g
+    for bs in _blocks(N - 1):
+        _ladder_block(S, bs)
+    inner = [row[:] for row in S]
+    _ladder_block(S, range(2 * N - 1, 2 * N, 2))
     return inner, S
 
 

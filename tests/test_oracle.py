@@ -51,6 +51,74 @@ def _uncapped_t_numeric(s, params, dps):
                    N, scale, params, dps)
 
 
+def _reference_t_sums(s, N, scale):
+    """t_numeric's pass one index at a time, as it ran before the blocks:
+    the fixed-point sums A before and after the last index N."""
+    d = len(s)
+    cap = scale.bit_length() + d * (2 * N).bit_length()
+    steps = [(i, min(e, cap)) for i, e in enumerate(s)]
+    A = [0] * d + [scale]
+    for b in range(1, 2 * N - 1, 2):
+        for i, e in steps:
+            A[i] += A[i + 1] // b**e
+    inner = A[:]  # before the last index
+    b = 2 * N - 1
+    for i, e in steps:
+        A[i] += A[i + 1] // b**e
+    return inner, A
+
+
+def _reference_weight_ladder(n, N, scale):
+    """_weight_ladder one index at a time, as it ran before the blocks."""
+    S = [[scale] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    # k descending: S[k-1] still holds the sums over indices below m.
+    ladder = [(S[k - 1], S[k], range(k, n + 1)) for k in range(n, 0, -1)]
+    for m in range(1, N + 1):
+        if m == N:
+            inner = [row[:] for row in S]
+        # Two divisions by b = 2m-1 < 2**30, one CPython digit, floor
+        # exactly as one by b**2, which takes two digits from m > 16384 on.
+        b = 2 * m - 1
+        for prev, row, weights in ladder:
+            g = 0
+            for w in weights:
+                g = (prev[w - 1] + g) // b // b
+                row[w] += g
+    return inner, S
+
+
+# Depths 1-5: inner 1s, repeated exponents, and 1000, above the exponent cap
+# at dps 10 for every N below.
+BLOCK_VECTORS = ([2], [3, 1], [2, 2, 2], [5, 1, 1, 3], [2, 1000], [4, 4, 1, 4, 4], [3, 2, 1, 1, 2])
+
+
+class TestBlocks:
+    """The block passes give the same integers as one index at a time."""
+
+    scale = 10**30  # dps = 10
+
+    def check_ladder(self, n, N):
+        assert _weight_ladder(n, N, self.scale) == _reference_weight_ladder(n, N, self.scale), (n, N)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, oracle._BLOCK])
+    def test_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        for N in sorted({1, 2, 3, block - 1, block, block + 1, 2 * block + 1} - {0}):
+            for s in BLOCK_VECTORS:
+                assert oracle._t_sums(s, N, self.scale) == _reference_t_sums(s, N, self.scale), (s, N)
+            for n in range(1, 6):
+                self.check_ladder(n, N)
+
+    @pytest.mark.parametrize("block", [5, oracle._BLOCK])
+    @pytest.mark.parametrize("N", [16384, 16385, 16386])
+    def test_one_digit_square_limit(self, monkeypatch, block, N):
+        # b = 2m-1 reaches 2**15 at m = 16385, where b**2 takes a second
+        # digit; blocks of 5 straddle it, the default ones end at b = 32767.
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        for n in (1, 2, 5):
+            self.check_ladder(n, N)
+
+
 class TestTNumeric:
     @pytest.mark.parametrize("tail_order", [0, 1])
     def test_capped_exponents_are_exact(self, tail_order):
@@ -131,14 +199,30 @@ class TestTNumeric:
                 want = (1 - mp.mpf(2) ** -s) * mp.zeta(s)
                 assert abs(mp.fsub(got.value, want, exact=True)) <= got.err, (s, got.err)
 
-    def test_memory_does_not_grow_with_terms(self):
-        tracemalloc.start()
-        try:
-            t_numeric([2, 2, 2], TruncationParams(terms=50_000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 1024, peak
+    def test_memory_does_not_grow_with_terms(self, monkeypatch):
+        # The passes hold a block of indices at a time, so the peak stays
+        # under a megabyte and grows with N at most as the powers b**e
+        # lengthen (log N), never with the number of indices.
+        def peak(run, N):
+            tracemalloc.start()
+            try:
+                run(TruncationParams(terms=N))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def ladder(params):
+            monkeypatch.setattr(oracle, "_rows", {})
+            T_numeric(5, 1, params)
+
+        for run, Ns in (
+            (lambda params: t_numeric([2, 2, 2], params), (2_000, 200_000)),
+            (lambda params: t_numeric([200, 150, 100], params), (5_000, 20_000)),
+            (ladder, (600, 2_400)),
+        ):
+            small, large = (peak(run, N) for N in Ns)
+            assert max(small, large) < 1024 * 1024, (Ns, small, large)
+            assert large < 1.25 * small, (Ns, small, large)
 
     def test_tail_correction_tightens(self):
         raw = t_numeric([2], TruncationParams(terms=10_000, tail_order=0))
