@@ -43,15 +43,6 @@ from .verify import SUITES, run_suite
 __all__ = ["main", "console_main"]
 
 
-def _precision(args) -> int | None:
-    """--precision, else TSUMS_PRECISION, else None; both were validated by
-    _usage_error."""
-    if args.precision is not None:
-        return args.precision
-    raw = os.environ.get("TSUMS_PRECISION")
-    return None if raw is None else int(raw)
-
-
 def _latex_abs_fraction(c: Fraction) -> str:
     """|c| as \\frac{num}{den}, or as a bare integer when den = 1."""
     num, den = abs(c.numerator), c.denominator
@@ -149,7 +140,7 @@ def _cmd_verify(args) -> int:
         "max_n": args.max_n,
         "max_d": args.max_d,
         "terms": args.terms,
-        "dps": _precision(args),
+        "dps": args.precision,
     }
     report = run_suite(args.suite, **overrides)
     print(json.dumps(report.to_dict(), indent=2))
@@ -171,7 +162,7 @@ def _cmd_eval(args) -> int:
     except ValueError:
         print(f"error: cannot parse arguments {args.t!r}", file=sys.stderr)
         return 2
-    dps = _precision(args) or DEFAULT_DPS
+    dps = args.precision or DEFAULT_DPS
     t0 = time.perf_counter()
     try:
         result = t_numeric(
@@ -235,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _usage_error(args) -> str | None:
-    """Why the parsed arguments are unusable, or None when they are fine."""
+    """Why the parsed arguments are unusable, or None when they are fine.
+    For ``verify`` and ``eval``, ``args.precision`` ends as the one
+    precision in use: --precision, else TSUMS_PRECISION, else None."""
     if args.command == "table":
         if args.max_n < 1:
             return "--max-n must be >= 1"
@@ -256,11 +249,11 @@ def _usage_error(args) -> str | None:
         elif "TSUMS_PRECISION" in os.environ:
             raw = os.environ["TSUMS_PRECISION"]
             try:
-                value = int(raw)
+                args.precision = int(raw)
             except ValueError:
                 return f"TSUMS_PRECISION must be an integer, got {raw!r}"
-            if value < MIN_DPS:
-                return f"TSUMS_PRECISION must be >= {MIN_DPS}, got {value}"
+            if args.precision < MIN_DPS:
+                return f"TSUMS_PRECISION must be >= {MIN_DPS}, got {args.precision}"
     return None
 
 

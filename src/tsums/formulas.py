@@ -93,39 +93,30 @@ def t_all_twos(n: int) -> PiPower:
     return PiPower(Fraction(1, 4**n * math.factorial(2 * n)), 2 * n)
 
 
-# The terms of row n of the two t-value routes: the t values they were built
-# from, their common denominator L_n and the integer numerators Q_{n,j} for
-# j <= (n-1)//2, so that term j is Q_{n,j} / L_n.  An entry is replaced,
-# never changed in place, like the Euler weight rows: a race only repeats
-# work.
-_t_value_terms: dict[int, tuple[tuple[PiPower, ...], int, tuple[int, ...]]] = {}
-_bernoulli_terms: dict[
-    int, tuple[tuple[PiPower, ...], tuple[PiPower, ...], int, tuple[int, ...]]
-] = {}
-
-
 def T_from_t_values(n: int, d: int) -> PiPower:
     """T(2n,d) as sum_j (-1)**j pi**(2j) binom(2d-2j-2, d-1) t(2n-2j)
     / (2**(2d-2) (2j)! d), summed over 0 <= j <= (d-1)//2.
 
     The pi**(2j) factor merges with t(2n-2j)'s pi**(2n-2j), so the sum runs
     on rationals: the depth-d row :func:`_t_value_row` as integers C_{d,j}
-    over one denominator M_d, and the t values of row n as integers
-    Q_{n,j} over one denominator L_n, kept per n.  The cell is
+    over one denominator M_d, and the terms of row n (:func:`_t_value_terms`)
+    as integers Q_{n,j} over one denominator L_n.  The cell is
     sum_j C_{d,j} Q_{n,j} / (M_d L_n), normalised once, with pi-exponent 2n.
-    Every call reads t(2n-2j) for its j; the row of n is rebuilt when they
-    are not the values it was built from, so no value is cached behind them.
+    Both rows are memoized, so a call whose n was seen before reads no t value.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
     m, coeffs = _t_value_ints(d)
-    ts = tuple(map(t_even, range(n, n - len(coeffs), -1)))
-    terms = _t_value_terms.get(n)
-    if terms is None or terms[0][: len(ts)] != ts:
-        ts += tuple(map(t_even, range(n - len(ts), n // 2, -1)))
-        terms = _t_value_terms[n] = (ts, *_over_one_denominator((t.coeff,) for t in ts))
-    return PiPower(Fraction(sum(map(mul, coeffs, terms[2])), m * terms[1]), 2 * n)
+    den, nums = _t_value_terms(n)
+    return PiPower(Fraction(sum(map(mul, coeffs, nums)), m * den), 2 * n)
+
+
+@lru_cache(maxsize=None)
+def _t_value_terms(n: int) -> tuple[int, tuple[int, ...]]:
+    """Row n of :func:`T_from_t_values`: t(2n-2j)/pi**(2n-2j) for
+    0 <= j <= (n-1)//2 as (L_n, (Q_{n,0}, Q_{n,1}, ...))."""
+    return _over_one_denominator((t_even(k).coeff,) for k in range(n, n // 2, -1))
 
 
 @lru_cache(maxsize=None)
@@ -155,25 +146,28 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
 
     summed on rationals (every t(2j) is a rational multiple of pi**(2j)):
     the row :func:`coeff_row` as integers C_{d,j} over one denominator M_d,
-    and the terms t(2n) and t(2j) t(2n-2j) of row n as integers Q_{n,j}
-    over one denominator L_n, kept per n.  The cell is
-    sum_j C_{d,j} Q_{n,j} / (M_d L_n), normalised once, with pi-exponent 2n.
-    Every call reads t(2n), and t(2j) and t(2n-2j) for its j >= 1; the row
-    of n is rebuilt when they are not the values it was built from.
+    and the terms t(2n) and t(2j) t(2n-2j) of row n
+    (:func:`_bernoulli_terms`) as integers Q_{n,j} over one denominator L_n.
+    The cell is sum_j C_{d,j} Q_{n,j} / (M_d L_n), normalised once, with
+    pi-exponent 2n.  Both rows are memoized, so a call whose n was seen
+    before reads no t value.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
     m, coeffs = _bernoulli_ints(d)
-    highs = tuple(map(t_even, range(n, n - len(coeffs), -1)))
-    lows = tuple(map(t_even, range(1, len(coeffs))))
-    terms = _bernoulli_terms.get(n)
-    if terms is None or terms[0][: len(highs)] != highs or terms[1][: len(lows)] != lows:
-        highs += tuple(map(t_even, range(n - len(highs), n // 2, -1)))
-        lows += tuple(map(t_even, range(len(lows) + 1, len(highs))))
-        products = [(highs[0].coeff,)] + [(lo.coeff, hi.coeff) for lo, hi in zip(lows, highs[1:])]
-        terms = _bernoulli_terms[n] = (highs, lows, *_over_one_denominator(products))
-    return PiPower(Fraction(sum(map(mul, coeffs, terms[3])), m * terms[2]), 2 * n)
+    den, nums = _bernoulli_terms(n)
+    return PiPower(Fraction(sum(map(mul, coeffs, nums)), m * den), 2 * n)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_terms(n: int) -> tuple[int, tuple[int, ...]]:
+    """Row n of :func:`T_from_bernoulli`: t(2n)/pi**(2n) and
+    t(2j) t(2n-2j)/pi**(2n) for 1 <= j <= (n-1)//2 as
+    (L_n, (Q_{n,0}, Q_{n,1}, ...))."""
+    products = [(t_even(n).coeff,)]
+    products += [(t_even(j).coeff, t_even(n - j).coeff) for j in range(1, (n - 1) // 2 + 1)]
+    return _over_one_denominator(products)
 
 
 @lru_cache(maxsize=None)

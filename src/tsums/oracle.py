@@ -170,6 +170,8 @@ class TruncationParams:
     tail_order: int = 1  # 0: raw partial sum, 1: first-order integral correction
 
     def __post_init__(self) -> None:
+        if isinstance(self.terms, bool):
+            raise TypeError(f"terms must be an integer, got {self.terms}")
         if operator.index(self.terms) < 1:
             raise ValueError(f"terms must be >= 1, got {self.terms}")
         if isinstance(self.tail_order, bool):

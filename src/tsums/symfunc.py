@@ -49,7 +49,7 @@ from typing import Iterator
 import mpmath as mp
 
 from .exact import _index, binomial
-from .oracle import PrecReal
+from .oracle import MIN_DPS, PrecReal
 
 __all__ = [
     "SymPoly",
@@ -307,11 +307,14 @@ def specialize_odd_squares(
 
     Truncates the variable list at num_vars and attaches a first-order tail
     bound; the value itself is the truncated specialization.  dps must be
-    an integer: the power sums are fixed-point passes at 10**(dps+20).
+    an integer >= MIN_DPS: the power sums are fixed-point passes at
+    10**(dps+20), and their rounding allowance is 10**(10-dps).
     Each term c e_k h_l contributes c v_e v_h, with the error
     |c| (err_e (|v_h| + err_h) + err_h (|v_e| + err_e)) of a product.
     """
     dps = operator.index(dps)
+    if dps < MIN_DPS:
+        raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
     if num_vars < 2:
         raise ValueError(f"need at least 2 variables, got {num_vars}")
     with mp.workdps(dps + 10):

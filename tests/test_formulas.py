@@ -26,6 +26,12 @@ from tsums.formulas import (
 ALL_PATHS = (T_from_t_values, T_from_bernoulli, T_from_euler)
 
 
+def clear_row_memos():
+    """Empty the memoized rows of n of the t-value and Bernoulli routes."""
+    tsums.formulas._t_value_terms.cache_clear()
+    tsums.formulas._bernoulli_terms.cache_clear()
+
+
 class TestAllTwos:
     def test_values(self):
         assert t_all_twos(1) == PiPower(Fraction(1, 8), 2)
@@ -81,9 +87,9 @@ class TestClosedForms:
                 assert table.value(n, d) == ref, (n, d)
 
     def test_corrupted_t_value_reaches_both_routes(self, monkeypatch):
-        # Warm every cache first: a corrupted t(12) must still show, so no
-        # per-cell result is cached behind the t values.  T(16,5) reads
-        # t(12) through the product t(4) t(12); T(16,3) does not read it.
+        # Rows of n are memoized, so each corruption starts from cleared row
+        # memos, like the Euler memo test.  T(16,5) reads t(12) through the
+        # product t(4) t(12); T(16,3) does not read it.
         cells = ((T_from_t_values, 6, 1), (T_from_bernoulli, 8, 5), (T_from_bernoulli, 8, 3))
         for route, n, d in cells:
             assert route(n, d) == T_from_euler(n, d)
@@ -91,55 +97,38 @@ class TestClosedForms:
         def corrupt(n):
             return t_even(n) * 2 if n == 6 else t_even(n)
 
-        monkeypatch.setattr(tsums.formulas, "t_even", corrupt)
-        assert T_from_t_values(6, 1) != T_from_euler(6, 1)
-        assert T_from_bernoulli(8, 5) != T_from_euler(8, 5)
-        assert T_from_bernoulli(8, 3) == T_from_euler(8, 3)
-
         # A corrupted t(2j) factor: T(16,3) reads t(2) t(14) on the
         # Bernoulli route, while the t-value route reads only t(16) and
-        # t(14), so the factor t(2j) is read on every call and not folded
-        # into a cached row.
+        # t(14), so the factor t(2j) is not folded into the row of depth d.
         def corrupt_t2(n):
             return t_even(n) * 2 if n == 1 else t_even(n)
 
-        monkeypatch.setattr(tsums.formulas, "t_even", corrupt_t2)
-        assert T_from_bernoulli(8, 3) != T_from_euler(8, 3)
-        assert T_from_t_values(8, 3) == T_from_euler(8, 3)
+        try:
+            clear_row_memos()
+            monkeypatch.setattr(tsums.formulas, "t_even", corrupt)
+            assert T_from_t_values(6, 1) != T_from_euler(6, 1)
+            assert T_from_bernoulli(8, 5) != T_from_euler(8, 5)
+            assert T_from_bernoulli(8, 3) == T_from_euler(8, 3)
+
+            clear_row_memos()
+            monkeypatch.setattr(tsums.formulas, "t_even", corrupt_t2)
+            assert T_from_bernoulli(8, 3) != T_from_euler(8, 3)
+            assert T_from_t_values(8, 3) == T_from_euler(8, 3)
+        finally:
+            clear_row_memos()
 
     @pytest.mark.parametrize("route, memo", [(T_from_t_values, "_t_value_terms"),
                                              (T_from_bernoulli, "_bernoulli_terms")])
-    def test_cell_order_does_not_matter(self, monkeypatch, route, memo):
+    def test_cell_order_does_not_matter(self, route, memo):
         # From an empty memo, the cells of one n are the same values whether
         # the deepest or the shallowest cell builds the row of n.
+        clear = getattr(tsums.formulas, memo).cache_clear
         for n in (1, 2, 9, 40):
-            monkeypatch.setattr(tsums.formulas, memo, {})
+            clear()
             deep_first = [route(n, d) for d in range(n, 0, -1)][::-1]
-            monkeypatch.setattr(tsums.formulas, memo, {})
+            clear()
             shallow_first = [route(n, d) for d in range(1, n + 1)]
             assert deep_first == shallow_first == [T_from_euler(n, d) for d in range(1, n + 1)]
-
-    @pytest.mark.parametrize("route, memo", [(T_from_t_values, "_t_value_terms"),
-                                             (T_from_bernoulli, "_bernoulli_terms")])
-    def test_row_of_corrupted_values_is_rebuilt(self, monkeypatch, route, memo):
-        # T(16,5) reads t(12) on both routes.  The terms of n = 8 built from
-        # a corrupted t(12) are replaced by the first call that reads the
-        # restored value, and the new entry serves every later cell.
-        terms = {}
-        monkeypatch.setattr(tsums.formulas, memo, terms)
-
-        def corrupt(n):
-            return t_even(n) * 2 if n == 6 else t_even(n)
-
-        monkeypatch.setattr(tsums.formulas, "t_even", corrupt)
-        assert route(8, 5) != T_from_euler(8, 5)
-        corrupted = terms[8]
-        monkeypatch.setattr(tsums.formulas, "t_even", t_even)
-        assert route(8, 5) == T_from_euler(8, 5)
-        restored = terms[8]
-        assert restored is not corrupted
-        assert [route(8, d) for d in range(1, 9)] == [T_from_euler(8, d) for d in range(1, 9)]
-        assert terms[8] is restored
 
     def test_rows_are_cached_tuples(self):
         for d in (1, 5, 12):
@@ -149,6 +138,11 @@ class TestClosedForms:
             assert row is tsums.formulas._t_value_row(d)
             assert type(row) is tuple and all(type(p) is tuple for p in row)
             assert [j for j, _ in row] == [j for j, _ in coeff_row(d).pairs]
+        for n in (1, 8, 40):
+            for memo in (tsums.formulas._t_value_terms, tsums.formulas._bernoulli_terms):
+                _, nums = memo(n)
+                assert memo(n) is memo(n)
+                assert type(nums) is tuple and len(nums) == (n - 1) // 2 + 1
 
 
 class TestEulerMemo:

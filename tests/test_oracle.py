@@ -445,8 +445,9 @@ class TestTruncationParams:
             TruncationParams(tail_order=2)
 
     def test_rejects_non_integer_terms(self):
-        with pytest.raises(TypeError):
-            TruncationParams(terms=2.5)
+        for terms in (2.5, True):
+            with pytest.raises(TypeError):
+                TruncationParams(terms=terms)
 
     @pytest.mark.parametrize("tail_order", [1.0, True])
     def test_rejects_non_integer_tail_order(self, tail_order):

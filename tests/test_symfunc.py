@@ -275,6 +275,14 @@ class TestSpecialization:
             gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
         assert gap <= mp.mpf(10) ** -20
 
+    @pytest.mark.parametrize("dps", [5, -30])
+    def test_rejects_low_precision(self, dps):
+        # The rounding allowance 10**(10-dps) needs dps >= MIN_DPS; at
+        # dps = 5 it is 1e5, and a negative dps makes the fixed-point scale
+        # a float.
+        with pytest.raises(ValueError):
+            specialize_odd_squares(GenExpr.elem(1), 7, dps)
+
 
 class TestGenExpr:
     def test_terms_keyed_by_k_and_l(self):
