@@ -123,10 +123,9 @@ def _t_value_terms(n: int) -> tuple[int, tuple[int, ...]]:
 def _t_value_row(d: int) -> tuple[tuple[int, Fraction], ...]:
     """Pairs (j, c) with c the coefficient of pi**(2j) t(2n-2j) in T(2n,d),
     0 <= j <= (d-1)//2; independent of n."""
-    scale = Fraction(1, 2 ** (2 * d - 2) * d)
+    scale = 2 ** (2 * d - 2) * d
     return tuple(
-        (j, scale * Fraction((-1) ** j * binomial(2 * d - 2 * j - 2, d - 1),
-                             math.factorial(2 * j)))
+        (j, Fraction((-1) ** j * binomial(2 * d - 2 * j - 2, d - 1), scale * math.factorial(2 * j)))
         for j in range((d - 1) // 2 + 1)
     )
 
@@ -206,6 +205,8 @@ def _weights(n: int, start: int, stop: int) -> tuple[int, ...]:
     One ``math.comb`` gives binom(2n,2start); each later binomial is the
     one before times (2n-2l)(2n-2l-1), divided exactly by (2l+1)(2l+2).
     """
+    if stop > start:
+        euler_number(2 * stop - 2)  # the largest index first: the table grows at most once
     b = math.comb(2 * n, 2 * start)
     out = []
     for ell in range(start, stop):
@@ -288,10 +289,12 @@ def coeff_row(d: int) -> CoeffRow:
     d = _index(d)
     if d < 1:
         raise ValueError(f"depth must be >= 1, got {d}")
+    bernoulli(2 * ((d - 1) // 2))  # the largest index first: the table grows at most once
     pairs = [(0, Fraction(binomial(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
     for j in range(1, (d - 1) // 2 + 1):
-        denom = Fraction(2 ** (2 * d - 3) * (2 ** (2 * j) - 1) * d) * bernoulli(2 * j)
-        pairs.append((j, -binomial(2 * d - 2 * j - 2, d - 1) / denom))
+        b = bernoulli(2 * j)
+        pairs.append((j, Fraction(-binomial(2 * d - 2 * j - 2, d - 1) * b.denominator,
+                                  2 ** (2 * d - 3) * (2 ** (2 * j) - 1) * d * b.numerator)))
     return CoeffRow(d, tuple(pairs))
 
 
@@ -323,22 +326,39 @@ def bernoulli_euler_lhs(n: int, d: int) -> Fraction:
     """The Bernoulli-side sum
 
     sum_{j=0}^{(d-1)//2} (2**(2n-2j)-1) B_{2n-2j} binom(2d-2j-2, d-1)
-                         binom(2n, 2j) / (2**(2d-1) d).
+                         binom(2n, 2j) / (2**(2d-1) d),
 
-    Terms with 2j > 2n vanish through binom(2n,2j) = 0 (and are skipped
-    before touching a negative Bernoulli index); the j = n term vanishes
-    through the factor 2**0 - 1 = 0.  The terms B_m times their integer
-    weight are summed over one common denominator and normalised once.
+    split as sum_j U_{n,j} V_{d,j} / (2**(2d-1) d): the row of n
+    U_{n,j} = (2**(2n-2j)-1) B_{2n-2j} binom(2n,2j) for 0 <= j < n
+    (:func:`_bernoulli_euler_terms`, integers over one denominator L_n) and
+    the row of d V_{d,j} = binom(2d-2j-2, d-1) (:func:`_bernoulli_euler_weights`).
+    The cell is sum_j U_{n,j} V_{d,j} / (L_n 2**(2d-1) d), normalised once.
+    The j = n term vanishes through the factor 2**0 - 1 = 0 and terms with
+    j > n through binom(2n,2j) = 0, so the zip of the two rows, cut at the
+    shorter, drops both and never touches a negative Bernoulli index.  Both
+    rows are memoized, like those of :func:`T_from_bernoulli`.
     """
     n, d = _check_args(n, d)
-    terms = []
-    for j in range((d - 1) // 2 + 1):
-        b2 = binomial(2 * n, 2 * j)
-        if b2 == 0:
-            continue
-        m = 2 * n - 2 * j
-        terms.append((bernoulli(m), (2**m - 1) * binomial(2 * d - 2 * j - 2, d - 1) * b2))
-    return _sum_products(terms) / (2 ** (2 * d - 1) * d)
+    den, nums = _bernoulli_euler_terms(n)
+    weights = _bernoulli_euler_weights(d)
+    return Fraction(sum(map(mul, nums, weights)), den * 2 ** (2 * d - 1) * d)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_euler_terms(n: int) -> tuple[int, tuple[int, ...]]:
+    """Row n of :func:`bernoulli_euler_lhs`: (2**(2n-2j)-1) B_{2n-2j}
+    binom(2n,2j) for 0 <= j < n as (L_n, (U_{n,0}, U_{n,1}, ...))."""
+    return _over_one_denominator(
+        (bernoulli(2 * n - 2 * j), (2 ** (2 * n - 2 * j) - 1) * math.comb(2 * n, 2 * j))
+        for j in range(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_euler_weights(d: int) -> tuple[int, ...]:
+    """Row d of :func:`bernoulli_euler_lhs`: binom(2d-2j-2, d-1) for
+    0 <= j <= (d-1)//2."""
+    return tuple(math.comb(2 * d - 2 * j - 2, d - 1) for j in range((d - 1) // 2 + 1))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ Conversion back to pi-power values happens in :mod:`tsums.formulas`.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 __all__ = [
     "series_quotient",
@@ -37,20 +38,44 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"series coefficients must be exact rationals, got {type(x)!r}")
 
 
+def _order(order: int) -> int:
+    """A series order as a plain int through ``operator.index``; a bool or a
+    float raises TypeError (the check of ``exact._index``, kept here because
+    this module imports nothing from the package)."""
+    if isinstance(order, bool):
+        raise TypeError(f"series order must be an integer, got {order!r}")
+    return operator.index(order)
+
+
 def series_quotient(num, den) -> tuple[Fraction, ...]:
     """num/den to the order of den (num is padded with zeros or truncated).
 
     Solved by the triangular recurrence
     b_k = (a_k - sum_{i=1..k} d_i b_{k-i}) / d_0, so den needs a unit
     constant term; series_quotient((1,), den) is the reciprocal of den.
+    Each b_k is summed on integers: a_k and the products d_i b_{k-i} are
+    formed on plain numerators and denominators, brought to the lcm L of
+    their denominators, and the one Fraction(sum * den(d_0), L * num(d_0))
+    normalises b_k, which saves the gcds of a Fraction operation per
+    multiply and add.
     """
     d = [_as_fraction(x) for x in den]
     a = [_as_fraction(x) for x in num] + [0] * len(d)
     if not d or d[0] == 0:
         raise ValueError("non-unit series: constant term is zero")
+    d_num = [x.numerator for x in d]
+    d_den = [x.denominator for x in d]
+    b_num: list[int] = []
+    b_den: list[int] = []
     out: list[Fraction] = []
     for k in range(len(d)):
-        out.append((a[k] - sum(d[i] * out[k - i] for i in range(1, k + 1))) / d[0])
+        nums = [a[k].numerator] + [-d_num[i] * b_num[k - i] for i in range(1, k + 1)]
+        dens = [a[k].denominator] + [d_den[i] * b_den[k - i] for i in range(1, k + 1)]
+        den_k = lcm(*dens)
+        b = Fraction(sum(p * (den_k // q) for p, q in zip(nums, dens)) * d_den[0], den_k * d_num[0])
+        out.append(b)
+        b_num.append(b.numerator)
+        b_den.append(b.denominator)
     return tuple(out)
 
 
@@ -60,6 +85,7 @@ def cos_sqrt_series(order: int) -> tuple[Fraction, ...]:
     Under y = pi**2 u/4 this is cos(pi*sqrt(u)/2); under y = pi**2 u it is
     cos(pi*sqrt(u)).
     """
+    order = _order(order)
     if order < 0:
         raise ValueError("order must be >= 0")
     return tuple(Fraction((-1) ** n, factorial(2 * n)) for n in range(order + 1))
@@ -67,6 +93,7 @@ def cos_sqrt_series(order: int) -> tuple[Fraction, ...]:
 
 def sin_sqrt_series(order: int) -> tuple[Fraction, ...]:
     """s(y) = sin(sqrt(y))/sqrt(y) = sum_{n<=K} (-1)**n y**n / (2n+1)!."""
+    order = _order(order)
     if order < 0:
         raise ValueError("order must be >= 0")
     return tuple(Fraction((-1) ** n, factorial(2 * n + 1)) for n in range(order + 1))
@@ -90,6 +117,7 @@ def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
     which one in-place Taylor shift per row gives.  The cells with d > n
     share one ``Fraction(0)``.
     """
+    order = _order(order)
     if order < 1:
         raise ValueError("order must be >= 1")
     K = order
@@ -116,6 +144,7 @@ def tan_link_series(order: int) -> tuple[Fraction, ...]:
     coefficient m by pi**(2m) recovers 4**m t(2m), which is the coefficient
     of u**m in (pi*sqrt(u)/2) tan(pi*sqrt(u)).
     """
+    order = _order(order)
     if order < 1:
         raise ValueError("order must be >= 1")
     half_ys = (0,) + tuple(x / 2 for x in sin_sqrt_series(order - 1))

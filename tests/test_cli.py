@@ -163,6 +163,9 @@ class TestCoeffs:
          "f46a80885a29f09afbab91b61d60d91295d764cbb9aa1793be7cecc2455a96e2"),
         (("coeffs", "--depth", "30", "--format", "latex"),
          "dbaf5ad4fd457548ea5aa23b5d57500e84f949578378d8f3554a5f2fcee30afa"),
+        # Recorded before the Bernoulli table was grown by the tangent triangle.
+        (("coeffs", "--depth", "1000", "--format", "json"),
+         "1b3b5363a5f0dbec46d96a6536e93dad421e4c60cf4ff89bc9a8207458543dc2"),
     ],
 )
 def test_output_digest(capsys, argv, digest):

@@ -42,6 +42,107 @@ def _euler_oracle(order):
     return [(-1) ** j * sec[2 * j] * math.factorial(2 * j) for j in range(order + 1)]
 
 
+def _old_bernoulli_table(upto_pairs):
+    # The recurrence the Bernoulli table was grown by before the tangent
+    # triangle, kept verbatim (on a local list) as the reference.
+    _bernoulli_even = [Fraction(1)]
+    for j in range(len(_bernoulli_even), upto_pairs + 1):
+        m = 2 * j
+        acc = Fraction(m + 1, -2)  # binom(m+1, 1) * B_1
+        for k in range(j):
+            acc += math.comb(m + 1, 2 * k) * _bernoulli_even[k]
+        _bernoulli_even.append(-acc / (m + 1))
+    return _bernoulli_even
+
+
+def _old_euler_table(upto_pairs):
+    # The recurrence the Euler table was grown by before the secant
+    # triangle, kept verbatim (on a local list) as the reference.
+    _euler_even = [1]
+    for j in range(len(_euler_even), upto_pairs + 1):
+        acc = 0
+        for k in range(j):
+            acc += math.comb(2 * j, 2 * k) * _euler_even[k]
+        _euler_even.append(-acc)
+    return _euler_even
+
+
+OLD_BERNOULLI = _old_bernoulli_table(200)  # B_0 .. B_400
+OLD_EULER = _old_euler_table(200)  # E_0 .. E_400
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """Fresh Bernoulli and Euler tables holding only B_0 and E_0."""
+    monkeypatch.setattr(tsums.exact, "_bernoulli_even", [Fraction(1)])
+    monkeypatch.setattr(tsums.exact, "_euler_even", [1])
+
+
+class TestTriangles:
+    @pytest.mark.parametrize("asks", ["rising", "one"])
+    def test_equal_old_recurrences_to_400(self, empty_tables, asks):
+        # From empty tables, by asks that rise one index at a time (a growth
+        # per 3/2 step) or by one ask for the last index.
+        if asks == "one":
+            bernoulli(400), euler_number(400)
+        for j in range(201):
+            assert bernoulli(2 * j) == OLD_BERNOULLI[j], 2 * j
+            assert euler_number(2 * j) == OLD_EULER[j], 2 * j
+        assert tsums.exact._bernoulli_even[:201] == OLD_BERNOULLI
+        assert tsums.exact._euler_even[:201] == OLD_EULER
+
+    def test_growth_rule(self, empty_tables):
+        # An ask past the end grows the table to the asked index or 3/2 of
+        # its length, whichever is larger; an ask inside it grows nothing.
+        bernoulli(20)
+        assert len(tsums.exact._bernoulli_even) == 11
+        bernoulli(22)
+        assert len(tsums.exact._bernoulli_even) == 17
+        bernoulli(30)
+        assert len(tsums.exact._bernoulli_even) == 17
+        euler_number(60)
+        euler_number(62)
+        assert len(tsums.exact._euler_even) == 47
+
+    def test_threads_asking_rising_indices_see_one_prefix(self, empty_tables):
+        # Threads released together ask different, rising indices of both
+        # tables; each records the prefix it reads back.  Two growths that
+        # both read the table's length before either appended would append
+        # one stretch twice.
+        import sys
+        import threading
+
+        count = 12
+        barrier = threading.Barrier(count)
+        seen = [None] * count
+
+        def worker(i):
+            barrier.wait()
+            top = 15 * (i + 1)
+            bernoulli(2 * top)
+            euler_number(2 * top)
+            seen[i] = ([bernoulli(2 * j) for j in range(top + 1)],
+                       [euler_number(2 * j) for j in range(top + 1)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, (b, e) in enumerate(seen):
+            assert b == OLD_BERNOULLI[:len(b)] and e == OLD_EULER[:len(e)], i
+        for table, ref in ((tsums.exact._bernoulli_even, OLD_BERNOULLI),
+                           (tsums.exact._euler_even, OLD_EULER)):
+            assert len(table) >= 15 * count + 1
+            assert table[:len(ref)] == ref[:len(table)]
+
+
 class TestBernoulli:
     def test_against_series_reciprocal(self):
         want = _bernoulli_oracle(12)

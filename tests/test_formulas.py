@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsums.formulas
-from tsums.exact import PiPower, binomial, euler_number, t_even
+from tsums.exact import PiPower, bernoulli, binomial, euler_number, t_even
 from tsums.formulas import (
     T_from_bernoulli,
     T_from_euler,
@@ -313,6 +313,21 @@ class TestCoeffRows:
     def test_depth_one(self):
         assert coeff_row(1).pairs == ((0, Fraction(1)),)
 
+    def test_rows_equal_fraction_chains(self):
+        # Each entry is built as one Fraction; here as the chains of Fraction
+        # multiplies and divides that the closed forms are written as.
+        for d in range(1, 61):
+            bern = [(0, Fraction(binomial(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
+            bern += [(j, -binomial(2 * d - 2 * j - 2, d - 1)
+                      / (Fraction(2 ** (2 * d - 3) * (2 ** (2 * j) - 1) * d) * bernoulli(2 * j)))
+                     for j in range(1, (d - 1) // 2 + 1)]
+            assert coeff_row(d).pairs == tuple(bern), d
+            scale = Fraction(1, 2 ** (2 * d - 2) * d)
+            tval = tuple((j, scale * Fraction((-1) ** j * binomial(2 * d - 2 * j - 2, d - 1),
+                                              math.factorial(2 * j)))
+                         for j in range((d - 1) // 2 + 1))
+            assert tsums.formulas._t_value_row(d) == tval, d
+
     def test_sign_alternation(self):
         for d in range(1, 41):
             for j, c in coeff_row(d).pairs:
@@ -354,3 +369,19 @@ class TestBernoulliEuler:
         for n in range(1, 9):
             for d in range(1, 21):
                 assert bernoulli_euler_check(n, d).passed, (n, d)
+
+    def test_lhs_equals_term_by_term_sum(self):
+        # The sum as written, one Fraction term at a time, for every n <= 20
+        # and d <= 60: all three case branches, and rows of n shorter and
+        # longer than rows of d.
+        for n in range(1, 21):
+            for d in range(1, 61):
+                want = Fraction(0)
+                for j in range((d - 1) // 2 + 1):
+                    if j <= n:
+                        m = 2 * n - 2 * j
+                        want += ((2**m - 1) * bernoulli(m) * binomial(2 * d - 2 * j - 2, d - 1)
+                                 * binomial(2 * n, 2 * j))
+                want /= 2 ** (2 * d - 1) * d
+                got = bernoulli_euler_lhs(n, d)
+                assert type(got) is Fraction and got == want, (n, d)

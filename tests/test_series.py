@@ -27,6 +27,17 @@ unit_series_st = st.tuples(
 ).map(lambda t: (Fraction(t[0]),) + tuple(t[1][1:]))
 
 
+def _old_series_quotient(num, den):
+    # The per-term Fraction recurrence series_quotient ran before it summed
+    # each coefficient over one denominator, kept verbatim as the reference.
+    d = [Fraction(x) for x in den]
+    a = [Fraction(x) for x in num] + [0] * len(d)
+    out = []
+    for k in range(len(d)):
+        out.append((a[k] - sum(d[i] * out[k - i] for i in range(1, k + 1))) / d[0])
+    return tuple(out)
+
+
 def _mul(a, b):
     """Product of two series of one order, truncated at that order."""
     return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(b)))
@@ -48,6 +59,31 @@ def test_recip_contract():
 def test_recip_nonunit_rejected():
     with pytest.raises(ValueError, match="non-unit"):
         series_quotient((1,), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ((1,), (Fraction(3, 2), 1, Fraction(-2, 7), 0, 5)),
+        ((Fraction(1, 3), -4, Fraction(5, 9)), (Fraction(-3, 2), Fraction(1, 6), Fraction(7, 10))),
+        ((1,), cos_sqrt_series(60)),
+        ((0,) + tuple(x / 2 for x in sin_sqrt_series(59)), cos_sqrt_series(60)),
+    ],
+    ids=["nonunit-d0", "negative-d0", "sec60", "tan60"],
+)
+def test_quotient_equals_old_recurrence(num, den):
+    got = series_quotient(num, den)
+    assert all(type(x) is Fraction for x in got)
+    assert got == _old_series_quotient(num, den)
+
+
+@pytest.mark.parametrize("func", [cos_sqrt_series, sin_sqrt_series, genfunc_biseries, tan_link_series])
+@pytest.mark.parametrize("order", [True, False, 2.0, Fraction(2)])
+def test_order_must_be_an_integer(func, order):
+    # A bool would run silently at order 1 or 0, and a float failed deep
+    # inside range(); both are refused before any work.
+    with pytest.raises(TypeError):
+        func(order)
 
 
 def test_float_coefficient_rejected():
@@ -169,3 +205,9 @@ def test_recip_is_right_inverse(a):
 def test_quotient_times_den_gives_num(num, den):
     padded = (tuple(num) + (0,) * len(den))[: len(den)]
     assert _mul(series_quotient(num, den), den) == padded
+
+
+@settings(max_examples=60)
+@given(st.lists(small_fractions, max_size=ORDER + 3), unit_series_st)
+def test_quotient_equals_old_recurrence_on_random_series(num, den):
+    assert series_quotient(num, den) == _old_series_quotient(num, den)
