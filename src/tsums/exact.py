@@ -3,7 +3,7 @@
 Everything downstream works over exact rationals (`fractions.Fraction`) and
 values of the form ``(rational) * pi**(even exponent)``, captured by
 :class:`PiPower`.  This module supplies those types plus Bernoulli numbers,
-Euler numbers, binomial coefficients, and the even zeta / t values
+Euler numbers, and the even zeta / t values
 
     zeta(2n) = (-1)**(n+1) * B_{2n} * (2*pi)**(2n) / (2 * (2n)!)
     t(2n)    = 2**(-2n) * (2**(2n) - 1) * zeta(2n)
@@ -23,7 +23,8 @@ the asked index or 3/2 of its length, whichever is larger, under one
 module lock, and appends the new entries in one step, so every reader sees
 a consistent prefix.
 
-Every index is taken through :func:`_index`: a bool or float raises
+Every index is taken through :func:`_index`, the package's one integer
+check (``series`` and ``oracle`` keep a copy): a bool or float raises
 ``TypeError`` before any work.  The two memos are keyed by argument type,
 so ``t_even(True)`` misses the entry of 1 and is refused, while a hit on an
 int entry runs no check at all.
@@ -47,7 +48,6 @@ __all__ = [
     "PiPower",
     "bernoulli",
     "euler_number",
-    "binomial",
     "zeta_even",
     "t_even",
 ]
@@ -128,19 +128,6 @@ def _index(k: int) -> int:
     if isinstance(k, bool):
         raise TypeError(f"expected an integer, got {k!r}")
     return operator.index(k)
-
-
-def binomial(a: int, b: int) -> int:
-    """Binomial coefficient with the out-of-range convention binom(a,b) = 0.
-
-    Several of the closed-form sums rely on vanishing out-of-range terms
-    (b < 0 or b > a), so this never raises for integer b.
-    """
-    if a < 0:
-        raise ValueError(f"binomial requires a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def _grow_bernoulli(j: int) -> None:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exact import PiPower, _index, bernoulli, binomial, euler_number, t_even
+from .exact import PiPower, _index, bernoulli, euler_number, t_even
 from .series import genfunc_biseries
 
 __all__ = [
@@ -125,7 +125,7 @@ def _t_value_row(d: int) -> tuple[tuple[int, Fraction], ...]:
     0 <= j <= (d-1)//2; independent of n."""
     scale = 2 ** (2 * d - 2) * d
     return tuple(
-        (j, Fraction((-1) ** j * binomial(2 * d - 2 * j - 2, d - 1), scale * math.factorial(2 * j)))
+        (j, Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1), scale * math.factorial(2 * j)))
         for j in range((d - 1) // 2 + 1)
     )
 
@@ -290,10 +290,10 @@ def coeff_row(d: int) -> CoeffRow:
     if d < 1:
         raise ValueError(f"depth must be >= 1, got {d}")
     bernoulli(2 * ((d - 1) // 2))  # the largest index first: the table grows at most once
-    pairs = [(0, Fraction(binomial(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
+    pairs = [(0, Fraction(math.comb(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
     for j in range(1, (d - 1) // 2 + 1):
         b = bernoulli(2 * j)
-        pairs.append((j, Fraction(-binomial(2 * d - 2 * j - 2, d - 1) * b.denominator,
+        pairs.append((j, Fraction(-math.comb(2 * d - 2 * j - 2, d - 1) * b.denominator,
                                   2 ** (2 * d - 3) * (2 ** (2 * j) - 1) * d * b.numerator)))
     return CoeffRow(d, tuple(pairs))
 
@@ -389,5 +389,5 @@ def bernoulli_euler_check(n: int, d: int) -> BernoulliEulerResult:
         rhs = Fraction(0)
     else:
         case = "d>=2n"
-        rhs = Fraction(n * binomial(2 * d - 2 * n - 1, d - 1), 2 ** (2 * d - 1) * d)
+        rhs = Fraction(n * math.comb(2 * d - 2 * n - 1, d - 1), 2 ** (2 * d - 1) * d)
     return BernoulliEulerResult(n, d, case, lhs, rhs, lhs == rhs)

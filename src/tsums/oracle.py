@@ -100,10 +100,9 @@ its factor 2 (tail_order=1) or its (2N-1)**-s_1 term (tail_order=0).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, floordiv, mul
+from operator import add, floordiv, index, mul
 from typing import Iterator, Sequence
 
 import mpmath as mp
@@ -170,20 +169,28 @@ class TruncationParams:
     tail_order: int = 1  # 0: raw partial sum, 1: first-order integral correction
 
     def __post_init__(self) -> None:
-        if isinstance(self.terms, bool):
-            raise TypeError(f"terms must be an integer, got {self.terms}")
-        if operator.index(self.terms) < 1:
+        object.__setattr__(self, "terms", _index(self.terms))
+        object.__setattr__(self, "tail_order", _index(self.tail_order))
+        if self.terms < 1:
             raise ValueError(f"terms must be >= 1, got {self.terms}")
-        if isinstance(self.tail_order, bool):
-            raise TypeError(f"tail_order must be the integer 0 or 1, got {self.tail_order}")
-        if operator.index(self.tail_order) not in (0, 1):
+        if self.tail_order not in (0, 1):
             raise ValueError(f"tail_order must be 0 or 1, got {self.tail_order}")
 
 
-def _check_dps(dps: int) -> None:
-    """dps must be an integer (a float makes the fixed-point scale one)."""
-    if operator.index(dps) < MIN_DPS:
+def _index(k: int) -> int:
+    """k as a plain int through ``operator.index``; a bool or a float raises
+    TypeError (``exact._index``, copied: this module takes only PiPower)."""
+    if isinstance(k, bool):
+        raise TypeError(f"expected an integer, got {k!r}")
+    return index(k)
+
+
+def _check_dps(dps: int) -> int:
+    """dps as a plain int >= MIN_DPS (a float makes the fixed-point scale one)."""
+    dps = _index(dps)
+    if dps < MIN_DPS:
         raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
+    return dps
 
 
 def _reach(s: int, N: int) -> float:
@@ -256,7 +263,7 @@ def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]
 
 def t_numeric(
     exponents: Sequence[int],
-    params: TruncationParams | None = None,
+    params: TruncationParams = TruncationParams(),
     dps: int = DEFAULT_DPS,
 ) -> PrecReal:
     """Evaluate t(s_1,...,s_d) by truncated summation of the defining series.
@@ -264,8 +271,8 @@ def t_numeric(
     Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
     and dps >= MIN_DPS.  Cost O(d*N); memory O(d*_BLOCK), whatever N.
     """
-    s = [operator.index(x) for x in exponents]
-    _check_dps(dps)
+    s = [_index(x) for x in exponents]
+    dps = _check_dps(dps)
     if not s:
         raise ValueError("empty argument list")
     if any(x < 1 for x in s):
@@ -274,8 +281,6 @@ def t_numeric(
         raise DivergentSeriesError(
             "series diverges: the leading exponent must be >= 2"
         )
-    if params is None:
-        params = TruncationParams()
     N = params.terms
     d = len(s)
     scale = 10 ** (dps + 20)
@@ -371,7 +376,7 @@ def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[Prec
 def T_numeric(
     n: int,
     d: int,
-    params: TruncationParams | None = None,
+    params: TruncationParams = TruncationParams(),
     dps: int = DEFAULT_DPS,
 ) -> PrecReal:
     """T(2n,d), the sum of t(2j_1,...,2j_d) over the compositions of n into
@@ -379,20 +384,26 @@ def T_numeric(
     far, which serves every depth of every lower weight (memoized).  The
     bound equals the sum of the t_numeric member bounds up to float
     rounding.  Requires integers n, d >= 1 and dps >= MIN_DPS.  A memoized
-    cell costs one dict lookup, and a non-integer n or d fails its tuple
-    index there; any other call checks n and d (operator.index) and dps
-    before any work.  Cost O(n**2 * N) per new top weight."""
-    if params is None:
-        params = TruncationParams()
+    cell costs one dict lookup (a float dps equal to its int reads it too);
+    any other call checks n, d and dps (_index) before any work, then reads
+    the memo.  Cost O(n**2 * N) per new top weight."""
     rows = _rows.get((params, dps), ())
-    if 1 <= d <= n <= len(rows):
-        return rows[n - 1][d - 1]
-    n, d = operator.index(n), operator.index(d)
+    # No call or attribute load (5-10 % of a hit in a fresh process): of
+    # what _index refuses, only True passes the comparisons and the index.
+    try:
+        if 1 <= d <= n <= len(rows) and n is not True and d is not True:
+            return rows[n - 1][d - 1]
+    except TypeError:
+        pass
+    n, d = _index(n), _index(d)
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
-    _check_dps(dps)
+    dps = _check_dps(dps)
     if d > n:
         return PrecReal(mp.mpf(0), mp.mpf(0))
+    rows = _rows.get((params, dps), ())
+    if n <= len(rows):
+        return rows[n - 1][d - 1]
     return _weight_rows(n, params, dps)[n - 1][d - 1]
 
 
@@ -401,7 +412,7 @@ def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:
 
     The error bound reflects rounding only.
     """
-    _check_dps(dps)
+    dps = _check_dps(dps)
     if x.is_zero():
         return PrecReal(mp.mpf(0), mp.mpf(0))
     with mp.workdps(dps + 5):

@@ -35,20 +35,20 @@ side is sum_k (-1)**(k-d) binom(k,d) e_k h_{n-k}, and at a partition of
 length L its m_lambda coefficient is sum_k (-1)**(k-d) binom(k,d)
 binom(L,k) = delta_{L,d}, because binom(L,k) binom(k,d) = binom(L,d)
 binom(L-d,k-d) and the alternating row sum of binom(L-d, .) is 0 unless
-L = d.  That is N_{n,d}, and 1 at n = d = 0.
+L = d.  That is N_{n,d}, and 1 at n = d = 0.  Every integer argument
+(GenExpr keys too) goes through ``exact._index`` before any work.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 import mpmath as mp
 
-from .exact import _index, binomial
+from .exact import _index
 from .oracle import MIN_DPS, PrecReal
 
 __all__ = [
@@ -60,15 +60,6 @@ __all__ = [
     "monomial_depth_expr",
     "specialize_odd_squares",
 ]
-
-
-def _accumulate(out: dict, key, c: Fraction) -> None:
-    """out[key] += c in a sparse dict that never stores a zero."""
-    s = out[key] + c if key in out else c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 def _partitions(n: int, max_len: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -113,10 +104,6 @@ class SymPoly:
                 clean[lam] = Fraction(c)
         self.terms = clean
 
-    @staticmethod
-    def constant(value, num_vars: int) -> "SymPoly":
-        return SymPoly(num_vars, {(): Fraction(value)})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymPoly):
             return NotImplemented
@@ -150,8 +137,8 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
 class GenExpr:
     """Exact linear combination sum c e_k h_l, with e_0 = h_0 = 1.
 
-    ``terms`` maps (k, l), two integers >= 0, to the coefficient c; zero
-    coefficients are dropped.  Written in generators (rather than expanded
+    ``terms`` maps (k, l), two integers >= 0, to the coefficient c; equal
+    keys are summed and zero coefficients dropped.  Written in generators (rather than expanded
     monomials) so the infinite-variable specialization below applies
     directly.  A value like :class:`SymPoly`: built from a dict, never
     changed after.
@@ -160,12 +147,13 @@ class GenExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms: dict[tuple[int, int], Fraction] = {}
+        sums: dict[tuple[int, int], Fraction] = {}
         for (k, ell), c in (terms or {}).items():
-            k, ell = operator.index(k), operator.index(ell)
+            k, ell = _index(k), _index(ell)
             if k < 0 or ell < 0:
                 raise ValueError(f"generator indices must be >= 0, got e_{k} h_{ell}")
-            _accumulate(self.terms, (k, ell), Fraction(c))
+            sums[k, ell] = sums[k, ell] + Fraction(c) if (k, ell) in sums else Fraction(c)
+        self.terms = {key: c for key, c in sums.items() if c}
 
     @staticmethod
     def elem(j: int) -> "GenExpr":
@@ -182,7 +170,7 @@ def monomial_depth_expr(n: int, d: int) -> GenExpr:
     n, d = _index(n), _index(d)
     if n < 1 or d < 1:
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
-    return GenExpr({(n - ell, ell): binomial(n - ell, d) * (-1) ** (n - d - ell)
+    return GenExpr({(n - ell, ell): math.comb(n - ell, d) * (-1) ** (n - d - ell)
                     for ell in range(n - d + 1)})
 
 
@@ -239,7 +227,7 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
         raise ValueError(f"require 1 <= n_max <= m, got n_max={n_max}, m={m}")
     for n in range(n_max + 1):
         column = GenExpr({(j, n - j): (-1) ** j for j in range(n + 1)})
-        if _expand(column, m) != SymPoly.constant(int(n == 0), m):
+        if _expand(column, m) != SymPoly(m, {(): int(n == 0)}):
             return False
     return all(
         check_monomial_expansion(n, d, m)
@@ -270,26 +258,38 @@ def _generator_value(kind: str, j: int, num_vars: int, dps: int):
     since the elementary (resp. complete) functions of the dropped tail are
     bounded by T**r/r! (resp. T**r).
 
-    Rounding is covered by the blanket allowance 10**(10-dps).  The
-    fixed-point pass loses at most M ulps of 10**-(dps+20), below the
-    allowance for M < 10**30.  In the recursion 1 < p_r <= p_1 < 1.24 and
-    sum_{r<j} p_r < j - 1 + 0.27, so dividing by j passes on at most the
-    largest earlier error, while each step adds O(j) roundings at dps+10
-    digits of terms below 2.  The absolute error therefore grows at most
-    polynomially in j (about j**2 * 10**-(dps+10)), far below the allowance.
+    Rounding allowance, in ulps of 10**-(dps+20): M + 10**10 for p_j, and
+    j (3M + 4j 10**10) for e_j and h_j.  With U = 10**-(dps+10), a rounding
+    at dps+10 digits (round((dps+11) log2 10) bits) moves x by under 0.15U|x|.
+    The floors of the pass lose under M ulps, and mpf(total) / scale rounds
+    a number below 1.24 twice, so p_r is off by at most
+    delta = M 10**-(dps+20) + 0.4U.  Over M variables 1 <= p_r <= p_1 <
+    1.24, sum_r (p_r - 1) < 1/4, e_i < 1.26, sum_i e_i < cosh(pi/2) < 2.51,
+    h_i < 4/pi < 1.28 and sum_{r<=j} h_{j-r} p_r = j h_j.  Let R_i bound the
+    error of the computed e_i (or h_i), R_0 = 0, with j R_i < 0.01 (true
+    while 3j**2 M < 10**27 and j < 10**5).  In step j the earlier errors
+    enter with weights sum_{r<j} (p_r + delta) < j, so after the division by
+    j they add less than max_{i<j} R_i; the p_r add delta sum_r e_{j-r} / j
+    < 2.51 delta / j (h: 1.28 delta); and j products, j-1 additions and the
+    division round numbers below 3.2, 3.2 and 1.3 (h: 1.31j + 0.33 and 1.3),
+    adding under 1.2U (h: (0.4j + 0.3)U).  Summed over the steps, R_j <
+    2.51 delta H_j + 1.2jU for e_j (H_j <= j harmonic) and 1.28 j delta +
+    (0.2j**2 + 0.5j)U for h_j, both below 3j delta + 2j**2 U, inside the
+    allowance.  That stays below the former blanket 10**(10-dps) while
+    j (3M + 4j 10**10) < 10**30, past any M and j a call can finish.
     """
     if j == 0:
         return 1, 0
     M = num_vars
+    scale = 10 ** (dps + 20)
     with mp.workdps(dps + 10):
-        rounding = mp.mpf(10) ** (10 - dps)
         if kind == "p":
-            scale = 10 ** (dps + 20)
             total = sum(scale // (2 * i - 1) ** (2 * j) for i in range(1, M + 1))
             err = mp.mpf(2 * M - 1) ** (1 - 2 * j) / (2 * (2 * j - 1))
-            return mp.mpf(total) / scale, +(err + rounding)
+            return mp.mpf(total) / scale, +(err + mp.mpf(M + 10**10) / scale)
         if kind not in ("e", "h"):
             raise ValueError(f"unknown generator kind {kind!r}")
+        rounding = mp.mpf(j * (3 * M + 4 * j * 10**10)) / scale
         below = [_generator_value(kind, r, M, dps)[0] for r in range(j)]
         sign = -1 if kind == "e" else 1
         tail_p1 = mp.mpf(1) / (2 * (2 * M - 1))
@@ -308,11 +308,12 @@ def specialize_odd_squares(
     Truncates the variable list at num_vars and attaches a first-order tail
     bound; the value itself is the truncated specialization.  dps must be
     an integer >= MIN_DPS: the power sums are fixed-point passes at
-    10**(dps+20), and their rounding allowance is 10**(10-dps).
+    10**(dps+20), and the rounding allowance of each generator is
+    derived in :func:`_generator_value`.
     Each term c e_k h_l contributes c v_e v_h, with the error
     |c| (err_e (|v_h| + err_h) + err_h (|v_e| + err_e)) of a product.
     """
-    dps = operator.index(dps)
+    num_vars, dps = _index(num_vars), _index(dps)
     if dps < MIN_DPS:
         raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
     if num_vars < 2:

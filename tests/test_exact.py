@@ -13,7 +13,7 @@ import tsums.exact
 import mpmath as mp
 import pytest
 
-from tsums.exact import PiPower, bernoulli, binomial, euler_number, t_even, zeta_even
+from tsums.exact import PiPower, bernoulli, euler_number, t_even, zeta_even
 from tsums.oracle import pi_power_eval
 
 
@@ -183,23 +183,6 @@ class TestEulerNumbers:
 
     def test_odd_indices_vanish(self):
         assert all(euler_number(2 * j + 1) == 0 for j in range(20))
-
-
-class TestBinomial:
-    def test_pascal_recurrence(self):
-        for a in range(1, 12):
-            for b in range(a + 1):
-                assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
-
-    def test_examples(self):
-        assert binomial(8, 4) == 70
-        assert binomial(5, 0) == 1
-        assert binomial(4, 7) == 0
-        assert binomial(4, -2) == 0
-
-    def test_rejects_negative_row(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestEvenValues:

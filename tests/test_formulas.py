@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsums.formulas
-from tsums.exact import PiPower, bernoulli, binomial, euler_number, t_even
+from tsums.exact import PiPower, bernoulli, euler_number, t_even
 from tsums.formulas import (
     T_from_bernoulli,
     T_from_euler,
@@ -151,13 +151,13 @@ class TestEulerMemo:
             assert T_from_euler(n, d) is T_from_euler(n, d)
 
     def test_equals_per_cell_loop(self):
-        # The Euler sum written out term by term with the range-checked
-        # binomial, for every 1 <= d <= n + 2 <= 62.
+        # The Euler sum written out term by term, for every
+        # 1 <= d <= n + 2 <= 62.
         for n in range(1, 61):
             for d in range(1, n + 3):
                 acc = 0
                 for ell in range(n - d + 1):
-                    acc += binomial(n - ell, d) * binomial(2 * n, 2 * ell) * euler_number(2 * ell)
+                    acc += math.comb(n - ell, d) * math.comb(2 * n, 2 * ell) * euler_number(2 * ell)
                 sign = -1 if (n - d) % 2 else 1
                 want = PiPower(Fraction(sign * acc, 4**n * math.factorial(2 * n)), 2 * n)
                 assert T_from_euler(n, d) == want, (n, d)
@@ -193,7 +193,7 @@ class TestEulerMemo:
             assert len(rows[150]) == 12
             for n in (7, 30):
                 for d in range(n, 0, -1):
-                    acc = sum(binomial(n - ell, d) * binomial(2 * n, 2 * ell) * euler_number(2 * ell)
+                    acc = sum(math.comb(n - ell, d) * math.comb(2 * n, 2 * ell) * euler_number(2 * ell)
                               for ell in range(n - d + 1))
                     want = Fraction((-1) ** (n - d) * acc, 4**n * math.factorial(2 * n))
                     assert T_from_euler(n, d) == PiPower(want, 2 * n), (n, d)
@@ -317,13 +317,13 @@ class TestCoeffRows:
         # Each entry is built as one Fraction; here as the chains of Fraction
         # multiplies and divides that the closed forms are written as.
         for d in range(1, 61):
-            bern = [(0, Fraction(binomial(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
-            bern += [(j, -binomial(2 * d - 2 * j - 2, d - 1)
+            bern = [(0, Fraction(math.comb(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
+            bern += [(j, -math.comb(2 * d - 2 * j - 2, d - 1)
                       / (Fraction(2 ** (2 * d - 3) * (2 ** (2 * j) - 1) * d) * bernoulli(2 * j)))
                      for j in range(1, (d - 1) // 2 + 1)]
             assert coeff_row(d).pairs == tuple(bern), d
             scale = Fraction(1, 2 ** (2 * d - 2) * d)
-            tval = tuple((j, scale * Fraction((-1) ** j * binomial(2 * d - 2 * j - 2, d - 1),
+            tval = tuple((j, scale * Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1),
                                               math.factorial(2 * j)))
                          for j in range((d - 1) // 2 + 1))
             assert tsums.formulas._t_value_row(d) == tval, d
@@ -380,8 +380,8 @@ class TestBernoulliEuler:
                 for j in range((d - 1) // 2 + 1):
                     if j <= n:
                         m = 2 * n - 2 * j
-                        want += ((2**m - 1) * bernoulli(m) * binomial(2 * d - 2 * j - 2, d - 1)
-                                 * binomial(2 * n, 2 * j))
+                        want += ((2**m - 1) * bernoulli(m) * math.comb(2 * d - 2 * j - 2, d - 1)
+                                 * math.comb(2 * n, 2 * j))
                 want /= 2 ** (2 * d - 1) * d
                 got = bernoulli_euler_lhs(n, d)
                 assert type(got) is Fraction and got == want, (n, d)

@@ -46,7 +46,7 @@ def test_oracle_takes_only_pi_power_from_exact():
 
 def test_symfunc_takes_only_prec_real_from_oracle():
     # Nor does it reuse the exact routes (formulas, series).
-    assert imports("symfunc") == {"exact": {"_index", "binomial"}, "oracle": {"MIN_DPS", "PrecReal"}}
+    assert imports("symfunc") == {"exact": {"_index"}, "oracle": {"MIN_DPS", "PrecReal"}}
 
 
 def test_series_imports_nothing_from_the_package():

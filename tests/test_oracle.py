@@ -19,11 +19,22 @@ from tsums.oracle import (
     _finish,
     _reach,
     _weight_ladder,
+    _weight_rows,
     pi_power_eval,
     t_numeric,
 )
 
 FAST = TruncationParams(terms=100_000, tail_order=1)
+
+
+class Index:
+    """An integer type that defines only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def compositions(n, d):
@@ -166,9 +177,10 @@ class TestTNumeric:
             t_numeric([2, 0], FAST)
 
     def test_rejects_non_integer_exponent(self):
-        # Truncating 2.5 to 2 would silently return t(2).
-        with pytest.raises(TypeError):
-            t_numeric([2.5], FAST)
+        # Truncating 2.5 to 2 would silently return t(2); True is not 1.
+        for exponents in ([2.5], [2, True]):
+            with pytest.raises(TypeError):
+                t_numeric(exponents, FAST)
 
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
@@ -311,6 +323,36 @@ class TestTNumericSums:
         with pytest.raises(TypeError):
             T_numeric(3, 1.5, params)
 
+    @pytest.mark.parametrize("n, d", [(True, 1), (1, True), (True, True)])
+    def test_rejects_bool_on_cold_and_warm_memo(self, monkeypatch, n, d):
+        # True is not taken for 1, whether or not the row of 1 is memoized.
+        monkeypatch.setattr(oracle, "_rows", {})
+        params = TruncationParams(terms=50)
+        with pytest.raises(TypeError):
+            T_numeric(n, d, params)
+        assert oracle._rows == {}
+        T_numeric(2, 1, params)
+        with pytest.raises(TypeError):
+            T_numeric(n, d, params)
+
+    def test_index_type_reads_the_memo(self, monkeypatch):
+        # A type with only __index__ is checked, then served from the memo
+        # like the plain ints: one ladder pass for all three calls.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _weight_rows(*args)
+
+        monkeypatch.setattr(oracle, "_rows", {})
+        monkeypatch.setattr(oracle, "_weight_rows", counted)
+        params = TruncationParams(terms=Index(50))
+        cold = T_numeric(Index(3), Index(2), params, Index(30))
+        warm = T_numeric(Index(3), Index(2), params, Index(30))
+        assert calls == [3]
+        assert cold is warm is T_numeric(3, 2, TruncationParams(terms=50), 30)
+        assert calls == [3]
+
 
 class TestCompositions:
     def test_counts(self):
@@ -433,8 +475,9 @@ class TestPiPowerEval:
             pi_power_eval(t_even(1), dps=5)
 
     def test_rejects_non_integer_precision(self):
-        with pytest.raises(TypeError):
-            pi_power_eval(t_even(1), dps=30.0)
+        for dps in (30.0, True):
+            with pytest.raises(TypeError):
+                pi_power_eval(t_even(1), dps=dps)
 
 
 class TestTruncationParams:

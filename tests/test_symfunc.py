@@ -30,7 +30,7 @@ class TestGenerators:
     def test_elementary(self):
         assert _expand(GenExpr.elem(2), 3) == SymPoly(3, {(1, 1): ONE})
         assert _expand(GenExpr.elem(4), 3) == SymPoly(3)
-        assert _expand(GenExpr.elem(0), 2) == SymPoly.constant(1, 2)
+        assert _expand(GenExpr.elem(0), 2) == SymPoly(2, {(): 1})
 
     def test_complete(self):
         assert _expand(GenExpr.homog(2), 2) == SymPoly(2, {(2,): ONE, (1, 1): ONE})
@@ -275,11 +275,25 @@ class TestSpecialization:
             gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
         assert gap <= mp.mpf(10) ** -20
 
+    @pytest.mark.parametrize("num_vars, dps", [(100.0, 15), (True, 15), (7, True)])
+    def test_rejects_non_integer_sizes_before_any_work(self, num_vars, dps):
+        # Refused before _generator_value caches anything (e_0 included).
+        before = _generator_value.cache_info().currsize
+        with pytest.raises(TypeError):
+            specialize_odd_squares(GenExpr.elem(1), num_vars, dps)
+        assert _generator_value.cache_info().currsize == before
+
+    def test_rounding_allowance_at_lowest_precision(self):
+        # The former blanket allowance 10**(10-dps) made e_1's err 1.0 at
+        # dps = MIN_DPS; the tail bound 1/(2(2M-1)) now dominates it.
+        got = specialize_odd_squares(GenExpr.elem(1), 10**4, 10)
+        assert got.err < mp.mpf("1e-4")
+        assert abs(got.value - mp.pi**2 / 8) <= got.err
+
     @pytest.mark.parametrize("dps", [5, -30])
     def test_rejects_low_precision(self, dps):
-        # The rounding allowance 10**(10-dps) needs dps >= MIN_DPS; at
-        # dps = 5 it is 1e5, and a negative dps makes the fixed-point scale
-        # a float.
+        # Below MIN_DPS digits is refused, as in the oracle; a negative dps
+        # would make the fixed-point scale a float.
         with pytest.raises(ValueError):
             specialize_odd_squares(GenExpr.elem(1), 7, dps)
 
@@ -297,8 +311,9 @@ class TestGenExpr:
             GenExpr({(-1, 0): 1})
         with pytest.raises(ValueError):
             GenExpr.homog(-2)
-        with pytest.raises(TypeError):
-            GenExpr({(0.5, 1): 1})
+        for key in ((0.5, 1), (True, 0), (0, True)):
+            with pytest.raises(TypeError):
+                GenExpr({key: 1})
 
     def test_index_zero_term_is_the_constant(self):
         # e_0 = h_0 = 1: the term c e_0 h_0 is c, exactly and in any m.
@@ -356,6 +371,22 @@ class TestSpecializationExact:
                 with mp.workdps(self.DPS + 20):
                     gap = abs(value - mp.mpf(exact.numerator) / exact.denominator)
                 assert gap <= allowance, (kind, j, m, gap)
+
+    @pytest.mark.parametrize("dps", [10, 30])
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_rounding_within_derived_allowance(self, m, dps):
+        # _generator_value's allowance, in ulps of 10**-(dps+20): m + 10**10
+        # for p_j, j (3m + 4j 10**10) for e_j and h_j; it covers the gap to
+        # the exact truncated value and stays below the former 10**(10-dps).
+        for kind in self.KINDS:
+            for j in range(1, 9):
+                value, _ = _generator_value(kind, j, m, dps)
+                exact = _odd_square_values(kind, j, m)
+                ulps = m + 10**10 if kind == "p" else j * (3 * m + 4 * j * 10**10)
+                assert ulps < 10**30
+                with mp.workdps(dps + 40):
+                    gap = abs(value - mp.mpf(exact.numerator) / exact.denominator)
+                    assert gap <= mp.mpf(ulps) / 10 ** (dps + 20), (kind, j, m, gap)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_infinite_value_within_tail_bound(self, m):
