@@ -384,9 +384,9 @@ def T_numeric(
     far, which serves every depth of every lower weight (memoized).  The
     bound equals the sum of the t_numeric member bounds up to float
     rounding.  Requires integers n, d >= 1 and dps >= MIN_DPS.  A memoized
-    cell costs one dict lookup (a float dps equal to its int reads it too);
-    any other call checks n, d and dps (_index) before any work, then reads
-    the memo.  Cost O(n**2 * N) per new top weight."""
+    cell costs one dict lookup, and so does a float dps equal to that of a
+    memoized row; any other call checks n, d and dps (_index) before any
+    work, then reads the memo.  Cost O(n**2 * N) per new top weight."""
     rows = _rows.get((params, dps), ())
     # No call or attribute load (5-10 % of a hit in a fresh process): of
     # what _index refuses, only True passes the comparisons and the index.
