@@ -175,41 +175,18 @@ def _bernoulli_ints(d: int) -> tuple[int, tuple[int, ...]]:
     return _over_one_denominator((c,) for _, c in coeff_row(d).pairs)
 
 
-_euler_weight_rows: dict[int, tuple[int, ...]] = {}
+@lru_cache(maxsize=None)
+def _euler_weights(n: int) -> tuple[int, ...]:
+    """Row n of :func:`T_from_euler`: the weights binom(2n,2l) E_{2l} for
+    0 <= l < n, built once and shared by every depth of n.
 
-
-def _euler_weights(n: int, length: int) -> tuple[int, ...]:
-    """At least the first ``length`` weights binom(2n,2l) E_{2l} of row n.
-
-    A row is kept from the second time its n is asked for on, and is then
-    grown on demand and shared by every depth of that n, so a cell computes
-    only the weights that no earlier cell of its row did.  A command that
-    asks for one depth per n (``table --depth``) keeps no row: the rows of
-    n <= 300 hold about 10 MB.  A row is replaced, never extended in place:
-    a concurrent caller keeps a complete tuple, and a race only repeats
-    work.
+    The binomial runs from binom(2n,0) = 1: each is the one before times
+    (2n-2l)(2n-2l-1), divided exactly by (2l+1)(2l+2).
     """
-    row = _euler_weight_rows.get(n)
-    if row is None:
-        _euler_weight_rows[n] = ()
-        return _weights(n, 0, length)
-    if len(row) < length:
-        row += _weights(n, len(row), length)
-        _euler_weight_rows[n] = row
-    return row
-
-
-def _weights(n: int, start: int, stop: int) -> tuple[int, ...]:
-    """The weights binom(2n,2l) E_{2l} of row n for start <= l < stop.
-
-    One ``math.comb`` gives binom(2n,2start); each later binomial is the
-    one before times (2n-2l)(2n-2l-1), divided exactly by (2l+1)(2l+2).
-    """
-    if stop > start:
-        euler_number(2 * stop - 2)  # the largest index first: the table grows at most once
-    b = math.comb(2 * n, 2 * start)
+    euler_number(2 * n - 2)  # the largest index first: the table grows at most once
+    b = 1
     out = []
-    for ell in range(start, stop):
+    for ell in range(n):
         out.append(b * euler_number(2 * ell))
         b = b * ((2 * n - 2 * ell) * (2 * n - 2 * ell - 1)) // ((2 * ell + 1) * (2 * ell + 2))
     return tuple(out)
@@ -221,18 +198,18 @@ def T_from_euler(n: int, d: int) -> PiPower:
     sum_{l=0}^{n-d} binom(n-l,d) binom(2n,2l) E_{2l}.
 
     Memoized per cell, like :func:`coeff_row`: each cell is computed once
-    per process from the Euler table, through the weights binom(2n,2l)
-    E_{2l} that the cells of one n share (:func:`_euler_weights`), and
-    every later call returns the same frozen :class:`PiPower`.  The memo
-    is keyed by argument type too, so a bool or float never hits the entry
-    of the equal int and is refused on every call.  The route reads no row
-    or value of the other two, so it stays an independent reference for
-    them.
+    per process and sums the first n-d+1 weights binom(2n,2l) E_{2l} of
+    the one row of n (:func:`_euler_weights`), built once from the Euler
+    table and shared by every depth; every later call returns the same
+    frozen :class:`PiPower`.  The memo is keyed by argument type too, so a
+    bool or float never hits the entry of the equal int and is refused on
+    every call.  The route reads no row or value of the other two, so it
+    stays an independent reference for them.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    weights = _euler_weights(n, n - d + 1)
+    weights = _euler_weights(n)
     acc = sum(math.comb(n - ell, d) * weights[ell] for ell in range(n - d + 1))
     coeff = Fraction((-1) ** (n - d) * acc, 4**n * math.factorial(2 * n))
     return PiPower(coeff, 2 * n)

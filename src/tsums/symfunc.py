@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 import mpmath as mp
@@ -137,11 +137,12 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
 class GenExpr:
     """Exact linear combination sum c e_k h_l, with e_0 = h_0 = 1.
 
-    ``terms`` maps (k, l), two integers >= 0, to the coefficient c; equal
-    keys are summed and zero coefficients dropped.  Written in generators (rather than expanded
-    monomials) so the infinite-variable specialization below applies
-    directly.  A value like :class:`SymPoly`: built from a dict, never
-    changed after.
+    ``terms`` maps (k, l), two integers >= 0, to the coefficient c, an
+    ``int`` or ``Fraction`` (a ``float`` raises ``TypeError``); equal keys
+    are summed and zero coefficients dropped.  Written in generators (not
+    in expanded monomials) so the infinite-variable specialization below
+    applies directly.  A value like :class:`SymPoly`: built from a dict,
+    never changed after.
     """
 
     __slots__ = ("terms",)
@@ -149,6 +150,8 @@ class GenExpr:
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         sums: dict[tuple[int, int], Fraction] = {}
         for (k, ell), c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be exact rationals, got {c!r}")
             k, ell = _index(k), _index(ell)
             if k < 0 or ell < 0:
                 raise ValueError(f"generator indices must be >= 0, got e_{k} h_{ell}")
@@ -312,19 +315,35 @@ def specialize_odd_squares(
     derived in :func:`_generator_value`.
     Each term c e_k h_l contributes c v_e v_h, with the error
     |c| (err_e (|v_h| + err_h) + err_h (|v_e| + err_e)) of a product.
+
+    With L the lcm of the denominators of the t terms and a = cL, the sum
+    of a v_e v_h is exact and its quotient q by L rounds once, to nearest
+    at the p bits of dps+10 digits: by at most 2**-p |q|, within the
+    allowance 2**(1-p) |q|, added unless value * L is the sum (so a dyadic
+    constant keeps err 0).  The sum S of |a| times the errors adds
+    non-negative numbers at p bits, with at most t+4 roundings to nearest
+    on the path of any term (4 within it, t in the accumulation), so the
+    exact sum is at most S / (1 - (t+4) 2**-p) <= S (1 + (t+4) 2**(1-p)).
+    Both allowances are added exactly, and the total is divided by L
+    rounding up.
     """
     num_vars, dps = _index(num_vars), _index(dps)
     if dps < MIN_DPS:
         raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
     if num_vars < 2:
         raise ValueError(f"need at least 2 variables, got {num_vars}")
+    den = math.lcm(*(c.denominator for c in expr.terms.values()))
+    add, mul = partial(mp.fadd, exact=True), partial(mp.fmul, exact=True)
+    total = total_err = mp.mpf(0)
     with mp.workdps(dps + 10):
-        total = mp.mpf(0)
-        total_err = mp.mpf(0)
         for (k, ell), coeff in expr.terms.items():
             v_e, err_e = _generator_value("e", k, num_vars, dps)
             v_h, err_h = _generator_value("h", ell, num_vars, dps)
-            c = mp.mpf(coeff.numerator) / coeff.denominator
-            total += c * (v_e * v_h)
-            total_err += abs(c) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
-        return PrecReal(+total, +total_err)
+            a = coeff.numerator * (den // coeff.denominator)
+            total = add(total, mul(a, mul(v_e, v_h)))
+            total_err += abs(a) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
+        value = mp.fdiv(total, den)
+        slack = mp.ldexp(mul(total_err, len(expr.terms) + 4), 1 - mp.mp.prec)
+        if mul(value, den) != total:
+            slack = add(slack, mp.ldexp(abs(total), 1 - mp.mp.prec))
+        return PrecReal(value, mp.fdiv(add(total_err, slack), den, rounding="u"))

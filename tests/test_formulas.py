@@ -164,49 +164,59 @@ class TestEulerMemo:
 
     def test_filled_from_euler_table(self, monkeypatch):
         # T(6,1) reads E_4; a corrupted E_4 must reach a freshly filled memo
-        # through fresh weight rows.
+        # through a fresh weight row.
         good = T_from_euler(3, 1)
 
         def corrupt(m):
             return euler_number(m) + 2 if m == 4 else euler_number(m)
 
         monkeypatch.setattr(tsums.formulas, "euler_number", corrupt)
-        monkeypatch.setattr(tsums.formulas, "_euler_weight_rows", {})
+        tsums.formulas._euler_weights.cache_clear()
         T_from_euler.cache_clear()
         try:
             assert T_from_euler(3, 1) != good
             assert T_from_euler(3, 2) == PiPower(Fraction(1, 3840), 6)
         finally:
-            T_from_euler.cache_clear()
-
-    def test_weight_rows_grow_on_demand(self, monkeypatch):
-        # A row is kept from the second cell of its n on.  Deepest cell
-        # first, so each later cell extends it by one weight; a deep cell of
-        # a long row computes only the weights it sums.
-        rows = {}
-        monkeypatch.setattr(tsums.formulas, "_euler_weight_rows", rows)
-        T_from_euler.cache_clear()
-        try:
-            T_from_euler(150, 140)
-            assert rows[150] == ()
-            T_from_euler(150, 139)
-            assert len(rows[150]) == 12
-            for n in (7, 30):
-                for d in range(n, 0, -1):
-                    acc = sum(math.comb(n - ell, d) * math.comb(2 * n, 2 * ell) * euler_number(2 * ell)
-                              for ell in range(n - d + 1))
-                    want = Fraction((-1) ** (n - d) * acc, 4**n * math.factorial(2 * n))
-                    assert T_from_euler(n, d) == PiPower(want, 2 * n), (n, d)
-                    assert len(rows[n]) == (0 if d == n else n - d + 1)
-        finally:
+            tsums.formulas._euler_weights.cache_clear()
             T_from_euler.cache_clear()
 
     def test_running_binomial_weights(self):
-        # The weights of any stretch of a row equal math.comb times E_{2l}.
+        # Row n holds binom(2n,2l) E_{2l} for every 0 <= l < n.
         for n in range(1, 61):
-            want = tuple(math.comb(2 * n, 2 * ell) * euler_number(2 * ell) for ell in range(n + 1))
-            for start in sorted({0, 1, n // 2, n}):
-                assert tsums.formulas._weights(n, start, n + 1) == want[start:], (n, start)
+            want = tuple(math.comb(2 * n, 2 * ell) * euler_number(2 * ell) for ell in range(n))
+            assert tsums.formulas._euler_weights(n) == want, n
+
+    def test_cell_order_does_not_matter(self):
+        # From empty memos, the cells of one n are the same values whether
+        # the deepest or the shallowest cell builds the row of n, and they
+        # equal the Euler sum written out term by term.
+        try:
+            for n in (1, 2, 9, 40, 150):
+                want = []
+                for d in range(1, n + 1):
+                    acc = sum(math.comb(n - ell, d) * math.comb(2 * n, 2 * ell) * euler_number(2 * ell)
+                              for ell in range(n - d + 1))
+                    want.append(PiPower(Fraction((-1) ** (n - d) * acc, 4**n * math.factorial(2 * n)), 2 * n))
+                for order in (range(n, 0, -1), range(1, n + 1)):
+                    tsums.formulas._euler_weights.cache_clear()
+                    T_from_euler.cache_clear()
+                    got = {d: T_from_euler(n, d) for d in order}
+                    assert [got[d] for d in range(1, n + 1)] == want, (n, order)
+        finally:
+            T_from_euler.cache_clear()
+
+    def test_one_row_per_n(self):
+        # Every depth of one n reads one row, built on the first cell.
+        weights = tsums.formulas._euler_weights
+        weights.cache_clear()
+        T_from_euler.cache_clear()
+        try:
+            for d in range(30, 0, -1):
+                T_from_euler(30, d)
+            assert weights.cache_info().misses == 1
+            assert weights.cache_info().hits == 29
+        finally:
+            T_from_euler.cache_clear()
 
     def test_rejected_arguments_raise_on_every_call(self):
         # The equal int cells are memoized first: a bool or float must not

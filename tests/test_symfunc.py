@@ -315,12 +315,30 @@ class TestGenExpr:
             with pytest.raises(TypeError):
                 GenExpr({key: 1})
 
+    def test_coefficients_are_exact_rationals(self):
+        # A float coefficient is refused, not stored as its binary value.
+        for c in (0.1, 0.5, mp.mpf(1)):
+            with pytest.raises(TypeError):
+                GenExpr({(1, 0): c})
+        assert GenExpr({(1, 0): 2, (0, 1): Fraction(1, 10)}).terms == {(1, 0): 2, (0, 1): Fraction(1, 10)}
+
     def test_index_zero_term_is_the_constant(self):
         # e_0 = h_0 = 1: the term c e_0 h_0 is c, exactly and in any m.
         c = Fraction(-3, 4)
         got = specialize_odd_squares(GenExpr({(0, 0): c}), 7, 30)
         assert got.value == mp.mpf(-0.75) and got.err == 0
         assert _expand(GenExpr({(0, 0): c}), 3).terms == {(): c}
+
+    def test_err_covers_final_roundings(self):
+        # 1/3 has no binary float: the rounding of the final sum must be in
+        # err, alone and next to a generator term.
+        third = Fraction(1, 3)
+        for terms in ({(0, 0): third}, {(0, 0): third, (1, 0): 1}):
+            got = specialize_odd_squares(GenExpr(terms), 7, 10)
+            exact = third + (_odd_square_values("e", 1, 7) if (1, 0) in terms else 0)
+            with mp.workdps(60):
+                gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
+                assert 0 < gap <= got.err, terms
 
 
 def _odd_square_values(kind, j, m):
