@@ -234,17 +234,19 @@ class TTable:
 
 def T_table_from_genfunc(max_n: int) -> TTable:
     """All T(2n,d) for n <= max_n by coefficient extraction from the
-    generating function c((1-v)y)/c(y), rescaled by pi**(2n) / 4**n."""
+    generating function c((1-v)y)/c(y), rescaled by pi**(2n) / 4**n.  The
+    rescaling by 4**n is folded into the one Fraction the series builds per
+    cell."""
     max_n = _index(max_n)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    phi = genfunc_biseries(max_n)
+    phi = genfunc_biseries(max_n, per_pi_power=True)
     entries: dict[tuple[int, int], PiPower] = {}
     for n in range(1, max_n + 1):
         for d in range(1, n + 1):
             c = phi[n][d]
             if c:
-                entries[(n, d)] = PiPower(c / 4**n, 2 * n)
+                entries[(n, d)] = PiPower(c, 2 * n)
     return TTable(max_n, entries)
 
 

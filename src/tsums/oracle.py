@@ -334,8 +334,10 @@ def _weight_ladder(n: int, N: int, scale: int) -> tuple[list[list[int]], list[li
 
 
 # The finished rows of every weight up to the top weight of the last ladder
-# pass, per (params, dps): _rows[key][w-1][d-1] is T(2w,d).
-_rows: dict[tuple[TruncationParams, int], tuple[tuple[PrecReal, ...], ...]] = {}
+# pass, per (terms, tail_order, dps): _rows[key][w-1][d-1] is T(2w,d).  The
+# key holds the fields of TruncationParams rather than the instance, whose
+# generated __hash__ is a Python call.
+_rows: dict[tuple[int, int, int], tuple[tuple[PrecReal, ...], ...]] = {}
 
 
 def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[PrecReal, ...], ...]:
@@ -369,7 +371,7 @@ def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[Prec
         )
         for w in range(1, n + 1)
     )
-    _rows[params, dps] = rows
+    _rows[params.terms, params.tail_order, dps] = rows
     return rows
 
 
@@ -387,10 +389,11 @@ def T_numeric(
     cell costs one dict lookup, and so does a float dps equal to that of a
     memoized row; any other call checks n, d and dps (_index) before any
     work, then reads the memo.  Cost O(n**2 * N) per new top weight."""
-    rows = _rows.get((params, dps), ())
-    # No call or attribute load (5-10 % of a hit in a fresh process): of
-    # what _index refuses, only True passes the comparisons and the index.
+    # A hit is one dict lookup on a key of plain fields, with no Python-level
+    # call (hashing params itself would make one).  Of what _index refuses,
+    # only True passes the comparisons and the index.
     try:
+        rows = _rows.get((params.terms, params.tail_order, dps), ())
         if 1 <= d <= n <= len(rows) and n is not True and d is not True:
             return rows[n - 1][d - 1]
     except TypeError:
@@ -401,7 +404,7 @@ def T_numeric(
     dps = _check_dps(dps)
     if d > n:
         return PrecReal(mp.mpf(0), mp.mpf(0))
-    rows = _rows.get((params, dps), ())
+    rows = _rows.get((params.terms, params.tail_order, dps), ())
     if n <= len(rows):
         return rows[n - 1][d - 1]
     return _weight_rows(n, params, dps)[n - 1][d - 1]

@@ -99,14 +99,19 @@ def sin_sqrt_series(order: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((-1) ** n, factorial(2 * n + 1)) for n in range(order + 1))
 
 
-def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
+def genfunc_biseries(
+    order: int, *, per_pi_power: bool = False
+) -> tuple[tuple[Fraction, ...], ...]:
     """Bivariate expansion of c((1-v)y) / c(y) to order K in both y and v,
     as the table ``phi[n][d]`` of y**n v**d coefficients, 0 <= n, d <= K.
 
     The y**n v**d coefficient times pi**(2n) / 4**n is the sum T(2n,d) of
     all multiple t-values of weight 2n and depth d.  Rows with d > n vanish,
     and the d = 0 column is 1, 0, 0, ... since the v = 0 slice collapses to
-    c(y)/c(y).
+    c(y)/c(y).  With ``per_pi_power=True`` every row n is divided by 4**n,
+    so that phi[n][d] is T(2n,d) / pi**(2n) itself (the expansion of
+    c((1-v)y/4) / c(y/4)), at no extra normalisation: each cell is still
+    one Fraction, over (2n)! 4**n instead of (2n)!.
 
     The numerator's y**k v**d coefficient is (-1)**d binom(k,d) c_k, so each
     cell is the 1-D convolution (-1)**d sum_{k=d..n} binom(k,d) c_k sec_{n-k}
@@ -130,7 +135,7 @@ def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 p[j] += p[j + 1]
-        scale = factorial(2 * n)
+        scale = factorial(2 * n) << (2 * n if per_pi_power else 0)
         rows.append(
             tuple(Fraction((-1) ** d * p[d], scale) for d in range(n + 1)) + (zero,) * (K - n)
         )

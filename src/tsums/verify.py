@@ -2,7 +2,9 @@
 case batteries with a JSON-serializable report.
 
 Each suite returns a :class:`Report`; the CLI serializes it to stdout and
-derives its exit status solely from the failure count.
+derives its exit status solely from the failure count.  The ``symmetric``
+and ``oracle`` suites import the numeric layers (and mpmath) when they run;
+the exact suites never do.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import mpmath as mp
-
-from . import exact, formulas, oracle, series, symfunc
+from . import exact, formulas, series
 
 __all__ = ["Case", "Report", "SUITES", "SUITE_DEFAULTS", "run_suite"]
 
@@ -161,6 +161,10 @@ def suite_symmetric(max_n: int) -> Report:
     """Symmetric-function identities in m = max_n variables, faithful at
     every degree n <= max_n it checks (m >= n variables see every partition
     of n), plus numeric spot checks of the x_j -> 1/(2j-1)**2 specialization."""
+    import mpmath as mp
+
+    from . import oracle, symfunc
+
     m = max_n
     rep = Report("symmetric")
     ok = symfunc.check_bivariate_factorization(max_n, m)
@@ -201,9 +205,17 @@ def suite_symmetric(max_n: int) -> Report:
     return rep
 
 
-def suite_oracle(max_n: int, terms: int, dps: int) -> Report:
+def suite_oracle(max_n: int, terms: int | None, dps: int | None) -> Report:
     """Series-oracle agreement: |T_numeric - eval(closed form)| within the
-    reported bound and relative bound <= 1e-6, for 1 <= d <= n <= max_n."""
+    reported bound and relative bound <= 1e-6, for 1 <= d <= n <= max_n.
+    terms and dps default (None) to the oracle's DEFAULT_TERMS and
+    DEFAULT_DPS."""
+    import mpmath as mp
+
+    from . import oracle
+
+    terms = oracle.DEFAULT_TERMS if terms is None else terms
+    dps = oracle.DEFAULT_DPS if dps is None else dps
     rep = Report("oracle")
     params = oracle.TruncationParams(terms=terms, tail_order=1)
     oracle.T_numeric(max_n, 1, params, dps)  # one ladder pass serves every cell
@@ -239,7 +251,8 @@ SUITE_DEFAULTS = {
     "depth-sum": {"max_n": 30},
     "bernoulli-euler": {"max_n": 15, "max_d": 40},
     "symmetric": {"max_n": 8},
-    "oracle": {"max_n": 5, "terms": oracle.DEFAULT_TERMS, "dps": oracle.DEFAULT_DPS},
+    # None: the oracle's defaults, read when the suite runs.
+    "oracle": {"max_n": 5, "terms": None, "dps": None},
 }
 
 

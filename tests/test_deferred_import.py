@@ -1,0 +1,154 @@
+"""The numeric layers (oracle, symfunc) and mpmath load on first use:
+``import tsums`` and the exact CLI commands never import them, and the
+package still offers every public name once something asks for one."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import tsums
+import tsums.formulas
+from tsums.cli import main
+
+SRC = str(Path(tsums.formulas.__file__).resolve().parents[1])
+NUMERIC = ["mpmath", "tsums.oracle", "tsums.symfunc"]
+
+# The package's public names, in this order, since before the numeric
+# layers were deferred.
+PUBLIC = [
+    "PiPower", "bernoulli", "euler_number", "zeta_even", "t_even",
+    "series_quotient", "cos_sqrt_series", "sin_sqrt_series", "genfunc_biseries",
+    "tan_link_series",
+    "TTable", "CoeffRow", "DepthSumResult", "BernoulliEulerResult", "t_all_twos",
+    "T_from_t_values", "T_from_bernoulli", "T_from_euler", "T_table_from_genfunc",
+    "coeff_row", "depth_sum_identity", "bernoulli_euler_lhs", "bernoulli_euler_check",
+    "SymPoly", "monomial_depth_sum", "check_bivariate_factorization",
+    "check_monomial_expansion", "GenExpr", "monomial_depth_expr", "specialize_odd_squares",
+    "DivergentSeriesError", "PrecReal", "TruncationParams", "t_numeric", "T_numeric",
+    "pi_power_eval",
+    "__version__",
+]
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter that imports this tsums and return
+    the JSON value of its last stdout line."""
+    env = {k: v for k, v in os.environ.items() if k != "TSUMS_PRECISION"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exact_commands_load_no_numeric_layer():
+    loaded = fresh(f"""
+        import contextlib, io, json, sys
+        import tsums
+        loaded = {{"import tsums": [m for m in {NUMERIC!r} if m in sys.modules]}}
+        import tsums.cli
+        for argv in (["table", "--max-n", "8", "--format", "json"],
+                     ["coeffs", "--depth", "5"],
+                     ["verify", "--suite", "depth-sum"]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert tsums.cli.main(argv) == 0, argv
+            loaded[" ".join(argv)] = [m for m in {NUMERIC!r} if m in sys.modules]
+        print(json.dumps(loaded))
+    """)
+    assert loaded == {stage: [] for stage in loaded} and len(loaded) == 4
+
+
+def test_star_import_gives_every_name():
+    names = fresh("""
+        import json
+        namespace = {}
+        exec("from tsums import *", namespace)
+        print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
+    """)
+    assert names == sorted(PUBLIC)
+
+
+def test_all_keeps_its_names_and_order():
+    assert fresh("import json, tsums; print(json.dumps(tsums.__all__))") == PUBLIC
+    assert tsums.__all__ == PUBLIC
+
+
+def test_first_lookup_copies_the_layer_object_of_that_moment():
+    # A tracer that wraps oracle.t_numeric before the first lookup through
+    # the package is what the package then hands out; the hook is gone after.
+    seen = fresh("""
+        import json, sys
+        import tsums, tsums.oracle, tsums.symfunc
+        def wrapped(*args):
+            pass
+        tsums.oracle.t_numeric = wrapped
+        print(json.dumps([
+            tsums.t_numeric is wrapped,
+            tsums.specialize_odd_squares is tsums.symfunc.specialize_odd_squares,
+            tsums.T_numeric is tsums.oracle.T_numeric,
+            "__getattr__" in vars(tsums),
+        ]))
+    """)
+    assert seen == [True, True, True, False]
+
+
+def test_concurrent_first_lookups_all_succeed():
+    # Threads that miss while another is loading the layers all run the
+    # hook; each must get the layer's object, and none may fail.
+    seen = fresh("""
+        import json, sys, threading
+        import tsums
+        sys.setswitchinterval(1e-6)
+        barrier, got, errors = threading.Barrier(8), [], []
+        def look():
+            barrier.wait()
+            try:
+                got.append(tsums.T_numeric)
+            except Exception as exc:
+                errors.append(repr(exc))
+        threads = [threading.Thread(target=look) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        import tsums.oracle
+        print(json.dumps([errors, len(got), all(f is tsums.oracle.T_numeric for f in got),
+                          any(t.is_alive() for t in threads)]))
+    """)
+    assert seen == [[], 8, True, False]
+
+
+def test_dunder_probe_loads_nothing():
+    seen = fresh(f"""
+        import json, sys
+        import tsums
+        probes = [hasattr(tsums, "__test__"), hasattr(tsums, "__wrapped__")]
+        loaded = [m for m in {NUMERIC!r} if m in sys.modules]
+        missing = hasattr(tsums, "no_such_name")
+        print(json.dumps([probes, loaded, missing, "__getattr__" in vars(tsums)]))
+    """)
+    assert seen == [[False, False], [], False, False]
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({}, ["verify", "--suite", "depth-sum", "--precision", "5"]),
+    ({"TSUMS_PRECISION": "abc"}, ["verify", "--suite", "depth-sum"]),
+    ({"TSUMS_PRECISION": "5"}, ["verify", "--suite", "closed-forms", "--max-n", "2"]),
+])
+def test_bad_precision_is_refused_for_an_exact_suite(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_eval_prints_the_default_terms(capsys):
+    assert main(["eval", "--t", "4"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("terms = 1000000")

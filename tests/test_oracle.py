@@ -292,32 +292,35 @@ class TestTNumericSums:
         with pytest.raises(ValueError):
             T_numeric(0, 1, FAST)
 
-    def test_rejects_low_precision(self):
+    def test_rejects_low_precision(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rows", {})
         params = TruncationParams(terms=50)
         with pytest.raises(ValueError):
             T_numeric(2, 1, params, dps=-25)
-        assert (params, -25) not in oracle._rows
+        assert oracle._rows == {}
 
-    def test_rejects_non_integer_precision(self):
+    def test_rejects_non_integer_precision(self, monkeypatch):
         # On a cold memo a float dps would run the ladder in floats, report
         # a bound far below the real error and store that row under a key
-        # equal to (params, 50), where integer calls would find it.
+        # equal to that of dps 50, where integer calls would find it.
+        monkeypatch.setattr(oracle, "_rows", {})
         params = TruncationParams(terms=53)
         with pytest.raises(TypeError):
             T_numeric(5, 1, params, 50.0)
-        assert (params, 50) not in oracle._rows
+        assert oracle._rows == {}
 
     def test_rejects_low_precision_beyond_depth(self):
         # The exact zero for d > n is no way round the precision check.
         with pytest.raises(ValueError):
             T_numeric(2, 3, FAST, dps=-25)
 
-    def test_rejects_non_integer_depth(self):
+    def test_rejects_non_integer_depth(self, monkeypatch):
         # Rejected before the ladder pass, not at the row index after it.
+        monkeypatch.setattr(oracle, "_rows", {})
         params = TruncationParams(terms=51)
         with pytest.raises(TypeError):
             T_numeric(3, 1.5, params)
-        assert (params, oracle.DEFAULT_DPS) not in oracle._rows
+        assert oracle._rows == {}
         # A memoized row does not take it either.
         T_numeric(3, 1, params)
         with pytest.raises(TypeError):
@@ -334,6 +337,19 @@ class TestTNumericSums:
         T_numeric(2, 1, params)
         with pytest.raises(TypeError):
             T_numeric(n, d, params)
+
+    def test_hit_does_not_hash_the_params(self, monkeypatch):
+        # The memo is keyed by the plain fields: the dataclass's generated
+        # __hash__ is a Python call that would double the cost of a hit.
+        params = TruncationParams(terms=50)
+        warm = T_numeric(3, 2, params)
+
+        def refuse(self):
+            raise AssertionError("TruncationParams hashed on a memo hit")
+
+        monkeypatch.setattr(TruncationParams, "__hash__", refuse)
+        assert T_numeric(3, 2, params) is warm
+        assert T_numeric(2, 2, TruncationParams(terms=50), 50.0) is T_numeric(2, 2, params)
 
     def test_index_type_reads_the_memo(self, monkeypatch):
         # A type with only __index__ is checked, then served from the memo

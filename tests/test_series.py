@@ -132,6 +132,12 @@ def test_genfunc_all_twos_cell():
     assert genfunc_biseries(4)[2][2] == Fraction(1, 24)
 
 
+def test_genfunc_per_pi_power_divides_row_n_by_4_to_the_n():
+    plain, scaled = genfunc_biseries(12), genfunc_biseries(12, per_pi_power=True)
+    assert scaled == tuple(tuple(c / 4**n for c in row) for n, row in enumerate(plain))
+    assert all(type(c) is Fraction for row in scaled for c in row)
+
+
 def test_genfunc_upper_triangle_vanishes():
     phi = genfunc_biseries(6)
     for n in range(7):
