@@ -21,9 +21,8 @@ explicit ``--precision`` flags still win.
 estimate, which is what the oracle gives when an inner exponent s_2..s_d
 equals 1.
 
-Only ``eval``, the ``symmetric`` and ``oracle`` suites of ``verify`` and a
-given precision (``--precision`` or TSUMS_PRECISION) load the numeric
-layers and mpmath; ``table``, ``coeffs`` and the exact suites never do.
+Only ``eval`` and the ``symmetric`` and ``oracle`` suites of ``verify``
+import mpmath; ``table``, ``coeffs`` and the exact suites never do.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from fractions import Fraction
 
 from .exact import PiPower
 from .formulas import T_from_euler, coeff_row
+from .oracle import (DEFAULT_DPS, DEFAULT_TERMS, MIN_DPS, DivergentSeriesError,
+                     TruncationParams, t_numeric)
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "console_main"]
@@ -155,9 +156,6 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     import mpmath as mp
 
-    from .oracle import (DEFAULT_DPS, DEFAULT_TERMS, DivergentSeriesError, TruncationParams,
-                         t_numeric)
-
     fields = args.t.split(",")
     if any(x.strip() == "" for x in fields):
         print(f"error: empty field in arguments {args.t!r}", file=sys.stderr)
@@ -168,12 +166,11 @@ def _cmd_eval(args) -> int:
         print(f"error: cannot parse arguments {args.t!r}", file=sys.stderr)
         return 2
     dps = args.precision or DEFAULT_DPS
-    terms = DEFAULT_TERMS if args.terms is None else args.terms
     t0 = time.perf_counter()
     try:
         result = t_numeric(
             exponents,
-            TruncationParams(terms=terms, tail_order=args.tail_order),
+            TruncationParams(terms=args.terms, tail_order=args.tail_order),
             dps=dps,
         )
     except DivergentSeriesError as exc:
@@ -186,7 +183,7 @@ def _cmd_eval(args) -> int:
     relation = "~" if 1 in exponents[1:] else "<="
     print(
         f"t({label}) = {mp.nstr(result.value, 20)}  "
-        f"err {relation} {mp.nstr(result.err, 3)}  terms = {terms}"
+        f"err {relation} {mp.nstr(result.err, 3)}  terms = {args.terms}"
     )
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate t(s_1,...,s_d) numerically")
     p.add_argument("--t", required=True, help="comma-separated exponents, e.g. 2,2")
-    p.add_argument("--terms", type=int, default=None)  # None: the oracle's DEFAULT_TERMS
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.add_argument("--precision", type=int, default=None)
     p.add_argument("--tail-order", type=int, choices=(0, 1), default=1, dest="tail_order")
     p.set_defaults(func=_cmd_eval)
@@ -234,9 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _usage_error(args) -> str | None:
     """Why the parsed arguments are unusable, or None when they are fine.
     For ``verify`` and ``eval``, ``args.precision`` ends as the one
-    precision in use: --precision, else TSUMS_PRECISION, else None.  The
-    oracle, which sets the lowest precision, is imported only when one is
-    given."""
+    precision in use: --precision, else TSUMS_PRECISION, else None."""
     if args.command == "table":
         if args.max_n < 1:
             return "--max-n must be >= 1"
@@ -250,14 +245,11 @@ def _usage_error(args) -> str | None:
             value = getattr(args, dest)
             if value is not None and value < 1:
                 return f"--{dest.replace('_', '-')} must be >= 1"
-    if args.command in ("verify", "eval") and (
-            args.precision is not None or "TSUMS_PRECISION" in os.environ):
-        from .oracle import MIN_DPS
-
+    if args.command in ("verify", "eval"):
         if args.precision is not None:
             if args.precision < MIN_DPS:
                 return f"--precision must be >= {MIN_DPS}"
-        else:
+        elif "TSUMS_PRECISION" in os.environ:
             raw = os.environ["TSUMS_PRECISION"]
             try:
                 args.precision = int(raw)

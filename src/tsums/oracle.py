@@ -105,9 +105,10 @@ from itertools import accumulate, repeat
 from operator import add, floordiv, index, mul
 from typing import Iterator, Sequence
 
-import mpmath as mp
-
 from .exact import PiPower
+
+# mpmath is imported inside the functions that use it, so that importing
+# the package for exact work never loads it.
 
 __all__ = [
     "DivergentSeriesError",
@@ -145,16 +146,14 @@ class PrecReal:
     err: mp.mpf
 
     def __post_init__(self) -> None:
+        import mpmath as mp
+
         if not (self.err >= 0 and mp.isfinite(self.err)):
             raise ValueError(f"error bound must be finite and >= 0, got {self.err}")
 
-    def __add__(self, other: "PrecReal") -> "PrecReal":
-        return PrecReal(
-            mp.fadd(self.value, other.value, exact=True),
-            mp.fadd(self.err, other.err, exact=True),
-        )
-
     def __sub__(self, other: "PrecReal") -> "PrecReal":
+        import mpmath as mp
+
         return PrecReal(
             mp.fsub(self.value, other.value, exact=True),
             mp.fadd(self.err, other.err, exact=True),
@@ -208,6 +207,8 @@ def _finish(total: int, tails: Sequence[tuple[int, int, float, float]], ulps: in
     and the bound of each ``(s1, a_tail, drift, cap)``, one per leading
     exponent s1 (a_tail the fixed-point inner sum before index N, drift and
     cap its float bounds), and ``ulps`` units of 1/scale."""
+    import mpmath as mp
+
     with mp.workdps(dps + 20):
         value = mp.mpf(total) / scale
         err = mp.mpf(0)
@@ -403,6 +404,8 @@ def T_numeric(
         raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
     dps = _check_dps(dps)
     if d > n:
+        import mpmath as mp
+
         return PrecReal(mp.mpf(0), mp.mpf(0))
     rows = _rows.get((params.terms, params.tail_order, dps), ())
     if n <= len(rows):
@@ -415,6 +418,8 @@ def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:
 
     The error bound reflects rounding only.
     """
+    import mpmath as mp
+
     dps = _check_dps(dps)
     if x.is_zero():
         return PrecReal(mp.mpf(0), mp.mpf(0))

@@ -46,10 +46,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterator
 
-import mpmath as mp
-
 from .exact import _index
 from .oracle import MIN_DPS, PrecReal
+
+# mpmath is imported inside the functions that use it, as in oracle.
 
 __all__ = [
     "SymPoly",
@@ -283,6 +283,8 @@ def _generator_value(kind: str, j: int, num_vars: int, dps: int):
     """
     if j == 0:
         return 1, 0
+    import mpmath as mp
+
     M = num_vars
     scale = 10 ** (dps + 20)
     with mp.workdps(dps + 10):
@@ -327,6 +329,8 @@ def specialize_odd_squares(
     Both allowances are added exactly, and the total is divided by L
     rounding up.
     """
+    import mpmath as mp
+
     num_vars, dps = _index(num_vars), _index(dps)
     if dps < MIN_DPS:
         raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")

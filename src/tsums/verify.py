@@ -2,9 +2,9 @@
 case batteries with a JSON-serializable report.
 
 Each suite returns a :class:`Report`; the CLI serializes it to stdout and
-derives its exit status solely from the failure count.  The ``symmetric``
-and ``oracle`` suites import the numeric layers (and mpmath) when they run;
-the exact suites never do.
+derives its exit status solely from the failure count.  Only the
+``symmetric`` and ``oracle`` suites compute with mpmath, and they import it
+when they run; the exact suites never load it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import exact, formulas, series
+from . import exact, formulas, oracle, series, symfunc
 
-__all__ = ["Case", "Report", "SUITES", "SUITE_DEFAULTS", "run_suite"]
+__all__ = ["Case", "Report", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,6 @@ def suite_symmetric(max_n: int) -> Report:
     of n), plus numeric spot checks of the x_j -> 1/(2j-1)**2 specialization."""
     import mpmath as mp
 
-    from . import oracle, symfunc
-
     m = max_n
     rep = Report("symmetric")
     ok = symfunc.check_bivariate_factorization(max_n, m)
@@ -205,17 +203,11 @@ def suite_symmetric(max_n: int) -> Report:
     return rep
 
 
-def suite_oracle(max_n: int, terms: int | None, dps: int | None) -> Report:
+def suite_oracle(max_n: int, terms: int, dps: int) -> Report:
     """Series-oracle agreement: |T_numeric - eval(closed form)| within the
-    reported bound and relative bound <= 1e-6, for 1 <= d <= n <= max_n.
-    terms and dps default (None) to the oracle's DEFAULT_TERMS and
-    DEFAULT_DPS."""
+    reported bound and relative bound <= 1e-6, for 1 <= d <= n <= max_n."""
     import mpmath as mp
 
-    from . import oracle
-
-    terms = oracle.DEFAULT_TERMS if terms is None else terms
-    dps = oracle.DEFAULT_DPS if dps is None else dps
     rep = Report("oracle")
     params = oracle.TruncationParams(terms=terms, tail_order=1)
     oracle.T_numeric(max_n, 1, params, dps)  # one ladder pass serves every cell
@@ -236,23 +228,15 @@ def suite_oracle(max_n: int, terms: int | None, dps: int | None) -> Report:
     return rep
 
 
+# Each suite by name, with its default keyword arguments.
 SUITES = {
-    "closed-forms": suite_closed_forms,
-    "genfunc": suite_genfunc,
-    "depth-sum": suite_depth_sum,
-    "bernoulli-euler": suite_bernoulli_euler,
-    "symmetric": suite_symmetric,
-    "oracle": suite_oracle,
-}
-
-SUITE_DEFAULTS = {
-    "closed-forms": {"max_n": 30},
-    "genfunc": {"max_n": 30},
-    "depth-sum": {"max_n": 30},
-    "bernoulli-euler": {"max_n": 15, "max_d": 40},
-    "symmetric": {"max_n": 8},
-    # None: the oracle's defaults, read when the suite runs.
-    "oracle": {"max_n": 5, "terms": None, "dps": None},
+    "closed-forms": (suite_closed_forms, {"max_n": 30}),
+    "genfunc": (suite_genfunc, {"max_n": 30}),
+    "depth-sum": (suite_depth_sum, {"max_n": 30}),
+    "bernoulli-euler": (suite_bernoulli_euler, {"max_n": 15, "max_d": 40}),
+    "symmetric": (suite_symmetric, {"max_n": 8}),
+    "oracle": (suite_oracle, {"max_n": 5, "terms": oracle.DEFAULT_TERMS,
+                              "dps": oracle.DEFAULT_DPS}),
 }
 
 
@@ -267,11 +251,12 @@ def run_suite(name: str, **overrides) -> Report:
             for c in run_suite(sub, **overrides).cases:
                 rep.cases.append(replace(c, id=f"{sub}/{c.id}"))
     elif name in SUITES:
-        kwargs = dict(SUITE_DEFAULTS[name])
+        suite, defaults = SUITES[name]
+        kwargs = dict(defaults)
         for key, value in overrides.items():
             if value is not None and key in kwargs:
                 kwargs[key] = value
-        rep = SUITES[name](**kwargs)
+        rep = suite(**kwargs)
     else:
         raise KeyError(f"unknown suite {name!r}")
     rep.wall_time_s = time.perf_counter() - t0

@@ -1,6 +1,6 @@
-"""The numeric layers (oracle, symfunc) and mpmath load on first use:
-``import tsums`` and the exact CLI commands never import them, and the
-package still offers every public name once something asks for one."""
+"""mpmath loads on the first numeric call: ``import tsums``, its
+submodules and the exact CLI commands never import it, and the package
+offers every public name of every layer."""
 
 import json
 import os
@@ -16,10 +16,9 @@ import tsums.formulas
 from tsums.cli import main
 
 SRC = str(Path(tsums.formulas.__file__).resolve().parents[1])
-NUMERIC = ["mpmath", "tsums.oracle", "tsums.symfunc"]
+NUMERIC = ["mpmath"]
 
-# The package's public names, in this order, since before the numeric
-# layers were deferred.
+# The package's public names, in this order.
 PUBLIC = [
     "PiPower", "bernoulli", "euler_number", "zeta_even", "t_even",
     "series_quotient", "cos_sqrt_series", "sin_sqrt_series", "genfunc_biseries",
@@ -79,51 +78,6 @@ def test_all_keeps_its_names_and_order():
     assert tsums.__all__ == PUBLIC
 
 
-def test_first_lookup_copies_the_layer_object_of_that_moment():
-    # A tracer that wraps oracle.t_numeric before the first lookup through
-    # the package is what the package then hands out; the hook is gone after.
-    seen = fresh("""
-        import json, sys
-        import tsums, tsums.oracle, tsums.symfunc
-        def wrapped(*args):
-            pass
-        tsums.oracle.t_numeric = wrapped
-        print(json.dumps([
-            tsums.t_numeric is wrapped,
-            tsums.specialize_odd_squares is tsums.symfunc.specialize_odd_squares,
-            tsums.T_numeric is tsums.oracle.T_numeric,
-            "__getattr__" in vars(tsums),
-        ]))
-    """)
-    assert seen == [True, True, True, False]
-
-
-def test_concurrent_first_lookups_all_succeed():
-    # Threads that miss while another is loading the layers all run the
-    # hook; each must get the layer's object, and none may fail.
-    seen = fresh("""
-        import json, sys, threading
-        import tsums
-        sys.setswitchinterval(1e-6)
-        barrier, got, errors = threading.Barrier(8), [], []
-        def look():
-            barrier.wait()
-            try:
-                got.append(tsums.T_numeric)
-            except Exception as exc:
-                errors.append(repr(exc))
-        threads = [threading.Thread(target=look) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        import tsums.oracle
-        print(json.dumps([errors, len(got), all(f is tsums.oracle.T_numeric for f in got),
-                          any(t.is_alive() for t in threads)]))
-    """)
-    assert seen == [[], 8, True, False]
-
-
 def test_dunder_probe_loads_nothing():
     seen = fresh(f"""
         import json, sys
@@ -134,6 +88,20 @@ def test_dunder_probe_loads_nothing():
         print(json.dumps([probes, loaded, missing, "__getattr__" in vars(tsums)]))
     """)
     assert seen == [[False, False], [], False, False]
+
+
+@pytest.mark.parametrize("statement", [
+    "from tsums import cli",
+    "from tsums import verify",
+    "import tsums; hasattr(tsums, 'no_such_name')",
+])
+def test_submodule_or_missing_name_loads_no_mpmath(statement):
+    loaded = fresh(f"""
+        import json, sys
+        {statement}
+        print(json.dumps([m for m in {NUMERIC!r} if m in sys.modules]))
+    """)
+    assert loaded == []
 
 
 @pytest.mark.parametrize("env, argv", [
