@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,9 +51,54 @@ __all__ = [
     "t_even",
 ]
 
+_set = object.__setattr__  # how a record sets its own fields
 
-@dataclass(frozen=True)
-class PiPower:
+
+class _Frozen:
+    """Base of the package's immutable records: the fields of a subclass are
+    its ``__slots__``, given positionally to ``__init__``.
+
+    Two records are equal when they are of the same class and their fields
+    are equal, and equal records hash equal; ``repr`` prints the class and
+    its fields by name; pickle and copy rebuild a record through its
+    class.  Assigning or deleting a field raises ``AttributeError``.  A
+    subclass that checks or defaults its fields writes its own ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PiPower(_Frozen):
     """Exact value ``coeff * pi**pi_exp`` with ``pi_exp`` even and >= 0.
 
     ``coeff`` is exact (an ``int`` or ``Fraction``; a ``float`` raises
@@ -64,21 +108,28 @@ class PiPower:
     field-wise equality.
     """
 
-    coeff: Fraction
-    pi_exp: int = 0
+    __slots__ = ("coeff", "pi_exp")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.coeff, float):
-            raise TypeError(f"PiPower coefficient must be exact, got float {self.coeff!r}")
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if isinstance(self.pi_exp, bool):
-            raise TypeError(f"pi exponent must be an integer, got {self.pi_exp!r}")
-        object.__setattr__(self, "pi_exp", operator.index(self.pi_exp))
-        if self.pi_exp < 0 or self.pi_exp % 2 != 0:
-            raise ValueError(f"pi exponent must be even and >= 0, got {self.pi_exp}")
-        if self.coeff == 0:
-            object.__setattr__(self, "pi_exp", 0)
+    def __init__(self, coeff: Fraction, pi_exp: int = 0) -> None:
+        if isinstance(coeff, float):
+            raise TypeError(f"PiPower coefficient must be exact, got float {coeff!r}")
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if isinstance(pi_exp, bool):
+            raise TypeError(f"pi exponent must be an integer, got {pi_exp!r}")
+        pi_exp = operator.index(pi_exp)
+        if pi_exp < 0 or pi_exp % 2 != 0:
+            raise ValueError(f"pi exponent must be even and >= 0, got {pi_exp}")
+        _set(self, "coeff", coeff)
+        _set(self, "pi_exp", pi_exp if coeff else 0)
+
+    def __eq__(self, other) -> bool:
+        # The base's test with the fields read directly, at half its cost.
+        if other.__class__ is self.__class__:
+            return (self.coeff, self.pi_exp) == (other.coeff, other.pi_exp)
+        return NotImplemented
+
+    __hash__ = _Frozen.__hash__
 
     @staticmethod
     def zero() -> "PiPower":
@@ -206,6 +257,12 @@ def euler_number(m: int) -> int:
         with _lock:
             _grow_euler(j)
     return _euler_even[j]
+
+
+def _euler_prefix(n: int) -> list[int]:
+    """E_0, E_2, ..., E_{2n-2} for n >= 1, the table grown at most once."""
+    euler_number(2 * n - 2)
+    return _euler_even[:n]
 
 
 @lru_cache(maxsize=None, typed=True)

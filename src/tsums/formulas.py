@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exact import PiPower, _index, bernoulli, euler_number, t_even
+from .exact import PiPower, _euler_prefix, _Frozen, _index, bernoulli, euler_number, t_even
 from .series import genfunc_biseries
 
 __all__ = [
@@ -180,14 +179,14 @@ def _euler_weights(n: int) -> tuple[int, ...]:
     """Row n of :func:`T_from_euler`: the weights binom(2n,2l) E_{2l} for
     0 <= l < n, built once and shared by every depth of n.
 
-    The binomial runs from binom(2n,0) = 1: each is the one before times
-    (2n-2l)(2n-2l-1), divided exactly by (2l+1)(2l+2).
+    It reads E_0 .. E_{2n-2} in one slice of the Euler table, grown at most
+    once.  The binomial runs from binom(2n,0) = 1: each is the one before
+    times (2n-2l)(2n-2l-1), divided exactly by (2l+1)(2l+2).
     """
-    euler_number(2 * n - 2)  # the largest index first: the table grows at most once
     b = 1
     out = []
-    for ell in range(n):
-        out.append(b * euler_number(2 * ell))
+    for ell, e in enumerate(_euler_prefix(n)):
+        out.append(b * e)
         b = b * ((2 * n - 2 * ell) * (2 * n - 2 * ell - 1)) // ((2 * ell + 1) * (2 * ell + 2))
     return tuple(out)
 
@@ -215,15 +214,14 @@ def T_from_euler(n: int, d: int) -> PiPower:
     return PiPower(coeff, 2 * n)
 
 
-@dataclass(frozen=True)
-class TTable:
+class TTable(_Frozen):
     """Exact table of T(2n,d) for 1 <= d <= n <= max_n.
 
-    Entries for d > n are absent: those values are exactly zero.
+    ``entries`` maps (n, d) to a PiPower.  Entries for d > n are absent:
+    those values are exactly zero.
     """
 
-    max_n: int
-    entries: dict[tuple[int, int], PiPower]
+    __slots__ = ("max_n", "entries")
 
     def value(self, n: int, d: int) -> PiPower:
         n, d = _check_args(n, d)
@@ -250,16 +248,14 @@ def T_table_from_genfunc(max_n: int) -> TTable:
     return TTable(max_n, entries)
 
 
-@dataclass(frozen=True)
-class CoeffRow:
+class CoeffRow(_Frozen):
     """Symbolic coefficients of a fixed-depth row, independent of n:
 
     T(2n,d) = pairs[0] * t(2n) + sum_{j>=1} pairs[j] * t(2j) t(2n-2j),
-    with j running over 0..(d-1)//2.
+    with j running over 0..(d-1)//2; each pair is (j, Fraction).
     """
 
-    depth: int
-    pairs: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("depth", "pairs")
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -277,11 +273,8 @@ def coeff_row(d: int) -> CoeffRow:
     return CoeffRow(d, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class DepthSumResult:
-    lhs: PiPower
-    rhs: PiPower
-    equal: bool
+class DepthSumResult(_Frozen):
+    __slots__ = ("lhs", "rhs", "equal")
 
 
 def depth_sum_identity(n: int) -> DepthSumResult:
@@ -340,14 +333,8 @@ def _bernoulli_euler_weights(d: int) -> tuple[int, ...]:
     return tuple(math.comb(2 * d - 2 * j - 2, d - 1) for j in range((d - 1) // 2 + 1))
 
 
-@dataclass(frozen=True)
-class BernoulliEulerResult:
-    n: int
-    d: int
-    case: str  # "d<=n", "n<d<2n", or "d>=2n"
-    lhs: Fraction
-    rhs: Fraction
-    passed: bool
+class BernoulliEulerResult(_Frozen):
+    __slots__ = ("n", "d", "case", "lhs", "rhs", "passed")  # case: "d<=n", "n<d<2n" or "d>=2n"
 
 
 def bernoulli_euler_check(n: int, d: int) -> BernoulliEulerResult:

@@ -100,12 +100,11 @@ its factor 2 (tail_order=1) or its (2N-1)**-s_1 term (tail_order=0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, floordiv, index, mul
 from typing import Iterator, Sequence
 
-from .exact import PiPower
+from .exact import PiPower, _Frozen
 
 # mpmath is imported inside the functions that use it, so that importing
 # the package for exact work never loads it.
@@ -133,23 +132,23 @@ class DivergentSeriesError(ValueError):
     """Raised when the requested nested series does not converge."""
 
 
-@dataclass(frozen=True)
-class PrecReal:
-    """A numeric value with a tracked non-negative absolute error bound.
+class PrecReal(_Frozen):
+    """A numeric value with a tracked non-negative absolute error bound,
+    both mpmath numbers.
 
     Arithmetic is carried out exactly (sums and differences of binary floats
     are exactly representable), so combining values never loses precision
     regardless of the ambient mpmath context; error bounds add.
     """
 
-    value: mp.mpf
-    err: mp.mpf
+    __slots__ = ("value", "err")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: mp.mpf, err: mp.mpf) -> None:
         import mpmath as mp
 
-        if not (self.err >= 0 and mp.isfinite(self.err)):
-            raise ValueError(f"error bound must be finite and >= 0, got {self.err}")
+        if not (err >= 0 and mp.isfinite(err)):
+            raise ValueError(f"error bound must be finite and >= 0, got {err}")
+        super().__init__(value, err)
 
     def __sub__(self, other: "PrecReal") -> "PrecReal":
         import mpmath as mp
@@ -160,20 +159,19 @@ class PrecReal:
         )
 
 
-@dataclass(frozen=True)
-class TruncationParams:
-    """Outer-index cutoff N and tail policy for the series oracle."""
+class TruncationParams(_Frozen):
+    """Outer-index cutoff N and tail policy for the series oracle
+    (tail_order 0: raw partial sum, 1: first-order integral correction)."""
 
-    terms: int = DEFAULT_TERMS
-    tail_order: int = 1  # 0: raw partial sum, 1: first-order integral correction
+    __slots__ = ("terms", "tail_order")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _index(self.terms))
-        object.__setattr__(self, "tail_order", _index(self.tail_order))
-        if self.terms < 1:
-            raise ValueError(f"terms must be >= 1, got {self.terms}")
-        if self.tail_order not in (0, 1):
-            raise ValueError(f"tail_order must be 0 or 1, got {self.tail_order}")
+    def __init__(self, terms: int = DEFAULT_TERMS, tail_order: int = 1) -> None:
+        terms, tail_order = _index(terms), _index(tail_order)
+        if terms < 1:
+            raise ValueError(f"terms must be >= 1, got {terms}")
+        if tail_order not in (0, 1):
+            raise ValueError(f"tail_order must be 0 or 1, got {tail_order}")
+        super().__init__(terms, tail_order)
 
 
 def _index(k: int) -> int:
@@ -337,7 +335,7 @@ def _weight_ladder(n: int, N: int, scale: int) -> tuple[list[list[int]], list[li
 # The finished rows of every weight up to the top weight of the last ladder
 # pass, per (terms, tail_order, dps): _rows[key][w-1][d-1] is T(2w,d).  The
 # key holds the fields of TruncationParams rather than the instance, whose
-# generated __hash__ is a Python call.
+# __hash__ is a Python call.
 _rows: dict[tuple[int, int, int], tuple[tuple[PrecReal, ...], ...]] = {}
 
 

@@ -11,31 +11,25 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import exact, formulas, oracle, series, symfunc
+from .exact import _Frozen
 
 __all__ = ["Case", "Report", "SUITES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class Case:
-    id: str
-    params: dict
-    expected: str
-    actual: str
-    passed: bool
-    elapsed_s: float  # since the previous case was added, or the report made
+class Case(_Frozen):
+    # elapsed_s: since the previous case was added, or the report made
+    __slots__ = ("id", "params", "expected", "actual", "passed", "elapsed_s")
 
 
-@dataclass
 class Report:
-    suite: str
-    cases: list[Case] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    _last: float = field(default_factory=time.perf_counter, init=False, repr=False,
-                         compare=False)
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.cases: list[Case] = []
+        self.wall_time_s = 0.0
+        self._last = time.perf_counter()
 
     @property
     def total(self) -> int:
@@ -249,7 +243,8 @@ def run_suite(name: str, **overrides) -> Report:
         rep = Report("all")
         for sub in SUITES:
             for c in run_suite(sub, **overrides).cases:
-                rep.cases.append(replace(c, id=f"{sub}/{c.id}"))
+                rep.cases.append(Case(f"{sub}/{c.id}", c.params, c.expected, c.actual, c.passed,
+                                      c.elapsed_s))
     elif name in SUITES:
         suite, defaults = SUITES[name]
         kwargs = dict(defaults)

@@ -1,6 +1,6 @@
 """mpmath loads on the first numeric call: ``import tsums``, its
-submodules and the exact CLI commands never import it, and the package
-offers every public name of every layer."""
+submodules and the exact CLI commands never import it, nor ``dataclasses``
+or ``inspect``, and the package offers every public name of every layer."""
 
 import json
 import os
@@ -17,6 +17,9 @@ from tsums.cli import main
 
 SRC = str(Path(tsums.formulas.__file__).resolve().parents[1])
 NUMERIC = ["mpmath"]
+# Slow to import and needed by no exact command: the package's records are
+# slotted classes (exact._Frozen), not dataclasses.
+STARTUP = ["dataclasses", "inspect"]
 
 # The package's public names, in this order.
 PUBLIC = [
@@ -61,6 +64,25 @@ def test_exact_commands_load_no_numeric_layer():
         print(json.dumps(loaded))
     """)
     assert loaded == {stage: [] for stage in loaded} and len(loaded) == 4
+
+
+def test_start_up_loads_no_dataclasses_inspect_or_mpmath():
+    loaded = fresh(f"""
+        import contextlib, io, json, sys
+        watched = {STARTUP + NUMERIC!r}
+        import tsums
+        loaded = {{"import tsums": [m for m in watched if m in sys.modules]}}
+        from tsums import cli
+        loaded["from tsums import cli"] = [m for m in watched if m in sys.modules]
+        for argv in (["table", "--max-n", "8"], ["coeffs", "--depth", "5"],
+                     ["verify", "--suite", "depth-sum"]):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            loaded[" ".join(argv)] = [m for m in watched if m in sys.modules]
+        print(json.dumps(loaded))
+    """)
+    assert loaded == {stage: [] for stage in loaded} and len(loaded) == 5
 
 
 def test_star_import_gives_every_name():

@@ -163,16 +163,13 @@ class TestEulerMemo:
                 assert T_from_euler(n, d) == want, (n, d)
 
     def test_filled_from_euler_table(self, monkeypatch):
-        # T(6,1) reads E_4; a corrupted E_4 must reach a freshly filled memo
-        # through a fresh weight row.
-        good = T_from_euler(3, 1)
-
-        def corrupt(m):
-            return euler_number(m) + 2 if m == 4 else euler_number(m)
-
-        monkeypatch.setattr(tsums.formulas, "euler_number", corrupt)
+        # T(6,1) reads E_4; a corrupted E_4 in the Euler table must reach a
+        # freshly filled memo through a fresh weight row.
+        good = T_from_euler(3, 1)  # grows the table past E_4
         tsums.formulas._euler_weights.cache_clear()
         T_from_euler.cache_clear()
+        table = tsums.exact._euler_even
+        monkeypatch.setattr(tsums.exact, "_euler_even", [*table[:2], table[2] + 2, *table[3:]])
         try:
             assert T_from_euler(3, 1) != good
             assert T_from_euler(3, 2) == PiPower(Fraction(1, 3840), 6)

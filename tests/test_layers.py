@@ -41,7 +41,15 @@ def imports(module):
 
 
 def test_oracle_takes_only_pi_power_from_exact():
-    assert imports("oracle") == {"exact": {"PiPower"}}
+    # _Frozen is the base of the package's records and holds no number and
+    # no route: only the record plumbing.
+    assert imports("oracle") == {"exact": {"PiPower", "_Frozen"}}
+    plumbing = {"__init_subclass__", "__init__", "__eq__", "__hash__", "__repr__",
+                "__reduce__", "__setattr__", "__delattr__"}
+    held = set(vars(tsums.exact._Frozen))
+    assert held - {"__module__", "__qualname__", "__doc__", "__slots__",
+                   "__firstlineno__", "__static_attributes__"} == plumbing
+    assert tsums.exact._Frozen.__slots__ == ()
 
 
 def test_symfunc_takes_only_prec_real_from_oracle():
