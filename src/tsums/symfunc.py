@@ -42,8 +42,10 @@ L = d.  That is N_{n,d}, and 1 at n = d = 0.  Every integer argument
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import floordiv, mul
 from typing import Iterator
 
 from .exact import _index
@@ -239,16 +241,58 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
     )
 
 
+# Indices per block of the power-sum pass: large enough that the loops over
+# indices run in C, small enough that a block's lists stay small.
+_BLOCK = 512
+
+# The quotients scale // (2i-1)**(2j), i = 1..M, of the last power sum
+# computed, as [(M, scale), j, quotients].  Advanced under symfunc's own
+# lock, so a concurrent caller never reads a half-advanced list.
+_chain_lock = threading.Lock()
+_chain: list = [None, 0, None]
+
+
+def _power_sum(j: int, M: int, scale: int) -> int:
+    """sum_{i<=M} scale // (2i-1)**(2j), j >= 1, dividing the kept
+    quotients on to degree j (see :func:`_generator_value`)."""
+    with _chain_lock:
+        key, reached, q = _chain
+        _chain[:] = None, 0, None  # until the pass completes: an interrupted one restarts
+        if key != (M, scale) or reached >= j:
+            q = None  # drop the old list before building the new one
+            reached, q = 0, [scale] * M
+        total = 0
+        for lo in range(0, M, _BLOCK):
+            bs = range(2 * lo + 1, 2 * min(lo + _BLOCK, M), 2)
+            x = q[lo:lo + _BLOCK]
+            for _ in range(reached, j):
+                # One division by b**2 while it fits one 30-bit CPython
+                # digit; beyond, two by the one-digit b, which floor the same.
+                x = list(map(floordiv, x, map(mul, bs, bs)) if bs[-1] < 1 << 15
+                         else map(floordiv, map(floordiv, x, bs), bs))
+            q[lo:lo + _BLOCK] = x
+            total += sum(x)
+        _chain[:] = (M, scale), j, q
+        return total
+
+
 @lru_cache(maxsize=None)
 def _generator_value(kind: str, j: int, num_vars: int, dps: int):
     """Numeric image of one generator under x_i -> 1/(2i-1)**2, truncated to
     the first num_vars variables.  Returns (value, err) as mpf, and the
     exact (1, 0) for e_0 = h_0 = 1.
 
-    p_j, asked for only at j >= 1, is one fixed-point integer pass,
-    sum_{i<=M} scale // (2i-1)**(2j) with scale = 10**(dps+20).  e_j and h_j
-    follow from the power sums by Newton's identities, which hold in any
-    number of variables:
+    p_j, asked for only at j >= 1, is the fixed-point integer
+    sum_{i<=M} scale // (2i-1)**(2j) with scale = 10**(dps+20).
+    :func:`_power_sum` keeps the M quotients of the last p_j and divides
+    each once more by (2i-1)**2 for p_{j+1}; as floor(floor(a/b)/c) =
+    floor(a/(bc)), that is the integer of a direct pass, so the allowance
+    below is unchanged.  A request for another (M, dps), or for a j at or
+    below the one reached, restarts the chain from scale: correct, only
+    slower.  Newton's identities ask for p_1, p_2, ... in rising order, so
+    each new degree costs one division per variable.  e_j and h_j follow
+    from the power sums by Newton's identities, which hold in any number
+    of variables:
 
       j e_j = sum_{r=1}^{j} (-1)**(r-1) e_{j-r} p_r,
       j h_j = sum_{r=1}^{j} h_{j-r} p_r,
@@ -289,7 +333,7 @@ def _generator_value(kind: str, j: int, num_vars: int, dps: int):
     scale = 10 ** (dps + 20)
     with mp.workdps(dps + 10):
         if kind == "p":
-            total = sum(scale // (2 * i - 1) ** (2 * j) for i in range(1, M + 1))
+            total = _power_sum(j, M, scale)
             err = mp.mpf(2 * M - 1) ** (1 - 2 * j) / (2 * (2 * j - 1))
             return mp.mpf(total) / scale, +(err + mp.mpf(M + 10**10) / scale)
         if kind not in ("e", "h"):

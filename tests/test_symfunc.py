@@ -1,9 +1,15 @@
 """Symmetric polynomials, the depth-graded monomial sums, and the numeric
 specialization x_j -> 1/(2j-1)**2."""
 
+import gc
 import itertools
 import math
+import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -16,6 +22,7 @@ from tsums.symfunc import (
     SymPoly,
     _expand,
     _generator_value,
+    _power_sum,
     check_bivariate_factorization,
     check_monomial_expansion,
     monomial_depth_expr,
@@ -277,11 +284,14 @@ class TestSpecialization:
 
     @pytest.mark.parametrize("num_vars, dps", [(100.0, 15), (True, 15), (7, True)])
     def test_rejects_non_integer_sizes_before_any_work(self, num_vars, dps):
-        # Refused before _generator_value caches anything (e_0 included).
+        # Refused before _generator_value caches anything (e_0 included)
+        # and before the power-sum chain moves.
         before = _generator_value.cache_info().currsize
+        chain = list(tsums.symfunc._chain)
         with pytest.raises(TypeError):
             specialize_odd_squares(GenExpr.elem(1), num_vars, dps)
         assert _generator_value.cache_info().currsize == before
+        assert all(a is b for a, b in zip(tsums.symfunc._chain, chain, strict=True))
 
     def test_rounding_allowance_at_lowest_precision(self):
         # The former blanket allowance 10**(10-dps) made e_1's err 1.0 at
@@ -431,3 +441,112 @@ class TestSpecializationExact:
                 assert gap <= allowance, (n, d, m, gap)
                 want = pi_power_eval(T_from_euler(n, d), self.DPS)
                 assert abs(got.value - want.value) <= got.err, (n, d, m)
+
+
+@lru_cache(maxsize=None)
+def _direct_power_sum(j, m, dps):
+    """The direct generator pass that the chained one replaced, verbatim:
+    sum_{i<=m} scale // (2i-1)**(2j) with scale = 10**(dps+20)."""
+    scale = 10 ** (dps + 20)
+    return sum(scale // (2 * i - 1) ** (2 * j) for i in range(1, m + 1))
+
+
+class TestChainedPowerSums:
+    """p_j divides the kept quotients of p_{j-1} once more: the same integer
+    as the direct pass, whatever the order of asking.  The sizes straddle the
+    block edge (512) and the one-digit-square edge 2m-1 = 2**15 (m = 16385)."""
+
+    SIZES = (2, 5, 511, 512, 513, 16384, 16385, 20000)
+    DPSES = (10, 30)
+
+    @classmethod
+    def _ask(cls, order):
+        """Every (value, err) of p_j, e_j and h_j, j <= 8, asked in order
+        from an empty cache."""
+        cells = list(itertools.product(cls.SIZES, cls.DPSES))
+        js = range(8, 0, -1) if order == "falling" else range(1, 9)
+        if order == "interleaved":
+            keys = [(kind, j, m, dps) for j in js for m, dps in cells for kind in "peh"]
+        else:
+            keys = [(kind, j, m, dps) for m, dps in cells for j in js for kind in "peh"]
+        _generator_value.cache_clear()
+        return {key: _generator_value(*key) for key in keys}
+
+    @pytest.fixture(scope="class")
+    def rising(self):
+        return self._ask("rising")
+
+    def test_rising_order_matches_the_direct_pass(self, rising):
+        for (kind, j, m, dps), (value, _) in rising.items():
+            if kind == "p":
+                scale = 10 ** (dps + 20)
+                total = _direct_power_sum(j, m, dps)
+                assert _power_sum(j, m, scale) == total, (j, m, dps)
+                with mp.workdps(dps + 10):
+                    assert value == mp.mpf(total) / scale, (j, m, dps)
+
+    @pytest.mark.parametrize("order", ["falling", "interleaved"])
+    def test_any_order_gives_the_same_values(self, rising, order):
+        # Restarts included; e_j and h_j follow from the p_r, so they agree too.
+        assert self._ask(order) == rising
+
+    def test_interleaved_calls_keep_one_quotient_list(self):
+        self._ask("interleaved")
+        last_m, last_dps = self.SIZES[-1], self.DPSES[-1]
+        (m, scale), _, quotients = tsums.symfunc._chain
+        assert (m, scale, len(quotients)) == (last_m, 10 ** (last_dps + 20), last_m)
+        # A quotient list starts with scale // 1 = scale at every degree.
+        scales = {10 ** (dps + 20) for dps in self.DPSES}
+        gc.collect()
+        kept = [x for x in gc.get_objects()
+                if type(x) is list and len(x) in self.SIZES and type(x[0]) is int
+                and x[0] in scales]
+        assert len(kept) == 1 and kept[0] is quotients
+
+    def test_concurrent_askers_get_the_direct_sums(self):
+        # 8 threads released together, each asking four times for p_1..p_6
+        # at one m in its own order: every restart and extension happens
+        # under the chain's lock, so none reads a half-advanced list.
+        m, dps, count = 4000, 30, 8
+        scale = 10 ** (dps + 20)
+        want = {j: _direct_power_sum(j, m, dps) for j in range(1, 7)}
+        orders = [list(range(1, 7)), list(range(6, 0, -1))]
+        rng = random.Random(27)
+        while len(orders) < count:
+            orders.append(rng.sample(range(1, 7), 6))
+        barrier = threading.Barrier(count)
+        seen = [None] * count
+
+        def worker(i):
+            barrier.wait()
+            seen[i] = [{j: _power_sum(j, m, scale) for j in orders[i]} for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [[want] * 4] * count
+
+    def test_no_second_quotient_list_is_built(self):
+        # p_1..p_4 at 20 000 variables: the traced peak stays below 1.5
+        # times one list of the p_1 quotients (the largest of the chain).
+        m, dps = 20_000, 30
+        scale = 10 ** (dps + 20)
+        one_list = sys.getsizeof([0] * m) + sum(
+            sys.getsizeof(scale // (2 * i - 1) ** 2) for i in range(1, m + 1))
+        _generator_value.cache_clear()
+        tracemalloc.start()
+        try:
+            for j in range(1, 5):
+                _generator_value("p", j, m, dps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_list, (peak, one_list)
