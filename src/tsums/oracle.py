@@ -7,7 +7,8 @@ A_i(m) over m >= n_{i+1} > ... > n_d of prod_{j>i} (2n_j - 1)**-s_j
 A_{i+1} before index m adds to it (the indices stay strict).  The indices
 run in blocks of B = _BLOCK, and each block one level at a time, i = d-1
 down to 0: level i's additions over the block are the floor divisions of
-level i+1's values before each index, and their running sums
+level i+1's values before each index by (2m-1)**s_{i+1} (see Divisions
+below), and their running sums
 (itertools.accumulate) are the values before each index that level i-1
 reads; A_0 feeds nothing, so its additions are only summed.  A_0(N) is the
 partial sum; the inner sums A_i(N-1), kept from before the last index, feed
@@ -41,9 +42,7 @@ ascending, and per k, w ascending, so that g carries G_k[w-1].  A cell's
 g over the block divides the values of S[k-1][w-1] before each index, and
 its running sums are the values of S[k][w] before each index that level
 k+1 reads; the cells with k = n or w = n feed no later cell, so their g
-is only summed.  While the block's 2m-1 < 2**15, (2m-1)**2 fits one 30-bit
-CPython digit and the division is one; beyond, it is two divisions by
-2m-1, which floor the same (floor(floor(x/b)/b) = floor(x/b**2)).  One pass
+is only summed; its division by (2m-1)**2 follows the rule below.  One pass
 of the top weight n serves every depth of every weight w <= n, because a
 cell S[k][w] depends only on cells of weight below w and never on n; it
 costs n(n+1)/2 updates per index and O(n*B) memory.  The member bounds
@@ -54,10 +53,22 @@ the member bounds up to float rounding.  Both passes end in _finish, which
 converts the fixed-point sum and adds one tail correction and bound per
 leading exponent.
 
+Divisions.  Both passes divide a block's values by b**e, b = 2m-1 (e =
+s_{i+1} in t_numeric, e = 2 in the ladder), by one rule (_divisors): a
+chain of floor divisions by one-digit powers of b whenever at most two of
+them make up b**e, otherwise one division by b**e.  CPython divides by one
+digit about twice as fast as by several.  The one-digit powers are b**2
+while the block's b < 2**15 (it fits one 30-bit digit) and b above, so the
+chain serves e <= 4 below 2**15 and e <= 2 above.  Each divisor list is
+built once per block.
+
 Quantization.  The blocks change only the order in which the floors run:
 each floor divides the sum it read one index at a time, as it stood before
 its index, by the same divisor.  So every sum is the same integer for any
 B, and the bounds below, proved for one index at a time, hold unchanged.
+Nor do the chains change a sum: floor(floor(x/a)/c) = floor(x/(ac)) for
+integers x >= 0 and a, c >= 1, so a chain yields the integer of one floor
+division by b**e, the one floor per division that the bounds count.
 Each floor division subtracts some theta in [0, 1) ulp from a linear
 recurrence with non-negative coefficients, so every sum falls short
 by the thetas, each weighted by how much a unit in it adds to that sum;
@@ -101,8 +112,8 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import add, floordiv, index, mul
-from typing import Iterator, Sequence
+from operator import add, floordiv, index
+from typing import Iterable, Iterator, Sequence
 
 from .exact import PiPower, _Frozen
 
@@ -231,16 +242,35 @@ def _blocks(M: int) -> Iterator[range]:
     return (range(b, min(b + 2 * _BLOCK, end), 2) for b in range(1, end, 2 * _BLOCK))
 
 
+def _divisors(bs: range, exps: Iterable[int]) -> dict[int, tuple[Sequence[int], ...]]:
+    """For each exponent e in exps, the divisor lists over the block bs whose
+    chained floor divisions divide by b**e: at most two one-digit powers of
+    b (b**2 while the block's b < 2**15, b above), else the one list of
+    b**e (see the module docstring).  Each list is built once."""
+    top = 2 if bs[-1] < 1 << 15 else 1  # the highest power of b in one digit
+    parts = {e: (top, e - top) if top < e <= 2 * top else (e,) for e in set(exps)}
+    lists = {p: bs if p == 1 else list(map(pow, bs, repeat(p)))
+             for p in set().union(*parts.values())}
+    return {e: tuple(lists[p] for p in ps) for e, ps in parts.items()}
+
+
 def _t_block(A: list[int], exps: Sequence[int], bs: range) -> None:
     """Add the indices b in bs to the partial sums A of t_numeric, with
-    exponents exps, one level at a time (see the module docstring)."""
-    powers = {e: bs if e == 1 else list(map(pow, bs, repeat(e))) for e in set(exps)}
+    exponents exps, one level at a time: each level's additions chain the
+    floor divisions by its exponent's divisor lists (_divisors), built once
+    per block (see the module docstring)."""
+    divs = _divisors(bs, exps)
     below = repeat(A[-1])  # A_d before each index
-    for i in range(len(exps) - 1, 0, -1):
-        run = list(accumulate(map(floordiv, below, powers[exps[i]]), initial=A[i]))
-        A[i] = run.pop()
-        below = run
-    A[0] += sum(map(floordiv, below, powers[exps[0]]))
+    for i in range(len(exps) - 1, -1, -1):
+        q = below
+        for div in divs[exps[i]]:
+            q = map(floordiv, q, div)
+        if i == 0:  # A_0 feeds nothing
+            A[0] += sum(q)
+        else:
+            run = list(accumulate(q, initial=A[i]))
+            A[i] = run.pop()
+            below = run
 
 
 def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]:
@@ -299,9 +329,7 @@ def _ladder_block(S: list[list[int]], bs: range) -> None:
     """Add the indices b = 2m-1 in bs to the weight-ladder sums S, k
     ascending (see the module docstring)."""
     n = len(S) - 1
-    # One division by b**2 while it fits one 30-bit CPython digit; beyond,
-    # two by the one-digit b, which floor the same.
-    squares = list(map(mul, bs, bs)) if bs[-1] < 1 << 15 else None
+    divs = _divisors(bs, (2,))[2]
     below = {0: repeat(S[0][0])}  # S_0[w] before each index; 0 for w >= 1
     for k in range(1, n + 1):
         row, before, g = S[k], {}, None
@@ -309,8 +337,9 @@ def _ladder_block(S: list[list[int]], bs: range) -> None:
             x = below.get(w - 1)  # None for S_0[w-1] = 0
             if g is not None:
                 x = g if x is None else map(add, x, g)
-            q = (map(floordiv, x, squares) if squares
-                 else map(floordiv, map(floordiv, x, bs), bs))
+            q = x
+            for div in divs:
+                q = map(floordiv, q, div)
             if w == n:  # feeds no later cell
                 row[w] += sum(q)
             else:

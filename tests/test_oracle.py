@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import operator
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -134,9 +136,34 @@ class TestBlocks:
     def test_one_digit_square_limit(self, monkeypatch, block, N):
         # b = 2m-1 reaches 2**15 at m = 16385, where b**2 takes a second
         # digit; blocks of 5 straddle it, the default ones end at b = 32767.
+        # The vectors divide by b**e for e = 1..5 and a capped 1000 on both
+        # sides of it.
         monkeypatch.setattr(oracle, "_BLOCK", block)
         for n in (1, 2, 5):
             self.check_ladder(n, N)
+        for s in ([5, 4, 3, 2, 1], [3, 1000]):
+            assert oracle._t_sums(s, N, self.scale) == _reference_t_sums(s, N, self.scale), (s, N)
+
+    @pytest.mark.parametrize("bs", [range(1, 64, 2), range(32701, 1 << 15, 2), range(32741, 32800, 2)],
+                             ids=["from-1", "below-2**15", "straddles-2**15"])
+    def test_divisors_chain_to_the_power(self, bs):
+        # Chained floors by at most two lists divide by b**e exactly; a
+        # chain of two takes one-digit (30-bit) divisors only.
+        rng = random.Random(20261019)
+        exps = [1, 2, 3, 4, 5, 6, 1000]
+        divs = oracle._divisors(bs, exps)
+        assert sorted(divs) == exps
+        for e in exps:
+            chain = divs[e]
+            assert 1 <= len(chain) <= 2, (e, bs)
+            if len(chain) == 2:
+                assert all(div < 1 << 30 for div in itertools.chain(*chain)), (e, bs)
+            for _ in range(3):
+                xs = [rng.getrandbits(300) for _ in bs]
+                q = xs
+                for div in chain:
+                    q = list(map(operator.floordiv, q, div))
+                assert q == [x // b**e for x, b in zip(xs, bs)], (e, bs)
 
 
 class TestTNumeric:
