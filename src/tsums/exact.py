@@ -24,10 +24,10 @@ module lock, and appends the new entries in one step, so every reader sees
 a consistent prefix.
 
 Every index is taken through :func:`_index`, the package's one integer
-check (``series`` and ``oracle`` keep a copy): a bool or float raises
-``TypeError`` before any work.  The two memos are keyed by argument type,
-so ``t_even(True)`` misses the entry of 1 and is refused, while a hit on an
-int entry runs no check at all.
+check (only ``series``, which imports nothing from the package, keeps a
+copy): a bool or float raises ``TypeError`` before any work.  The two
+memos are keyed by argument type, so ``t_even(True)`` misses the entry of 1
+and is refused, while a hit on an int entry runs no check at all.
 
 Sign conventions: B_1 = -1/2 (the x/(e^x - 1) generating function) and the
 Euler numbers are the signed integers with sec x = sum (-1)**j E_{2j} x**(2j)

@@ -77,13 +77,6 @@ def _over_one_denominator(
     return den, tuple(p * (den // q) for p, q in zip(nums, dens))
 
 
-def _sum_products(terms: Iterable[tuple[Fraction | int, ...]]) -> Fraction:
-    """Exact sum of the products of the tuples in ``terms``, summed over one
-    common denominator and normalised once.  An empty input sums to 0."""
-    den, nums = _over_one_denominator(terms)
-    return Fraction(sum(nums), den)
-
-
 def t_all_twos(n: int) -> PiPower:
     """t(2,2,...,2) with n twos: pi**(2n) / (4**n (2n)!)."""
     n = _index(n)
@@ -232,20 +225,16 @@ class TTable(_Frozen):
 
 def T_table_from_genfunc(max_n: int) -> TTable:
     """All T(2n,d) for n <= max_n by coefficient extraction from the
-    generating function c((1-v)y)/c(y), rescaled by pi**(2n) / 4**n.  The
-    rescaling by 4**n is folded into the one Fraction the series builds per
-    cell."""
+    generating function c((1-v)y/4)/c(y/4), whose y**n v**d coefficient is
+    T(2n,d) / pi**(2n) (:func:`tsums.series.genfunc_biseries`).  Each cell's
+    one Fraction is the PiPower's coefficient as it is; every cell with
+    d <= n is an entry, since T(2n,d) is a sum of positive terms."""
     max_n = _index(max_n)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    phi = genfunc_biseries(max_n, per_pi_power=True)
-    entries: dict[tuple[int, int], PiPower] = {}
-    for n in range(1, max_n + 1):
-        for d in range(1, n + 1):
-            c = phi[n][d]
-            if c:
-                entries[(n, d)] = PiPower(c, 2 * n)
-    return TTable(max_n, entries)
+    phi = genfunc_biseries(max_n)
+    return TTable(max_n, {(n, d): PiPower(phi[n][d], 2 * n)
+                          for n in range(1, max_n + 1) for d in range(1, n + 1)})
 
 
 class CoeffRow(_Frozen):
@@ -286,7 +275,8 @@ def depth_sum_identity(n: int) -> DepthSumResult:
     n = _index(n)
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
-    lhs = PiPower(_sum_products((T_from_euler(n, d).coeff,) for d in range(1, n + 1)), 2 * n)
+    den, nums = _over_one_denominator((T_from_euler(n, d).coeff,) for d in range(1, n + 1))
+    lhs = PiPower(Fraction(sum(nums), den), 2 * n)
     rhs = PiPower(
         Fraction((-1) ** n * euler_number(2 * n), 4**n * math.factorial(2 * n)),
         2 * n,

@@ -112,10 +112,10 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import add, floordiv, index
+from operator import add, floordiv
 from typing import Iterable, Iterator, Sequence
 
-from .exact import PiPower, _Frozen
+from .exact import PiPower, _Frozen, _index
 
 # mpmath is imported inside the functions that use it, so that importing
 # the package for exact work never loads it.
@@ -183,14 +183,6 @@ class TruncationParams(_Frozen):
         if tail_order not in (0, 1):
             raise ValueError(f"tail_order must be 0 or 1, got {tail_order}")
         super().__init__(terms, tail_order)
-
-
-def _index(k: int) -> int:
-    """k as a plain int through ``operator.index``; a bool or a float raises
-    TypeError (``exact._index``, copied: this module takes only PiPower)."""
-    if isinstance(k, bool):
-        raise TypeError(f"expected an integer, got {k!r}")
-    return index(k)
 
 
 def _check_dps(dps: int) -> int:
@@ -414,14 +406,19 @@ def T_numeric(
     far, which serves every depth of every lower weight (memoized).  The
     bound equals the sum of the t_numeric member bounds up to float
     rounding.  Requires integers n, d >= 1 and dps >= MIN_DPS.  A memoized
-    cell costs one dict lookup, and so does a float dps equal to that of a
-    memoized row; any other call checks n, d and dps (_index) before any
-    work, then reads the memo.  Cost O(n**2 * N) per new top weight."""
+    cell asked for with an int dps costs one dict lookup; any other call
+    checks n, d and dps (_index) before any work, then reads the memo, so a
+    float or Fraction dps is refused whether or not its row is memoized.
+    Cost O(n**2 * N) per new top weight."""
     # A hit is one dict lookup on a key of plain fields, with no Python-level
-    # call (hashing params itself would make one).  Of what _index refuses,
-    # only True passes the comparisons and the index.
+    # call (hashing params itself would make one).  Of the n and d that
+    # _index refuses, only True passes the comparisons and the index.  A
+    # float or Fraction dps hashes like the equal int and would find its
+    # row, so the key holds dps | 0: dps itself for an int, a TypeError for
+    # a float or Fraction.  On the first calls of a process it costs about
+    # a third of what a test of type(dps) does.
     try:
-        rows = _rows.get((params.terms, params.tail_order, dps), ())
+        rows = _rows.get((params.terms, params.tail_order, dps | 0), ())
         if 1 <= d <= n <= len(rows) and n is not True and d is not True:
             return rows[n - 1][d - 1]
     except TypeError:
@@ -448,8 +445,6 @@ def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:
     import mpmath as mp
 
     dps = _check_dps(dps)
-    if x.is_zero():
-        return PrecReal(mp.mpf(0), mp.mpf(0))
     with mp.workdps(dps + 5):
         value = mp.mpf(x.coeff.numerator) / x.coeff.denominator * mp.pi**x.pi_exp
         err = abs(value) * mp.mpf(10) ** (2 - dps)

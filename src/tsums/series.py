@@ -14,7 +14,9 @@ into series with rational coefficients.  Writing c(y) = sum (-1)**n y**n
 / (2n)! we have cos(pi*sqrt(u)/2) = c(pi**2 u / 4), and the bivariate
 quotient c((1-v)*y)/c(y) is the generating function whose y**n v**d
 coefficient equals T(2n,d) * 4**n / pi**(2n) -- an exact rational.
-Conversion back to pi-power values happens in :mod:`tsums.formulas`.
+:func:`genfunc_biseries` expands c((1-v)y/4)/c(y/4) instead, whose
+coefficients are T(2n,d) / pi**(2n) themselves; conversion back to
+pi-power values happens in :mod:`tsums.formulas`.
 """
 
 from __future__ import annotations
@@ -99,24 +101,20 @@ def sin_sqrt_series(order: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((-1) ** n, factorial(2 * n + 1)) for n in range(order + 1))
 
 
-def genfunc_biseries(
-    order: int, *, per_pi_power: bool = False
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Bivariate expansion of c((1-v)y) / c(y) to order K in both y and v,
-    as the table ``phi[n][d]`` of y**n v**d coefficients, 0 <= n, d <= K.
+def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Bivariate expansion of c((1-v)y/4) / c(y/4) to order K in both y and
+    v, as the table ``phi[n][d]`` of y**n v**d coefficients, 0 <= n, d <= K.
 
-    The y**n v**d coefficient times pi**(2n) / 4**n is the sum T(2n,d) of
-    all multiple t-values of weight 2n and depth d.  Rows with d > n vanish,
-    and the d = 0 column is 1, 0, 0, ... since the v = 0 slice collapses to
-    c(y)/c(y).  With ``per_pi_power=True`` every row n is divided by 4**n,
-    so that phi[n][d] is T(2n,d) / pi**(2n) itself (the expansion of
-    c((1-v)y/4) / c(y/4)), at no extra normalisation: each cell is still
-    one Fraction, over (2n)! 4**n instead of (2n)!.
+    phi[n][d] is T(2n,d) / pi**(2n), where T(2n,d) is the sum of all
+    multiple t-values of weight 2n and depth d: the y**n v**d coefficient
+    of c((1-v)y)/c(y) divided by 4**n.  Rows with d > n vanish, and the
+    d = 0 column is 1, 0, 0, ... since the v = 0 slice collapses to
+    c(y/4)/c(y/4).  Each cell is one Fraction over (2n)! 4**n.
 
-    The numerator's y**k v**d coefficient is (-1)**d binom(k,d) c_k, so each
-    cell is the 1-D convolution (-1)**d sum_{k=d..n} binom(k,d) c_k sec_{n-k}
-    with the secant series sec = 1/c.  It runs in integers: with
-    a_j = sec_j (2j)! (the integer |E_2j|), c_k sec_{n-k} (2n)! is
+    The numerator's y**k v**d coefficient is (-1)**d binom(k,d) c_k, so
+    phi[n][d] 4**n is the 1-D convolution (-1)**d sum_{k=d..n} binom(k,d)
+    c_k sec_{n-k} with the secant series sec = 1/c.  It runs in integers:
+    with a_j = sec_j (2j)! (the integer |E_2j|), c_k sec_{n-k} (2n)! is
     p_k = (-1)**k binom(2n,2k) a_{n-k}, and the sums sum_k binom(k,d) p_k
     for every d are the coefficients of P(x+1), P(x) = sum_k p_k x**k,
     which one in-place Taylor shift per row gives.  The cells with d > n
@@ -135,7 +133,7 @@ def genfunc_biseries(
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 p[j] += p[j + 1]
-        scale = factorial(2 * n) << (2 * n if per_pi_power else 0)
+        scale = factorial(2 * n) << 2 * n
         rows.append(
             tuple(Fraction((-1) ** d * p[d], scale) for d in range(n + 1)) + (zero,) * (K - n)
         )

@@ -49,7 +49,7 @@ from operator import floordiv, mul
 from typing import Iterator
 
 from .exact import _index
-from .oracle import MIN_DPS, PrecReal
+from .oracle import PrecReal, _check_dps
 
 # mpmath is imported inside the functions that use it, as in oracle.
 
@@ -356,9 +356,9 @@ def specialize_odd_squares(
 
     Truncates the variable list at num_vars and attaches a first-order tail
     bound; the value itself is the truncated specialization.  dps must be
-    an integer >= MIN_DPS: the power sums are fixed-point passes at
-    10**(dps+20), and the rounding allowance of each generator is
-    derived in :func:`_generator_value`.
+    an integer >= MIN_DPS, the oracle's floor (checked by its _check_dps):
+    the power sums are fixed-point passes at 10**(dps+20), and the rounding
+    allowance of each generator is derived in :func:`_generator_value`.
     Each term c e_k h_l contributes c v_e v_h, with the error
     |c| (err_e (|v_h| + err_h) + err_h (|v_e| + err_e)) of a product.
 
@@ -375,9 +375,7 @@ def specialize_odd_squares(
     """
     import mpmath as mp
 
-    num_vars, dps = _index(num_vars), _index(dps)
-    if dps < MIN_DPS:
-        raise ValueError(f"precision must be >= {MIN_DPS} digits, got {dps}")
+    num_vars, dps = _index(num_vars), _check_dps(dps)
     if num_vars < 2:
         raise ValueError(f"need at least 2 variables, got {num_vars}")
     den = math.lcm(*(c.denominator for c in expr.terms.values()))

@@ -253,17 +253,20 @@ terms_st = st.lists(st.lists(fractions_st, min_size=1, max_size=3).map(tuple), m
 @settings(max_examples=200)
 @given(terms_st)
 def test_sum_products_equals_fraction_fold(terms):
-    want = sum((reduce(mul, factors) for factors in terms), Fraction(0))
-    got = tsums.formulas._sum_products(terms)
-    assert type(got) is Fraction and got == want
-    assert tsums.formulas._sum_products(iter(terms)) == want
+    # The products over one denominator, summed, are the Fraction fold.
+    want = [reduce(mul, factors) for factors in terms]
+    den, nums = tsums.formulas._over_one_denominator(terms)
+    assert type(den) is int and all(type(q) is int for q in nums)
+    assert [Fraction(q, den) for q in nums] == want
+    assert Fraction(sum(nums), den) == sum(want, Fraction(0))
+    assert tsums.formulas._over_one_denominator(iter(terms)) == (den, nums)
 
 
 def test_sum_products_edge_cases():
-    sum_products = tsums.formulas._sum_products
-    assert sum_products([]) == 0
-    assert sum_products([(Fraction(0, 7),), (Fraction(-3, 4), 2)]) == Fraction(-3, 2)
-    assert sum_products([(Fraction(1, 6), Fraction(-6))]) == -1
+    over_one_denominator = tsums.formulas._over_one_denominator
+    assert over_one_denominator([]) == (1, ())
+    assert over_one_denominator([(Fraction(0, 7),), (Fraction(-3, 4), 2)]) == (4, (0, -6))
+    assert over_one_denominator([(Fraction(1, 6), Fraction(-6))]) == (6, (-6,))
 
 
 class TestGenfuncTable:

@@ -345,6 +345,21 @@ class TestTNumericSums:
             T_numeric(5, 1, params, 50.0)
         assert oracle._rows == {}
 
+    @pytest.mark.parametrize("dps", [50.0, Fraction(50)], ids=["float", "Fraction"])
+    def test_rejects_non_integer_precision_on_warm_memo(self, monkeypatch, dps):
+        # Once dps 50 is in the memo, 50.0 and Fraction(50), which hash like
+        # 50, would find its row; they are refused as on a cold memo.
+        monkeypatch.setattr(oracle, "_rows", {})
+        params = TruncationParams(terms=50)
+        with pytest.raises(TypeError):
+            T_numeric(2, 1, params, dps)
+        assert oracle._rows == {}
+        T_numeric(2, 1, params, 50)
+        with pytest.raises(TypeError):
+            T_numeric(2, 1, params, dps)
+        with pytest.raises(TypeError):
+            T_numeric(2, 1, TruncationParams(terms=50), dps)
+
     def test_rejects_low_precision_beyond_depth(self):
         # The exact zero for d > n is no way round the precision check.
         with pytest.raises(ValueError):
@@ -385,7 +400,7 @@ class TestTNumericSums:
 
         monkeypatch.setattr(TruncationParams, "__hash__", refuse)
         assert T_numeric(3, 2, params) is warm
-        assert T_numeric(2, 2, TruncationParams(terms=50), 50.0) is T_numeric(2, 2, params)
+        assert T_numeric(2, 2, TruncationParams(terms=50), 50) is T_numeric(2, 2, params)
 
     def test_index_type_reads_the_memo(self, monkeypatch):
         # A type with only __index__ is checked, then served from the memo

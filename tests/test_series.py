@@ -129,13 +129,8 @@ def test_genfunc_v0_column_is_one():
 
 
 def test_genfunc_all_twos_cell():
-    assert genfunc_biseries(4)[2][2] == Fraction(1, 24)
-
-
-def test_genfunc_per_pi_power_divides_row_n_by_4_to_the_n():
-    plain, scaled = genfunc_biseries(12), genfunc_biseries(12, per_pi_power=True)
-    assert scaled == tuple(tuple(c / 4**n for c in row) for n, row in enumerate(plain))
-    assert all(type(c) is Fraction for row in scaled for c in row)
+    # Row n is c((1-v)y)/c(y)'s row divided by 4**n: T(4,2) = pi**4 / 384.
+    assert genfunc_biseries(4)[2][2] * 4**2 == Fraction(1, 24)
 
 
 def test_genfunc_upper_triangle_vanishes():
@@ -168,7 +163,8 @@ def test_sin_sqrt_coefficients():
 def test_genfunc_table_matches_bivariate_product(order):
     # Reference: the full 2-D product of the numerator c((1-v)y), whose
     # y**k v**i coefficient is (-1)**(k+i) binom(k,i)/(2k)!, with the
-    # secant series 1/c(y), truncated at order K in y and in v.
+    # secant series 1/c(y), truncated at order K in y and in v; the table
+    # holds row n of that product divided by 4**n.
     K = order
     numerator = [
         [Fraction((-1) ** (k + i) * math.comb(k, i), math.factorial(2 * k))
@@ -181,13 +177,17 @@ def test_genfunc_table_matches_bivariate_product(order):
         for i in range(K + 1):
             for j in range(K + 1 - k):
                 product[k + j][i] += numerator[k][i] * sec[j]
-    assert genfunc_biseries(K) == tuple(tuple(row) for row in product)
+    phi = genfunc_biseries(K)
+    assert all(type(c) is Fraction for row in phi for c in row)
+    assert tuple(tuple(c * 4**n for c in row) for n, row in enumerate(phi)) == tuple(
+        tuple(row) for row in product)
 
 
 def test_genfunc_table_matches_comb_sums():
     # Each cell written out as (-1)**d sum_{k=d..n} binom(k,d) c_k sec_{n-k},
     # with c_k sec_{n-k} (2n)! = (-1)**k binom(2n,2k) |E_{2n-2k}|, for every
-    # order up to 40: the Taylor shift must give these sums exactly.
+    # order up to 40: the Taylor shift must give these sums exactly (row n
+    # of the table is divided by 4**n).
     for K in range(1, 41):
         phi = genfunc_biseries(K)
         assert len(phi) == K + 1 and all(len(row) == K + 1 for row in phi)
@@ -197,7 +197,7 @@ def test_genfunc_table_matches_comb_sums():
             for d in range(K + 1):
                 acc = sum(math.comb(k, d) * prods[k] for k in range(d, n + 1))
                 want = Fraction((-1) ** d * acc, math.factorial(2 * n))
-                assert type(phi[n][d]) is Fraction and phi[n][d] == want, (K, n, d)
+                assert type(phi[n][d]) is Fraction and phi[n][d] * 4**n == want, (K, n, d)
 
 
 @settings(max_examples=40)
