@@ -52,8 +52,6 @@ def _latex_abs_fraction(c: Fraction) -> str:
 
 def _latex_pi_power(x: PiPower) -> str:
     c = x.coeff
-    if c == 0:
-        return "0"
     sign = "-" if c < 0 else ""
     return f"{sign}{_latex_abs_fraction(c)}\\pi^{{{x.pi_exp}}}"
 
@@ -75,9 +73,8 @@ _TABLE_JSON_ROW = """  {{
 
 def _table_json(rows: list[tuple[int, int, PiPower]]) -> str:
     """The rows as the indent-2 JSON list of weight, depth, coefficient
-    {num, den} (decimal strings) and pi_exp objects."""
-    if not rows:
-        return "[]"
+    {num, den} (decimal strings) and pi_exp objects.  ``rows`` is never
+    empty: the usage checks keep max-n >= 1 and --depth <= max-n."""
     body = ",\n".join(
         _TABLE_JSON_ROW.format(weight=2 * n, depth=d, num=v.coeff.numerator,
                                den=v.coeff.denominator, pi_exp=v.pi_exp)

@@ -29,10 +29,10 @@ copy): a bool or float raises ``TypeError`` before any work.  The two
 memos are keyed by argument type, so ``t_even(True)`` misses the entry of 1
 and is refused, while a hit on an int entry runs no check at all.
 
-Sign conventions: B_1 = -1/2 (the x/(e^x - 1) generating function) and the
-Euler numbers are the signed integers with sec x = sum (-1)**j E_{2j} x**(2j)
-/ (2j)!, so E_0 = 1, E_2 = -1, E_4 = 5, E_6 = -61.  Odd-index entries of both
-sequences vanish (except B_1).
+Only even indices are defined: every formula of the package reads B_2k and
+E_2k, so an odd index is refused like a negative one.  The Euler numbers are
+the signed integers with sec x = sum (-1)**j E_{2j} x**(2j) / (2j)!, so
+E_0 = 1, E_2 = -1, E_4 = 5, E_6 = -61.
 """
 
 from __future__ import annotations
@@ -105,7 +105,9 @@ class PiPower(_Frozen):
     ``TypeError`` rather than storing its binary approximation) and
     ``pi_exp`` is an integer (not a ``bool``).  A zero coefficient is
     normalized to exponent 0, so equality of values coincides with
-    field-wise equality.
+    field-wise equality.  The one arithmetic is scaling by an ``int`` or
+    ``Fraction``; the routes add and multiply coefficients, never values,
+    so ``+`` and a product of two values raise ``TypeError``.
     """
 
     __slots__ = ("coeff", "pi_exp")
@@ -133,27 +135,10 @@ class PiPower(_Frozen):
 
     @staticmethod
     def zero() -> "PiPower":
+        """T(2n,d) for d > n, the empty sum over compositions."""
         return PiPower(Fraction(0), 0)
 
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def __add__(self, other: "PiPower") -> "PiPower":
-        if not isinstance(other, PiPower):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.pi_exp != other.pi_exp:
-            raise ValueError(
-                f"cannot add pi**{self.pi_exp} and pi**{other.pi_exp} terms exactly"
-            )
-        return PiPower(self.coeff + other.coeff, self.pi_exp)
-
     def __mul__(self, other):
-        if isinstance(other, PiPower):
-            return PiPower(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
         if isinstance(other, (int, Fraction)):
             return PiPower(self.coeff * other, self.pi_exp)
         return NotImplemented
@@ -210,14 +195,10 @@ def _grow_bernoulli(j: int) -> None:
 
 
 def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m, with B_1 = -1/2 (x/(e^x-1) convention)."""
+    """Bernoulli number B_m for an even m >= 0."""
     m = _index(m)
-    if m < 0:
-        raise ValueError(f"bernoulli requires m >= 0, got {m}")
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2 == 1:
-        return Fraction(0)
+    if m < 0 or m % 2:
+        raise ValueError(f"bernoulli requires an even m >= 0, got {m}")
     j = m // 2
     if j >= len(_bernoulli_even):
         with _lock:
@@ -246,12 +227,10 @@ def _grow_euler(j: int) -> None:
 
 
 def euler_number(m: int) -> int:
-    """Signed Euler number E_m (integer); E_m = 0 for odd m."""
+    """Signed Euler number E_m (an integer) for an even m >= 0."""
     m = _index(m)
-    if m < 0:
-        raise ValueError(f"euler_number requires m >= 0, got {m}")
-    if m % 2 == 1:
-        return 0
+    if m < 0 or m % 2:
+        raise ValueError(f"euler_number requires an even m >= 0, got {m}")
     j = m // 2
     if j >= len(_euler_even):
         with _lock:

@@ -332,18 +332,16 @@ def bernoulli_euler_check(n: int, d: int) -> BernoulliEulerResult:
 
     * d <= n: the sum times (-1)**(n+1) pi**(2n) / (2n)! equals T(2n,d), so
       the rational target is (-1)**(n+1) (2n)! * coeff(T_from_euler(n,d));
-    * n < d < 2n: the sum is 0;
-    * d >= 2n: the sum is n binom(2d-2n-1, d-1) / (2**(2d-1) d).
+    * d > n: the sum is n binom(2d-2n-1, d-1) / (2**(2d-1) d).  For
+      n < d < 2n this is 0, since 2d-2n-1 < d-1 there, so the one formula
+      serves both cases, which keep their labels "n<d<2n" and "d>=2n".
     """
     n, d = _check_args(n, d)
     lhs = bernoulli_euler_lhs(n, d)
     if d <= n:
         case = "d<=n"
         rhs = (-1) ** (n + 1) * math.factorial(2 * n) * T_from_euler(n, d).coeff
-    elif d < 2 * n:
-        case = "n<d<2n"
-        rhs = Fraction(0)
     else:
-        case = "d>=2n"
+        case = "n<d<2n" if d < 2 * n else "d>=2n"
         rhs = Fraction(n * math.comb(2 * d - 2 * n - 1, d - 1), 2 ** (2 * d - 1) * d)
     return BernoulliEulerResult(n, d, case, lhs, rhs, lhs == rhs)

@@ -140,25 +140,25 @@ class GenExpr:
     """Exact linear combination sum c e_k h_l, with e_0 = h_0 = 1.
 
     ``terms`` maps (k, l), two integers >= 0, to the coefficient c, an
-    ``int`` or ``Fraction`` (a ``float`` raises ``TypeError``); equal keys
-    are summed and zero coefficients dropped.  Written in generators (not
-    in expanded monomials) so the infinite-variable specialization below
-    applies directly.  A value like :class:`SymPoly`: built from a dict,
-    never changed after.
+    ``int`` or ``Fraction`` (a ``float`` raises ``TypeError``); zero
+    coefficients are dropped.  Written in generators (not in expanded
+    monomials) so the infinite-variable specialization below applies
+    directly.  A value like :class:`SymPoly`: built from a dict, never
+    changed after.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        sums: dict[tuple[int, int], Fraction] = {}
+        self.terms = {}
         for (k, ell), c in (terms or {}).items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficients must be exact rationals, got {c!r}")
             k, ell = _index(k), _index(ell)
             if k < 0 or ell < 0:
                 raise ValueError(f"generator indices must be >= 0, got e_{k} h_{ell}")
-            sums[k, ell] = sums[k, ell] + Fraction(c) if (k, ell) in sums else Fraction(c)
-        self.terms = {key: c for key, c in sums.items() if c}
+            if c:
+                self.terms[k, ell] = Fraction(c)
 
     @staticmethod
     def elem(j: int) -> "GenExpr":

@@ -237,7 +237,13 @@ SUITES = {
 def run_suite(name: str, **overrides) -> Report:
     """Run one named suite (or 'all'), applying keyword overrides on top of
     the per-suite defaults, and time it.  Override keys a suite has no
-    default for are ignored by that suite."""
+    default for are ignored by that suite.  A ``max_n``, ``max_d`` or
+    ``terms`` below 1 raises ValueError before any case runs, so no run
+    passes by checking zero cases."""
+    for key in ("max_n", "max_d", "terms"):
+        value = overrides.get(key)
+        if value is not None and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     t0 = time.perf_counter()
     if name == "all":
         rep = Report("all")

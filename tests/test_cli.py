@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 import tsums.cli
 import tsums.formulas
 import tsums.oracle
+import tsums.verify
 from tsums.cli import main
 from tsums.exact import PiPower
 from tsums.formulas import T_from_euler
-from tsums.verify import SUITES
+from tsums.verify import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -175,10 +176,13 @@ def test_output_digest(capsys, argv, digest):
 
 
 @pytest.mark.parametrize(
-    "cells", [[], [(1, 1)], [(3, 2)], [(n, d) for n in range(1, 13) for d in range(1, n + 1)]]
+    "cells", [[(n, 2) for n in range(2, 13)], [(1, 1)], [(3, 2)],
+              [(n, d) for n in range(1, 13) for d in range(1, n + 1)]]
 )
 def test_table_json_matches_indenting_encoder(cells):
     # table prints its rows without json.dumps; the text must not differ.
+    # The cells are those of --depth 2, of --max-n 1, of one cell and of
+    # --max-n 12; no table has zero rows.
     rows = [(n, d, T_from_euler(n, d)) for n, d in cells]
     payload = [
         {"weight": 2 * n, "depth": d,
@@ -364,6 +368,19 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+@pytest.mark.parametrize("size", [{"max_n": 0}, {"max_d": 0}, {"max_n": -3}, {"terms": 0}])
+def test_run_suite_refuses_a_size_below_one(monkeypatch, suite, size):
+    # The library refuses what the CLI refuses, before any case runs, so no
+    # report passes by checking zero cases.
+    def add(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(tsums.verify.Report, "add", add)
+    with pytest.raises(ValueError, match=f"^{next(iter(size))} must be >= 1"):
+        run_suite(suite, **size)
 
 
 SIZES = st.integers(-1, 4).map(str)

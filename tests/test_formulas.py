@@ -285,14 +285,16 @@ class TestGenfuncTable:
             table.value(5, 1)
 
     def test_depth5_row_matches_coeff_row(self):
-        # Reassemble T(2n,5) from the symbolic row and compare, n = 6.
+        # Reassemble T(2n,5) from the symbolic row and compare, n = 6, on
+        # the coefficients of pi**(2n).
         table = T_table_from_genfunc(6)
         row = coeff_row(5)
         n = 6
-        acc = PiPower.zero()
+        acc = Fraction(0)
         for j, c in row.pairs:
-            acc = acc + (c * t_even(n) if j == 0 else c * (t_even(j) * t_even(n - j)))
-        assert acc == table.value(n, 5)
+            t = t_even(n).coeff if j == 0 else t_even(j).coeff * t_even(n - j).coeff
+            acc += c * t
+        assert PiPower(acc, 2 * n) == table.value(n, 5)
 
 
 class TestCoeffRows:
@@ -379,6 +381,23 @@ class TestBernoulliEuler:
         for n in range(1, 9):
             for d in range(1, 21):
                 assert bernoulli_euler_check(n, d).passed, (n, d)
+
+    def test_one_formula_for_d_above_n_keeps_every_case_and_rhs(self):
+        # The three-branch target the check used before n < d < 2n was
+        # folded into the d >= 2n formula, kept as the reference.
+        def three_branch(n, d):
+            if d <= n:
+                return "d<=n", (-1) ** (n + 1) * math.factorial(2 * n) * T_from_euler(n, d).coeff
+            if d < 2 * n:
+                return "n<d<2n", Fraction(0)
+            return "d>=2n", Fraction(n * math.comb(2 * d - 2 * n - 1, d - 1),
+                                     2 ** (2 * d - 1) * d)
+
+        for n in range(1, 21):
+            for d in range(1, 3 * n + 1):
+                r = bernoulli_euler_check(n, d)
+                assert (r.case, r.rhs) == three_branch(n, d), (n, d)
+                assert type(r.rhs) is Fraction and r.passed, (n, d)
 
     def test_lhs_equals_term_by_term_sum(self):
         # The sum as written, one Fraction term at a time, for every n <= 20

@@ -182,5 +182,5 @@ class TestPiPower:
     def test_fields_are_a_fraction_and_an_int(self):
         value = PiPower(3, 2)
         assert type(value.coeff) is Fraction and type(value.pi_exp) is int
-        assert value == PiPower(Fraction(3)) * PiPower(1, 2) == PiPower(coeff=3, pi_exp=2)
+        assert value == 3 * PiPower(1, 2) == PiPower(coeff=3, pi_exp=2)
         assert PiPower(5) == PiPower(Fraction(5), 0)
