@@ -8,9 +8,10 @@ Euler numbers, and the even zeta / t values
     zeta(2n) = (-1)**(n+1) * B_{2n} * (2*pi)**(2n) / (2 * (2n)!)
     t(2n)    = 2**(-2n) * (2**(2n) - 1) * zeta(2n)
 
-where t(s) = sum over odd m >= 1 of 1/m**s.  Both are memoized: each value
-is built once per process and the same frozen :class:`PiPower` is returned
-on every later call, like the grow-on-demand Bernoulli and Euler tables.
+where t(s) = sum over odd m >= 1 of 1/m**s.  t(2n), zeta(2n)'s one caller,
+is memoized: each value is built once per process and the same frozen
+:class:`PiPower` is returned on every later call, like the Bernoulli and
+Euler tables; zeta(2n) is built on each call.
 
 The two tables are grown in integers by the in-place triangles of Brent and
 Harvey ("Fast computation of Bernoulli, tangent and secant numbers",
@@ -25,9 +26,10 @@ a consistent prefix.
 
 Every index is taken through :func:`_index`, the package's one integer
 check (only ``series``, which imports nothing from the package, keeps a
-copy): a bool or float raises ``TypeError`` before any work.  The two
-memos are keyed by argument type, so ``t_even(True)`` misses the entry of 1
-and is refused, while a hit on an int entry runs no check at all.
+copy): a bool or float raises ``TypeError`` before any work.  A cell's
+(n, d) is checked by :func:`_check_args`, for every layer.  The memo of
+``t_even`` is keyed by argument type, so ``t_even(True)`` misses the entry
+of 1 and is refused, while a hit on an int entry runs no check at all.
 
 Only even indices are defined: every formula of the package reads B_2k and
 E_2k, so an odd index is refused like a negative one.  The Euler numbers are
@@ -166,6 +168,14 @@ def _index(k: int) -> int:
     return operator.index(k)
 
 
+def _check_args(n: int, d: int) -> tuple[int, int]:
+    """The (n, d) of a cell as plain ints (:func:`_index`), both >= 1."""
+    n, d = _index(n), _index(d)
+    if n < 1 or d < 1:
+        raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
+    return n, d
+
+
 def _grow_bernoulli(j: int) -> None:
     # Brent and Harvey's in-place tangent triangle, integers only: t[k]
     # starts at (k-1)!, and after the passes k = 2..K it holds the tangent
@@ -244,7 +254,6 @@ def _euler_prefix(n: int) -> list[int]:
     return _euler_even[:n]
 
 
-@lru_cache(maxsize=None, typed=True)
 def zeta_even(n: int) -> PiPower:
     """zeta(2n) as an exact rational multiple of pi**(2n), for n >= 1."""
     n = _index(n)

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exact import PiPower, _euler_prefix, _Frozen, _index, bernoulli, euler_number, t_even
+from .exact import (PiPower, _check_args, _euler_prefix, _Frozen, _index, bernoulli,
+                    euler_number, t_even)
 from .series import genfunc_biseries
 
 __all__ = [
@@ -46,14 +47,6 @@ __all__ = [
 ]
 
 
-def _check_args(n: int, d: int) -> tuple[int, int]:
-    """n and d as plain ints, both >= 1."""
-    n, d = _index(n), _index(d)
-    if n < 1 or d < 1:
-        raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
-    return n, d
-
-
 def _over_one_denominator(
     terms: Iterable[tuple[Fraction | int, ...]],
 ) -> tuple[int, tuple[int, ...]]:
@@ -61,8 +54,7 @@ def _over_one_denominator(
     denominator: (L, (Q_1, Q_2, ...)) with product i equal to Q_i / L.
 
     Each product is formed on plain integer numerators and denominators,
-    and L is the lcm of their denominators, which saves the gcds of a
-    Fraction operation per multiply and add.  An empty input gives (1, ()).
+    and L is the lcm of their denominators.  An empty input gives (1, ()).
     """
     nums: list[int] = []
     dens: list[int] = []
@@ -77,6 +69,18 @@ def _over_one_denominator(
     return den, tuple(p * (den // q) for p, q in zip(nums, dens))
 
 
+def _dot(row_d: tuple[int, tuple[int, ...]], row_n: tuple[int, tuple[int, ...]]) -> Fraction:
+    """sum_j C_j Q_j / (M L) for a row of d, (M, (C_0, C_1, ...)), and a row
+    of n, (L, (Q_0, Q_1, ...)), each as :func:`_over_one_denominator` gives
+    it, cut at the shorter row.
+
+    The sum runs on plain integers and is normalised once: a Fraction * or +
+    per term would do two or three big-integer gcds each.
+    """
+    (m, coeffs), (den, nums) = row_d, row_n
+    return Fraction(sum(map(mul, coeffs, nums)), m * den)
+
+
 def t_all_twos(n: int) -> PiPower:
     """t(2,2,...,2) with n twos: pi**(2n) / (4**n (2n)!)."""
     n = _index(n)
@@ -89,19 +93,15 @@ def T_from_t_values(n: int, d: int) -> PiPower:
     """T(2n,d) as sum_j (-1)**j pi**(2j) binom(2d-2j-2, d-1) t(2n-2j)
     / (2**(2d-2) (2j)! d), summed over 0 <= j <= (d-1)//2.
 
-    The pi**(2j) factor merges with t(2n-2j)'s pi**(2n-2j), so the sum runs
-    on rationals: the depth-d row :func:`_t_value_row` as integers C_{d,j}
-    over one denominator M_d, and the terms of row n (:func:`_t_value_terms`)
-    as integers Q_{n,j} over one denominator L_n.  The cell is
-    sum_j C_{d,j} Q_{n,j} / (M_d L_n), normalised once, with pi-exponent 2n.
-    Both rows are memoized, so a call whose n was seen before reads no t value.
+    The pi**(2j) factor merges with t(2n-2j)'s pi**(2n-2j), so the cell is
+    the :func:`_dot` of the row of d (:func:`_t_value_row`) and the row of n
+    (:func:`_t_value_terms`), with pi-exponent 2n.  Both rows are memoized,
+    so a call whose n was seen before reads no t value.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    m, coeffs = _t_value_ints(d)
-    den, nums = _t_value_terms(n)
-    return PiPower(Fraction(sum(map(mul, coeffs, nums)), m * den), 2 * n)
+    return PiPower(_dot(_t_value_row(d), _t_value_terms(n)), 2 * n)
 
 
 @lru_cache(maxsize=None)
@@ -112,20 +112,15 @@ def _t_value_terms(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _t_value_row(d: int) -> tuple[tuple[int, Fraction], ...]:
-    """Pairs (j, c) with c the coefficient of pi**(2j) t(2n-2j) in T(2n,d),
-    0 <= j <= (d-1)//2; independent of n."""
+def _t_value_row(d: int) -> tuple[int, tuple[int, ...]]:
+    """Row d of :func:`T_from_t_values`: the coefficients of pi**(2j)
+    t(2n-2j) in T(2n,d) for 0 <= j <= (d-1)//2, independent of n, as
+    (M_d, (C_{d,0}, C_{d,1}, ...))."""
     scale = 2 ** (2 * d - 2) * d
-    return tuple(
-        (j, Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1), scale * math.factorial(2 * j)))
+    return _over_one_denominator(
+        (Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1), scale * math.factorial(2 * j)),)
         for j in range((d - 1) // 2 + 1)
     )
-
-
-@lru_cache(maxsize=None)
-def _t_value_ints(d: int) -> tuple[int, tuple[int, ...]]:
-    """The row :func:`_t_value_row` as (M_d, (C_{d,0}, C_{d,1}, ...))."""
-    return _over_one_denominator((c,) for _, c in _t_value_row(d))
 
 
 def T_from_bernoulli(n: int, d: int) -> PiPower:
@@ -136,19 +131,15 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
                              / (2**(2d-3) (2**(2j)-1) B_{2j} d),
 
     summed on rationals (every t(2j) is a rational multiple of pi**(2j)):
-    the row :func:`coeff_row` as integers C_{d,j} over one denominator M_d,
-    and the terms t(2n) and t(2j) t(2n-2j) of row n
-    (:func:`_bernoulli_terms`) as integers Q_{n,j} over one denominator L_n.
-    The cell is sum_j C_{d,j} Q_{n,j} / (M_d L_n), normalised once, with
-    pi-exponent 2n.  Both rows are memoized, so a call whose n was seen
-    before reads no t value.
+    the cell is the :func:`_dot` of the row of d (:func:`_bernoulli_row`,
+    from :func:`coeff_row`) and the terms t(2n) and t(2j) t(2n-2j) of row n
+    (:func:`_bernoulli_terms`), with pi-exponent 2n.  Both rows are
+    memoized, so a call whose n was seen before reads no t value.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    m, coeffs = _bernoulli_ints(d)
-    den, nums = _bernoulli_terms(n)
-    return PiPower(Fraction(sum(map(mul, coeffs, nums)), m * den), 2 * n)
+    return PiPower(_dot(_bernoulli_row(d), _bernoulli_terms(n)), 2 * n)
 
 
 @lru_cache(maxsize=None)
@@ -162,8 +153,9 @@ def _bernoulli_terms(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_ints(d: int) -> tuple[int, tuple[int, ...]]:
-    """The row :func:`coeff_row` as (M_d, (C_{d,0}, C_{d,1}, ...))."""
+def _bernoulli_row(d: int) -> tuple[int, tuple[int, ...]]:
+    """Row d of :func:`T_from_bernoulli`: :func:`coeff_row` as
+    (M_d, (C_{d,0}, C_{d,1}, ...))."""
     return _over_one_denominator((c,) for _, c in coeff_row(d).pairs)
 
 
@@ -290,20 +282,17 @@ def bernoulli_euler_lhs(n: int, d: int) -> Fraction:
     sum_{j=0}^{(d-1)//2} (2**(2n-2j)-1) B_{2n-2j} binom(2d-2j-2, d-1)
                          binom(2n, 2j) / (2**(2d-1) d),
 
-    split as sum_j U_{n,j} V_{d,j} / (2**(2d-1) d): the row of n
+    the :func:`_dot` of the row of d, V_{d,j} = binom(2d-2j-2, d-1) over
+    2**(2d-1) d (:func:`_bernoulli_euler_row`), and the row of n,
     U_{n,j} = (2**(2n-2j)-1) B_{2n-2j} binom(2n,2j) for 0 <= j < n
-    (:func:`_bernoulli_euler_terms`, integers over one denominator L_n) and
-    the row of d V_{d,j} = binom(2d-2j-2, d-1) (:func:`_bernoulli_euler_weights`).
-    The cell is sum_j U_{n,j} V_{d,j} / (L_n 2**(2d-1) d), normalised once.
-    The j = n term vanishes through the factor 2**0 - 1 = 0 and terms with
-    j > n through binom(2n,2j) = 0, so the zip of the two rows, cut at the
-    shorter, drops both and never touches a negative Bernoulli index.  Both
-    rows are memoized, like those of :func:`T_from_bernoulli`.
+    (:func:`_bernoulli_euler_terms`).  The j = n term vanishes through the
+    factor 2**0 - 1 = 0 and terms with j > n through binom(2n,2j) = 0, so
+    the product, cut at the shorter row, drops both and never touches a
+    negative Bernoulli index.  Both rows are memoized, like those of
+    :func:`T_from_bernoulli`.
     """
     n, d = _check_args(n, d)
-    den, nums = _bernoulli_euler_terms(n)
-    weights = _bernoulli_euler_weights(d)
-    return Fraction(sum(map(mul, nums, weights)), den * 2 ** (2 * d - 1) * d)
+    return _dot(_bernoulli_euler_row(d), _bernoulli_euler_terms(n))
 
 
 @lru_cache(maxsize=None)
@@ -317,10 +306,11 @@ def _bernoulli_euler_terms(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_euler_weights(d: int) -> tuple[int, ...]:
+def _bernoulli_euler_row(d: int) -> tuple[int, tuple[int, ...]]:
     """Row d of :func:`bernoulli_euler_lhs`: binom(2d-2j-2, d-1) for
-    0 <= j <= (d-1)//2."""
-    return tuple(math.comb(2 * d - 2 * j - 2, d - 1) for j in range((d - 1) // 2 + 1))
+    0 <= j <= (d-1)//2 over 2**(2d-1) d."""
+    return 2 ** (2 * d - 1) * d, tuple(math.comb(2 * d - 2 * j - 2, d - 1)
+                                       for j in range((d - 1) // 2 + 1))
 
 
 class BernoulliEulerResult(_Frozen):

@@ -115,7 +115,7 @@ from itertools import accumulate, repeat
 from operator import add, floordiv
 from typing import Iterable, Iterator, Sequence
 
-from .exact import PiPower, _Frozen, _index
+from .exact import PiPower, _check_args, _Frozen, _index
 
 # mpmath is imported inside the functions that use it, so that importing
 # the package for exact work never loads it.
@@ -407,8 +407,8 @@ def T_numeric(
     bound equals the sum of the t_numeric member bounds up to float
     rounding.  Requires integers n, d >= 1 and dps >= MIN_DPS.  A memoized
     cell asked for with an int dps costs one dict lookup; any other call
-    checks n, d and dps (_index) before any work, then reads the memo, so a
-    float or Fraction dps is refused whether or not its row is memoized.
+    checks n, d (_check_args) and dps (_check_dps) before any work, then
+    reads the memo, so a float or Fraction dps is refused, memoized or not.
     Cost O(n**2 * N) per new top weight."""
     # A hit is one dict lookup on a key of plain fields, with no Python-level
     # call (hashing params itself would make one).  Of the n and d that
@@ -423,9 +423,7 @@ def T_numeric(
             return rows[n - 1][d - 1]
     except TypeError:
         pass
-    n, d = _index(n), _index(d)
-    if n < 1 or d < 1:
-        raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = _check_args(n, d)
     dps = _check_dps(dps)
     if d > n:
         import mpmath as mp

@@ -48,7 +48,7 @@ from functools import lru_cache, partial
 from operator import floordiv, mul
 from typing import Iterator
 
-from .exact import _index
+from .exact import _check_args, _index
 from .oracle import PrecReal, _check_dps
 
 # mpmath is imported inside the functions that use it, as in oracle.
@@ -126,9 +126,8 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
 
     Faithful (no truncation artifacts) when m >= n.
     """
-    n, d, m = _index(n), _index(d), _index(m)
-    if n < 1 or d < 1:
-        raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = _check_args(n, d)
+    m = _index(m)
     if d > m:
         raise ValueError(f"depth {d} exceeds variable count {m}")
     return SymPoly(
@@ -172,9 +171,7 @@ class GenExpr:
 def monomial_depth_expr(n: int, d: int) -> GenExpr:
     """N_{n,d} written in the h/e generators (valid in the infinite ring):
     sum_{l=0}^{n-d} binom(n-l,d) (-1)**(n-d-l) h_l e_{n-l}."""
-    n, d = _index(n), _index(d)
-    if n < 1 or d < 1:
-        raise ValueError(f"require n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = _check_args(n, d)
     return GenExpr({(n - ell, ell): math.comb(n - ell, d) * (-1) ** (n - d - ell)
                     for ell in range(n - d + 1)})
 

@@ -237,13 +237,17 @@ SUITES = {
 def run_suite(name: str, **overrides) -> Report:
     """Run one named suite (or 'all'), applying keyword overrides on top of
     the per-suite defaults, and time it.  Override keys a suite has no
-    default for are ignored by that suite.  A ``max_n``, ``max_d`` or
-    ``terms`` below 1 raises ValueError before any case runs, so no run
-    passes by checking zero cases."""
+    default for are ignored by that suite, but every suite checks every
+    override before any case runs, as the CLI does: ``max_n``, ``max_d``
+    and ``terms`` by ``exact._index`` and against 1 (no run passes by
+    checking zero cases), ``dps`` by ``oracle._check_dps``."""
     for key in ("max_n", "max_d", "terms"):
-        value = overrides.get(key)
-        if value is not None and value < 1:
-            raise ValueError(f"{key} must be >= 1, got {value}")
+        if overrides.get(key) is not None:
+            value = overrides[key] = exact._index(overrides[key])
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+    if overrides.get("dps") is not None:
+        overrides["dps"] = oracle._check_dps(overrides["dps"])
     t0 = time.perf_counter()
     if name == "all":
         rep = Report("all")

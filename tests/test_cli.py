@@ -383,6 +383,31 @@ def test_run_suite_refuses_a_size_below_one(monkeypatch, suite, size):
         run_suite(suite, **size)
 
 
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"max_n": True}, TypeError),
+        ({"max_n": 2, "max_d": True}, TypeError),
+        ({"terms": 2.5}, TypeError),
+        ({"max_n": 3, "dps": 5}, ValueError),
+        ({"max_n": 2, "max_d": 3, "terms": 2000, "dps": 5}, ValueError),
+        ({"dps": 50.0}, TypeError),
+    ],
+    ids=["max_n-True", "max_d-True", "terms-2.5", "dps-5", "sizes-and-dps-5", "dps-50.0"],
+)
+def test_run_suite_checks_every_override_first(monkeypatch, suite, overrides, error):
+    # Each override is checked as the CLI checks it, for every suite, even
+    # one that does not read it, and before any case of any suite runs.
+    def add(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(tsums.verify.Report, "add", add)
+    match = "^precision must be >= 10 digits" if error is ValueError else None
+    with pytest.raises(error, match=match):
+        run_suite(suite, **overrides)
+
+
 SIZES = st.integers(-1, 4).map(str)
 TERMS = st.integers(-1, 300).map(str)
 FORMATS = st.sampled_from(["json", "csv", "latex", "xml"])

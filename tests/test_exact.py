@@ -6,6 +6,7 @@ the library's recurrences.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import tsums.exact
@@ -13,8 +14,22 @@ import tsums.exact
 import mpmath as mp
 import pytest
 
+from tsums import formulas, oracle, symfunc
 from tsums.exact import PiPower, bernoulli, euler_number, t_even, zeta_even
 from tsums.oracle import pi_power_eval
+
+# Every public function of a cell (n, d), each checking it by exact._check_args.
+CELL_ENTRY_POINTS = {
+    "T_from_t_values": formulas.T_from_t_values,
+    "T_from_bernoulli": formulas.T_from_bernoulli,
+    "T_from_euler": formulas.T_from_euler,
+    "TTable.value": lambda n, d: formulas.T_table_from_genfunc(3).value(n, d),
+    "bernoulli_euler_lhs": formulas.bernoulli_euler_lhs,
+    "bernoulli_euler_check": formulas.bernoulli_euler_check,
+    "T_numeric": oracle.T_numeric,
+    "monomial_depth_sum": lambda n, d: symfunc.monomial_depth_sum(n, d, 3),
+    "monomial_depth_expr": symfunc.monomial_depth_expr,
+}
 
 
 def _series_recip(a, order):
@@ -226,9 +241,11 @@ class TestEvenValues:
             t_even(0)
 
     def test_values_are_memoized(self):
+        # t_even is memoized; zeta_even, read only on a t_even miss, is not.
         for n in (1, 6, 30):
             assert t_even(n) is t_even(n)
-            assert zeta_even(n) is zeta_even(n)
+            assert zeta_even(n) == zeta_even(n)
+        assert not hasattr(zeta_even, "cache_info")
 
 
 class TestInputContract:
@@ -237,12 +254,11 @@ class TestInputContract:
         [(t_even, True, 1), (zeta_even, True, 1), (euler_number, True, 2), (bernoulli, 2.0, 2)],
     )
     def test_bool_or_float_index_raises(self, monkeypatch, func, bad, good):
-        # Before and after the equal int entry is cached: the memos and the
+        # Before and after the equal int entry is cached: the memo and the
         # tables start empty, so the int call below is what fills them.
         monkeypatch.setattr(tsums.exact, "_bernoulli_even", [Fraction(1)])
         monkeypatch.setattr(tsums.exact, "_euler_even", [1])
         t_even.cache_clear()
-        zeta_even.cache_clear()
         try:
             with pytest.raises(TypeError):
                 func(bad)
@@ -251,7 +267,17 @@ class TestInputContract:
                 func(bad)
         finally:
             t_even.cache_clear()
-            zeta_even.cache_clear()
+
+    @pytest.mark.parametrize("name", list(CELL_ENTRY_POINTS))
+    def test_every_cell_entry_point_checks_n_and_d_alike(self, name):
+        func = CELL_ENTRY_POINTS[name]
+        for n, d in ((0, 1), (1, 0), (0, 0)):
+            text = f"require n >= 1 and d >= 1, got n={n}, d={d}"
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                func(n, d)
+        for n, d in ((True, 1), (1, True)):
+            with pytest.raises(TypeError, match="^expected an integer, got True$"):
+                func(n, d)
 
     def test_float_index_raises(self):
         for func in (t_even, zeta_even, euler_number, bernoulli):

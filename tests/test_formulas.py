@@ -131,13 +131,19 @@ class TestClosedForms:
             assert deep_first == shallow_first == [T_from_euler(n, d) for d in range(1, n + 1)]
 
     def test_rows_are_cached_tuples(self):
+        # Every row of d, like every row of n, is (den, ints), memoized, with
+        # one entry per j of coeff_row(d).
+        rows_of_d = (tsums.formulas._t_value_row, tsums.formulas._bernoulli_row,
+                     tsums.formulas._bernoulli_euler_row)
         for d in (1, 5, 12):
             assert coeff_row(d) is coeff_row(d)
             assert type(coeff_row(d).pairs) is tuple
-            row = tsums.formulas._t_value_row(d)
-            assert row is tsums.formulas._t_value_row(d)
-            assert type(row) is tuple and all(type(p) is tuple for p in row)
-            assert [j for j, _ in row] == [j for j, _ in coeff_row(d).pairs]
+            for memo in rows_of_d:
+                den, ints = row = memo(d)
+                assert row is memo(d)
+                assert type(den) is int and type(ints) is tuple
+                assert all(type(c) is int for c in ints)
+                assert len(ints) == len(coeff_row(d).pairs)
         for n in (1, 8, 40):
             for memo in (tsums.formulas._t_value_terms, tsums.formulas._bernoulli_terms):
                 _, nums = memo(n)
@@ -251,8 +257,8 @@ terms_st = st.lists(st.lists(fractions_st, min_size=1, max_size=3).map(tuple), m
 
 
 @settings(max_examples=200)
-@given(terms_st)
-def test_sum_products_equals_fraction_fold(terms):
+@given(terms_st, terms_st)
+def test_sum_products_equals_fraction_fold(terms, other):
     # The products over one denominator, summed, are the Fraction fold.
     want = [reduce(mul, factors) for factors in terms]
     den, nums = tsums.formulas._over_one_denominator(terms)
@@ -260,6 +266,12 @@ def test_sum_products_equals_fraction_fold(terms):
     assert [Fraction(q, den) for q in nums] == want
     assert Fraction(sum(nums), den) == sum(want, Fraction(0))
     assert tsums.formulas._over_one_denominator(iter(terms)) == (den, nums)
+    # _dot of two such rows, of any lengths, is the Fraction sum of the
+    # pairwise products up to the shorter row.
+    row = tsums.formulas._over_one_denominator(other)
+    dot = sum((a * reduce(mul, b) for a, b in zip(want, other)), Fraction(0))
+    assert tsums.formulas._dot(row, (den, nums)) == dot
+    assert tsums.formulas._dot((den, nums), row) == dot
 
 
 def test_sum_products_edge_cases():
@@ -334,11 +346,19 @@ class TestCoeffRows:
                       / (Fraction(2 ** (2 * d - 3) * (2 ** (2 * j) - 1) * d) * bernoulli(2 * j)))
                      for j in range(1, (d - 1) // 2 + 1)]
             assert coeff_row(d).pairs == tuple(bern), d
+            m, ints = tsums.formulas._bernoulli_row(d)
+            assert [Fraction(c, m) for c in ints] == [c for _, c in bern], d
+            # The entries C_{d,j}/M_d of the t-value row.
             scale = Fraction(1, 2 ** (2 * d - 2) * d)
-            tval = tuple((j, scale * Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1),
-                                              math.factorial(2 * j)))
-                         for j in range((d - 1) // 2 + 1))
-            assert tsums.formulas._t_value_row(d) == tval, d
+            tval = [scale * Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1),
+                                     math.factorial(2 * j))
+                    for j in range((d - 1) // 2 + 1)]
+            m, ints = tsums.formulas._t_value_row(d)
+            assert [Fraction(c, m) for c in ints] == tval, d
+            m, ints = tsums.formulas._bernoulli_euler_row(d)
+            assert [Fraction(c, m) for c in ints] == [
+                Fraction(math.comb(2 * d - 2 * j - 2, d - 1), 2 ** (2 * d - 1) * d)
+                for j in range((d - 1) // 2 + 1)], d
 
     def test_sign_alternation(self):
         for d in range(1, 41):

@@ -44,9 +44,11 @@ def test_oracle_takes_only_pi_power_from_exact():
     # _Frozen is the base of the package's records and holds no number and
     # no route: only the record plumbing.  _index is plumbing too: it turns
     # an argument into a plain int or refuses it, and computes no value, so
-    # sharing it ties the oracle to no exact route.
-    assert imports("oracle") == {"exact": {"PiPower", "_Frozen", "_index"}}
+    # sharing it ties the oracle to no exact route.  _check_args, the check
+    # of a cell's (n, d) on top of _index, is plumbing in the same way.
+    assert imports("oracle") == {"exact": {"PiPower", "_Frozen", "_index", "_check_args"}}
     assert tsums.oracle._index is tsums.exact._index
+    assert tsums.oracle._check_args is tsums.exact._check_args
     plumbing = {"__init_subclass__", "__init__", "__eq__", "__hash__", "__repr__",
                 "__reduce__", "__setattr__", "__delattr__"}
     held = set(vars(tsums.exact._Frozen))
@@ -57,8 +59,11 @@ def test_oracle_takes_only_pi_power_from_exact():
 
 def test_symfunc_takes_only_prec_real_from_oracle():
     # Nor does it reuse the exact routes (formulas, series).
-    # _check_dps is the oracle's precision check, which reads no value.
-    assert imports("symfunc") == {"exact": {"_index"}, "oracle": {"PrecReal", "_check_dps"}}
+    # _check_dps is the oracle's precision check, which reads no value, and
+    # _index and _check_args are plumbing, as for the oracle.
+    assert imports("symfunc") == {"exact": {"_index", "_check_args"},
+                                  "oracle": {"PrecReal", "_check_dps"}}
+    assert tsums.symfunc._check_args is tsums.exact._check_args
 
 
 def test_series_imports_nothing_from_the_package():
