@@ -45,13 +45,15 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
 from operator import floordiv, mul
 from typing import Iterator
 
 from .exact import _check_args, _index
 from .oracle import PrecReal, _check_dps
 
-# mpmath is imported inside the functions that use it, as in oracle.
+# mpmath and array are imported inside the functions that use them, as in
+# oracle.
 
 __all__ = [
     "SymPoly",
@@ -242,34 +244,46 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
 # indices run in C, small enough that a block's lists stay small.
 _BLOCK = 512
 
-# The quotients scale // (2i-1)**(2j), i = 1..M, of the last power sum
-# computed, as [(M, scale), j, quotients].  Advanced under symfunc's own
-# lock, so a concurrent caller never reads a half-advanced list.
+# The last power sum computed, as [(M, scale), j, blocks]: per block of
+# _BLOCK indices i, its divisors and its quotients scale // (2i-1)**(2j).
+# The divisors are the squares of b = 2i-1 in an array("L") while b < 2**15,
+# else the range of b itself, which stores nothing.  Advanced under
+# symfunc's own lock, so a concurrent caller never reads a half-advanced
+# chain.
 _chain_lock = threading.Lock()
 _chain: list = [None, 0, None]
 
 
 def _power_sum(j: int, M: int, scale: int) -> int:
     """sum_{i<=M} scale // (2i-1)**(2j), j >= 1, dividing the kept
-    quotients on to degree j (see :func:`_generator_value`)."""
+    quotients on to degree j by the kept divisors (see
+    :func:`_generator_value`)."""
+    from array import array
+
     with _chain_lock:
-        key, reached, q = _chain
+        key, reached, blocks = _chain
         _chain[:] = None, 0, None  # until the pass completes: an interrupted one restarts
         if key != (M, scale) or reached >= j:
-            q = None  # drop the old list before building the new one
-            reached, q = 0, [scale] * M
+            # Rebinding drops the old lists before any new one is built.
+            reached, blocks = 0, [None] * len(range(0, M, _BLOCK))
         total = 0
-        for lo in range(0, M, _BLOCK):
-            bs = range(2 * lo + 1, 2 * min(lo + _BLOCK, M), 2)
-            x = q[lo:lo + _BLOCK]
+        for k, lo in enumerate(range(0, M, _BLOCK)):
+            if reached:
+                d, x = blocks[k]
+            else:
+                # A fresh block divides by its squares as a list, and keeps
+                # them as an array, about a fifth of the list's memory.
+                bs = range(2 * lo + 1, 2 * min(lo + _BLOCK, M), 2)
+                d, x = list(map(mul, bs, bs)) if bs[-1] < 1 << 15 else bs, repeat(scale, len(bs))
             for _ in range(reached, j):
                 # One division by b**2 while it fits one 30-bit CPython
                 # digit; beyond, two by the one-digit b, which floor the same.
-                x = list(map(floordiv, x, map(mul, bs, bs)) if bs[-1] < 1 << 15
-                         else map(floordiv, map(floordiv, x, bs), bs))
-            q[lo:lo + _BLOCK] = x
+                x = (map(floordiv, map(floordiv, x, d), d) if type(d) is range
+                     else map(floordiv, x, d))
+            x = list(x)
+            blocks[k] = array("L", d) if type(d) is list else d, x
             total += sum(x)
-        _chain[:] = (M, scale), j, q
+        _chain[:] = (M, scale), j, blocks
         return total
 
 
@@ -281,10 +295,12 @@ def _generator_value(kind: str, j: int, num_vars: int, dps: int):
 
     p_j, asked for only at j >= 1, is the fixed-point integer
     sum_{i<=M} scale // (2i-1)**(2j) with scale = 10**(dps+20).
-    :func:`_power_sum` keeps the M quotients of the last p_j and divides
-    each once more by (2i-1)**2 for p_{j+1}; as floor(floor(a/b)/c) =
-    floor(a/(bc)), that is the integer of a direct pass, so the allowance
-    below is unchanged.  A request for another (M, dps), or for a j at or
+    :func:`_power_sum` keeps the M quotients of the last p_j, block by
+    block next to the block's divisors, and divides each once more by
+    (2i-1)**2 for p_{j+1}, so a new degree computes no square; as
+    floor(floor(a/b)/c) = floor(a/(bc)), that is the integer of a direct
+    pass, so the allowance below is unchanged.  The divisors are built when
+    the chain starts.  A request for another (M, dps), or for a j at or
     below the one reached, restarts the chain from scale: correct, only
     slower.  Newton's identities ask for p_1, p_2, ... in rising order, so
     each new degree costs one division per variable.  e_j and h_j follow

@@ -238,9 +238,14 @@ def run_suite(name: str, **overrides) -> Report:
     """Run one named suite (or 'all'), applying keyword overrides on top of
     the per-suite defaults, and time it.  Override keys a suite has no
     default for are ignored by that suite, but every suite checks every
-    override before any case runs, as the CLI does: ``max_n``, ``max_d``
-    and ``terms`` by ``exact._index`` and against 1 (no run passes by
-    checking zero cases), ``dps`` by ``oracle._check_dps``."""
+    override before any case runs, as the CLI does: a key other than
+    ``max_n``, ``max_d``, ``terms`` and ``dps`` raises TypeError,
+    ``max_n``, ``max_d`` and ``terms`` go through ``exact._index`` and
+    against 1 (no run passes by checking zero cases), ``dps`` through
+    ``oracle._check_dps``."""
+    unknown = sorted(set(overrides) - {"max_n", "max_d", "terms", "dps"})
+    if unknown:
+        raise TypeError(f"unknown override {', '.join(map(repr, unknown))}")
     for key in ("max_n", "max_d", "terms"):
         if overrides.get(key) is not None:
             value = overrides[key] = exact._index(overrides[key])

@@ -393,17 +393,24 @@ def test_run_suite_refuses_a_size_below_one(monkeypatch, suite, size):
         ({"max_n": 3, "dps": 5}, ValueError),
         ({"max_n": 2, "max_d": 3, "terms": 2000, "dps": 5}, ValueError),
         ({"dps": 50.0}, TypeError),
+        ({"maxn": 3}, TypeError),
+        ({"max_n": 2, "precision": 30, "max_d": 3}, TypeError),
     ],
-    ids=["max_n-True", "max_d-True", "terms-2.5", "dps-5", "sizes-and-dps-5", "dps-50.0"],
+    ids=["max_n-True", "max_d-True", "terms-2.5", "dps-5", "sizes-and-dps-5", "dps-50.0",
+         "misspelt-maxn", "cli-name-precision"],
 )
 def test_run_suite_checks_every_override_first(monkeypatch, suite, overrides, error):
     # Each override is checked as the CLI checks it, for every suite, even
-    # one that does not read it, and before any case of any suite runs.
+    # one that does not read it, and before any case of any suite runs.  A
+    # key other than the four the CLI passes is refused by name: a misspelt
+    # one would otherwise run the suite at its defaults and pass.
     def add(*args):
         raise AssertionError("a case ran")
 
     monkeypatch.setattr(tsums.verify.Report, "add", add)
-    match = "^precision must be >= 10 digits" if error is ValueError else None
+    unknown = [key for key in overrides if key not in ("max_n", "max_d", "terms", "dps")]
+    match = ("^precision must be >= 10 digits" if error is ValueError
+             else f"^unknown override '{unknown[0]}'$" if unknown else None)
     with pytest.raises(error, match=match):
         run_suite(suite, **overrides)
 

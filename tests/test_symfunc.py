@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -493,15 +494,22 @@ class TestChainedPowerSums:
     def test_interleaved_calls_keep_one_quotient_list(self):
         self._ask("interleaved")
         last_m, last_dps = self.SIZES[-1], self.DPSES[-1]
-        (m, scale), _, quotients = tsums.symfunc._chain
-        assert (m, scale, len(quotients)) == (last_m, 10 ** (last_dps + 20), last_m)
-        # A quotient list starts with scale // 1 = scale at every degree.
+        (m, scale), j, blocks = tsums.symfunc._chain
+        assert (m, scale, j) == (last_m, 10 ** (last_dps + 20), 8)
+        # One block per 512 indices: the kept squares while 2i-1 < 2**15,
+        # the range of 2i-1 beyond, and the quotients of p_8.
+        bs = [range(2 * lo + 1, 2 * min(lo + 512, m), 2) for lo in range(0, m, 512)]
+        assert [type(d) for d, _ in blocks] == [array if b[-1] < 1 << 15 else range for b in bs]
+        for b, (d, x) in zip(bs, blocks, strict=True):
+            assert list(d) == ([i * i for i in b] if type(d) is array else list(b))
+            assert x == [scale // i ** 16 for i in b]
+        # The first quotient of a chain is scale // 1 = scale at every degree,
+        # so a surviving second chain, flat or in blocks, would show here.
         scales = {10 ** (dps + 20) for dps in self.DPSES}
         gc.collect()
         kept = [x for x in gc.get_objects()
-                if type(x) is list and len(x) in self.SIZES and type(x[0]) is int
-                and x[0] in scales]
-        assert len(kept) == 1 and kept[0] is quotients
+                if type(x) is list and x and type(x[0]) is int and x[0] in scales]
+        assert len(kept) == 1 and kept[0] is blocks[0][1]
 
     def test_concurrent_askers_get_the_direct_sums(self):
         # 8 threads released together, each asking four times for p_1..p_6
