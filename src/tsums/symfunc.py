@@ -28,8 +28,10 @@ coefficient of the monomial x**lambda; the e_k factor supplies x**S for a
 k-subset S of the variables, and h_l then supplies x**(lambda - 1_S) once,
 which exists exactly when S lies in the support of lambda, a set of
 len(lambda) variables.  So in a generator expression the coefficient of
-m_lambda depends only on |lambda| and the length len(lambda), and the
-expansion computes it once per degree and length.  The lemma proves the
+m_lambda depends only on |lambda| and the length len(lambda): the
+expansion computes it once per degree and length, and lists only the
+partitions of the lengths where it is non-zero, by their length (for
+N_{n,d}, the partitions of n with exactly d parts).  The lemma proves the
 factorization in every degree: the u**n v**d coefficient of the right
 side is sum_k (-1)**(k-d) binom(k,d) e_k h_{n-k}, and at a partition of
 length L its m_lambda coefficient is sum_k (-1)**(k-d) binom(k,d)
@@ -46,7 +48,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 from typing import Iterator
 
 from .exact import _check_args, _index
@@ -80,6 +82,16 @@ def _partitions(n: int, max_len: int, max_part: int | None = None) -> Iterator[t
             yield (first,) + rest
 
 
+def _partitions_of_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with exactly ``length`` parts: each partition of
+    n - length into at most ``length`` parts, padded with zeros to
+    ``length`` parts, plus one in every part.  None when length > n, and
+    none of length 0 unless n = 0."""
+    ones = (1,) * length
+    for lam in _partitions(n - length, length):
+        yield tuple(map(add, lam, ones)) + ones[len(lam):]
+
+
 def _is_partition(lam: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[-1] >= 1)
 
@@ -91,21 +103,26 @@ class SymPoly:
     constant) to the coefficient of m_lambda.  Symmetric by construction.
 
     A value: built from a dict, compared with ``==``, never changed after
-    construction; zero coefficients are never stored.
+    construction; zero coefficients are never stored.  num_vars goes
+    through ``exact._index``, and a coefficient is an ``int`` or
+    ``Fraction``, as in :class:`GenExpr` (a ``float`` raises ``TypeError``).
     """
 
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+        num_vars = _index(num_vars)
         if num_vars < 1:
             raise ValueError(f"need at least one variable, got {num_vars}")
         self.num_vars = num_vars
         clean: dict[tuple[int, ...], Fraction] = {}
         for lam, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients must be exact rationals, got {c!r}")
             if len(lam) > num_vars or not _is_partition(lam):
                 raise ValueError(f"{lam} is not a partition with at most {num_vars} parts")
             if c:
-                clean[lam] = Fraction(c)
+                clean[lam] = c if isinstance(c, Fraction) else Fraction(c)
         self.terms = clean
 
     def __eq__(self, other) -> bool:
@@ -132,9 +149,7 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
     m = _index(m)
     if d > m:
         raise ValueError(f"depth {d} exceeds variable count {m}")
-    return SymPoly(
-        m, {lam: Fraction(1) for lam in _partitions(n, d) if len(lam) == d}
-    )
+    return SymPoly(m, dict.fromkeys(_partitions_of_length(n, d), Fraction(1)))
 
 
 class GenExpr:
@@ -183,10 +198,10 @@ def _expand(expr: GenExpr, m: int) -> SymPoly:
 
     By the counting lemma of the module docstring, the terms c e_k h_l of
     degree n = k + l give m_lambda, for each lambda |- n, the coefficient
-    f(len(lambda)) = sum c binom(len(lambda), k).  f is summed in integers
-    over one common denominator for each length L <= min(n, m); one pass
-    over the partitions of n, no longer than the longest L with f(L) != 0,
-    then keeps those with f(len(lambda)) != 0.
+    f(len(lambda)) = sum c binom(len(lambda), k).  For each length
+    L <= min(n, m), f(L) is summed in integers over one common denominator;
+    only an L with f(L) != 0 lists its partitions, those of n with exactly
+    L parts, and each partition is listed once.
     """
     by_degree: dict[int, list[tuple[int, Fraction]]] = {}
     for (k, ell), c in expr.terms.items():
@@ -196,11 +211,10 @@ def _expand(expr: GenExpr, m: int) -> SymPoly:
         den = math.lcm(*(c.denominator for _, c in terms))
         nums = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
         # A partition of n >= 1 has length >= 1; () is the one of n = 0.
-        by_len = {L: Fraction(sum(a * math.comb(L, k) for k, a in nums), den)
-                  for L in range(1 if n else 0, min(n, m) + 1)}
-        top = max((L for L, f in by_len.items() if f), default=None)
-        if top is not None:
-            out.update((lam, by_len[len(lam)]) for lam in _partitions(n, top) if by_len[len(lam)])
+        for L in range(1 if n else 0, min(n, m) + 1):
+            f = sum(a * math.comb(L, k) for k, a in nums)
+            if f:
+                out.update(zip(_partitions_of_length(n, L), repeat(Fraction(f, den))))
     return SymPoly(m, out)
 
 

@@ -23,6 +23,8 @@ from tsums.symfunc import (
     SymPoly,
     _expand,
     _generator_value,
+    _partitions,
+    _partitions_of_length,
     _power_sum,
     check_bivariate_factorization,
     check_monomial_expansion,
@@ -54,6 +56,23 @@ class TestGenerators:
             with pytest.raises(ValueError):
                 SymPoly(2, {key: ONE})
 
+    def test_coefficients_are_exact_rationals(self):
+        # A float coefficient is refused, not stored as its binary value,
+        # as in GenExpr; an int is stored as a Fraction.
+        for c in (0.1, 0.5, mp.mpf(1)):
+            with pytest.raises(TypeError):
+                SymPoly(2, {(1,): c})
+        got = SymPoly(2, {(1,): 2, (2,): Fraction(1, 10), (1, 1): 0})
+        assert got.terms == {(1,): 2, (2,): Fraction(1, 10)}
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    def test_variable_count_is_an_integer(self):
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(TypeError):
+                SymPoly(bad, {(1,): ONE})
+        with pytest.raises(ValueError):
+            SymPoly(0)
+
     def test_degree_one_coincidence(self):
         p_1 = SymPoly(4, {(1,): ONE})
         assert _expand(GenExpr.elem(1), 4) == _expand(GenExpr.homog(1), 4) == p_1
@@ -65,6 +84,44 @@ class TestGenerators:
         for n in range(1, 9):
             column = GenExpr({(j, n - j): (-1) ** j for j in range(n + 1)})
             assert _expand(column, m) == SymPoly(m), n
+
+
+class TestPartitionsOfLength:
+    def test_matches_filtering_all_partitions(self):
+        # Every partition of n with exactly L parts, in the order of
+        # _partitions, and none for L = 0 (n >= 1) or L > n.
+        for n in range(15):
+            every = list(_partitions(n, n))
+            for L in range(n + 2):
+                want = [lam for lam in every if len(lam) == L]
+                assert list(_partitions_of_length(n, L)) == want, (n, L)
+
+    def test_expansion_check_lists_only_its_depth(self, monkeypatch):
+        # check_monomial_expansion(n, d, n) lists partitions only through
+        # the lister and only of length d, once for each side; the lister
+        # starts _partitions only at (n - d, d), the partitions of n - d
+        # into at most d parts, never at those of n with at most d parts.
+        asked, listed = [], []
+        real_lister, real_partitions = _partitions_of_length, _partitions
+
+        def lister(n, length):
+            asked.append((n, length))
+            return real_lister(n, length)
+
+        def partitions(n, max_len, max_part=None):
+            if max_part is None:
+                listed.append((n, max_len))
+            return real_partitions(n, max_len, max_part)
+
+        monkeypatch.setattr(tsums.symfunc, "_partitions_of_length", lister)
+        monkeypatch.setattr(tsums.symfunc, "_partitions", partitions)
+        for n in range(1, 11):
+            for d in range(1, n + 1):
+                asked.clear()
+                listed.clear()
+                assert check_monomial_expansion(n, d, n)
+                assert asked == [(n, d)] * 2, (n, d)
+                assert listed == [(n - d, d)] * 2, (n, d)
 
 
 class TestMonomialDepthSums:
@@ -136,7 +193,7 @@ class TestIdentities:
         assert check_bivariate_factorization(4, 4)
 
     def test_factorization_above_degree_eight(self):
-        assert check_bivariate_factorization(12, 12)
+        assert check_bivariate_factorization(16, 16)
 
     def test_expansion_examples(self):
         assert check_monomial_expansion(2, 1, 2)
