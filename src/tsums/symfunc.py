@@ -93,7 +93,9 @@ def _partitions_of_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def _is_partition(lam: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[-1] >= 1)
+    # One sort in C, not a generator per pair: weakly decreasing means equal
+    # to its own decreasing sort.
+    return list(lam) == sorted(lam, reverse=True) and (not lam or lam[-1] >= 1)
 
 
 class SymPoly:

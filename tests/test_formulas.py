@@ -27,9 +27,11 @@ ALL_PATHS = (T_from_t_values, T_from_bernoulli, T_from_euler)
 
 
 def clear_row_memos():
-    """Empty the memoized rows of n of the t-value and Bernoulli routes."""
+    """Empty the memoized rows of n of the t-value and Bernoulli routes, and
+    the Bernoulli route's row of d, which reads t(2j)."""
     tsums.formulas._t_value_terms.cache_clear()
     tsums.formulas._bernoulli_terms.cache_clear()
+    tsums.formulas._bernoulli_row.cache_clear()
 
 
 class TestAllTwos:
@@ -87,9 +89,9 @@ class TestClosedForms:
                 assert table.value(n, d) == ref, (n, d)
 
     def test_corrupted_t_value_reaches_both_routes(self, monkeypatch):
-        # Rows of n are memoized, so each corruption starts from cleared row
-        # memos, like the Euler memo test.  T(16,5) reads t(12) through the
-        # product t(4) t(12); T(16,3) does not read it.
+        # Rows are memoized, so each corruption starts from cleared row
+        # memos, like the Euler memo test.  T(16,5) reads t(12) in its row
+        # of n at j = 2; T(16,3) stops at j = 1 and does not read it.
         cells = ((T_from_t_values, 6, 1), (T_from_bernoulli, 8, 5), (T_from_bernoulli, 8, 3))
         for route, n, d in cells:
             assert route(n, d) == T_from_euler(n, d)
@@ -97,9 +99,9 @@ class TestClosedForms:
         def corrupt(n):
             return t_even(n) * 2 if n == 6 else t_even(n)
 
-        # A corrupted t(2j) factor: T(16,3) reads t(2) t(14) on the
-        # Bernoulli route, while the t-value route reads only t(16) and
-        # t(14), so the factor t(2j) is not folded into the row of depth d.
+        # A corrupted t(2j) factor: the Bernoulli route folds t(2) into its
+        # row of depth 3, so T(16,3) reads it there, while the t-value route
+        # reads only t(16) and t(14) and its row of d reads no t value.
         def corrupt_t2(n):
             return t_even(n) * 2 if n == 1 else t_even(n)
 
@@ -346,8 +348,6 @@ class TestCoeffRows:
                       / (Fraction(2 ** (2 * d - 3) * (2 ** (2 * j) - 1) * d) * bernoulli(2 * j)))
                      for j in range(1, (d - 1) // 2 + 1)]
             assert coeff_row(d).pairs == tuple(bern), d
-            m, ints = tsums.formulas._bernoulli_row(d)
-            assert [Fraction(c, m) for c in ints] == [c for _, c in bern], d
             # The entries C_{d,j}/M_d of the t-value row.
             scale = Fraction(1, 2 ** (2 * d - 2) * d)
             tval = [scale * Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1),
@@ -355,6 +355,13 @@ class TestCoeffRows:
                     for j in range((d - 1) // 2 + 1)]
             m, ints = tsums.formulas._t_value_row(d)
             assert [Fraction(c, m) for c in ints] == tval, d
+            # The Bernoulli row of d folds t(2j)/pi**(2j) into c_{d,j}.  It
+            # equals the t-value row, and both routes read the same row of n,
+            # t(2n-2j)/pi**(2n-2j), so T_from_bernoulli = T_from_t_values
+            # for every n >= d.
+            folded = [c * t_even(j).coeff if j else c for j, c in bern]
+            m, ints = tsums.formulas._bernoulli_row(d)
+            assert [Fraction(c, m) for c in ints] == folded == tval, d
             m, ints = tsums.formulas._bernoulli_euler_row(d)
             assert [Fraction(c, m) for c in ints] == [
                 Fraction(math.comb(2 * d - 2 * j - 2, d - 1), 2 ** (2 * d - 1) * d)

@@ -148,7 +148,8 @@ class TestBlocks:
                              ids=["from-1", "below-2**15", "straddles-2**15"])
     def test_divisors_chain_to_the_power(self, bs):
         # Chained floors by at most two lists divide by b**e exactly; a
-        # chain of two takes one-digit (30-bit) divisors only.
+        # chain of two takes one-digit (30-bit) divisors only.  Every divisor
+        # is a list, never the block's range.
         rng = random.Random(20261019)
         exps = [1, 2, 3, 4, 5, 6, 1000]
         divs = oracle._divisors(bs, exps)
@@ -156,6 +157,7 @@ class TestBlocks:
         for e in exps:
             chain = divs[e]
             assert 1 <= len(chain) <= 2, (e, bs)
+            assert all(type(div) is list for div in chain), (e, bs)
             if len(chain) == 2:
                 assert all(div < 1 << 30 for div in itertools.chain(*chain)), (e, bs)
             for _ in range(3):

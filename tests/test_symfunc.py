@@ -23,6 +23,7 @@ from tsums.symfunc import (
     SymPoly,
     _expand,
     _generator_value,
+    _is_partition,
     _partitions,
     _partitions_of_length,
     _power_sum,
@@ -122,6 +123,16 @@ class TestPartitionsOfLength:
                 assert check_monomial_expansion(n, d, n)
                 assert asked == [(n, d)] * 2, (n, d)
                 assert listed == [(n - d, d)] * 2, (n, d)
+
+    def test_partition_check_matches_pairwise_form(self):
+        # The sorted comparison accepts and refuses exactly what the
+        # pairwise generator did, on every tuple of length <= 6 over -1..4.
+        def pairwise(lam):
+            return all(a >= b for a, b in zip(lam, lam[1:])) and (not lam or lam[-1] >= 1)
+
+        for length in range(7):
+            for lam in itertools.product(range(-1, 5), repeat=length):
+                assert _is_partition(lam) == pairwise(lam), lam
 
 
 class TestMonomialDepthSums:
