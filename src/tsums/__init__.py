@@ -4,7 +4,7 @@ t(s_1,...,s_d) is the nested series over odd denominators
 sum_{n_1 > ... > n_d >= 1} prod 1/(2n_i - 1)**s_i, and T(2n,d) is the sum
 of all such values with even arguments, weight 2n, and depth d.  The
 library computes T(2n,d) exactly (as rational multiples of pi**(2n)) by
-several independent routes, verifies the identities connecting them, and
+several routes, verifies the identities connecting them, and
 cross-checks everything against a brute-force evaluation of the defining
 series.
 

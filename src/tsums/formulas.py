@@ -1,7 +1,7 @@
 """Closed forms for T(2n,d), the sums of multiple t-values at even arguments.
 
 T(2n,d) is the sum of t(2j_1,...,2j_d) over all compositions j_1+...+j_d = n
-into d positive parts.  Three independent exact routes are implemented:
+into d positive parts.  Three exact routes are implemented:
 
 * :func:`T_from_t_values` -- a short sum of binomial-weighted products
   pi**(2j) * t(2n-2j);
@@ -12,7 +12,8 @@ into d positive parts.  Three independent exact routes are implemented:
 
 plus :func:`T_table_from_genfunc`, coefficient extraction from the bivariate
 generating function of :mod:`tsums.series`.  All four agree exactly, and the
-verification suites exercise precisely that.
+verification suites exercise precisely that.  The first two share one row
+of n, t(2n-2j), and differ only in their row of d.
 
 Conventions: T(2n,d) = 0 for d > n (empty sum over compositions), and every
 nonzero value has pi-exponent exactly 2n.
@@ -106,8 +107,9 @@ def T_from_t_values(n: int, d: int) -> PiPower:
 
 @lru_cache(maxsize=None)
 def _t_value_terms(n: int) -> tuple[int, tuple[int, ...]]:
-    """Row n of :func:`T_from_t_values`: t(2n-2j)/pi**(2n-2j) for
-    0 <= j <= (n-1)//2 as (L_n, (Q_{n,0}, Q_{n,1}, ...))."""
+    """Row n of :func:`T_from_t_values` and :func:`T_from_bernoulli`:
+    t(2n-2j)/pi**(2n-2j) for 0 <= j <= (n-1)//2 as
+    (L_n, (Q_{n,0}, Q_{n,1}, ...))."""
     return _over_one_denominator((t_even(k).coeff,) for k in range(n, n // 2, -1))
 
 
@@ -134,22 +136,14 @@ def T_from_bernoulli(n: int, d: int) -> PiPower:
     The factor t(2j) depends on j alone, so it is folded into the row of d
     (:func:`_bernoulli_row`: each coefficient of :func:`coeff_row` times
     t(2j)/pi**(2j), where B_{2j} cancels); the cell is the :func:`_dot` of
-    that row and the single values t(2n-2j) of row n
-    (:func:`_bernoulli_terms`), with pi-exponent 2n.  Both rows are
+    that row and the row of n that :func:`T_from_t_values` reads too
+    (:func:`_t_value_terms`), with pi-exponent 2n.  Both rows are
     memoized, so a call whose n and d were seen before reads no t value.
     """
     n, d = _check_args(n, d)
     if d > n:
         return PiPower.zero()
-    return PiPower(_dot(_bernoulli_row(d), _bernoulli_terms(n)), 2 * n)
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_terms(n: int) -> tuple[int, tuple[int, ...]]:
-    """Row n of :func:`T_from_bernoulli`: t(2n-2j)/pi**(2n-2j) for
-    0 <= j <= (n-1)//2 as (L_n, (Q_{n,0}, Q_{n,1}, ...)), built from
-    t_even in this route's own memo."""
-    return _over_one_denominator((t_even(k).coeff,) for k in range(n, n // 2, -1))
+    return PiPower(_dot(_bernoulli_row(d), _t_value_terms(n)), 2 * n)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """The closed forms for T(2n,d) and the identities tying them together."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -27,10 +28,9 @@ ALL_PATHS = (T_from_t_values, T_from_bernoulli, T_from_euler)
 
 
 def clear_row_memos():
-    """Empty the memoized rows of n of the t-value and Bernoulli routes, and
-    the Bernoulli route's row of d, which reads t(2j)."""
+    """Empty the memoized row of n that the t-value and Bernoulli routes
+    share, and the Bernoulli route's row of d, which reads t(2j)."""
     tsums.formulas._t_value_terms.cache_clear()
-    tsums.formulas._bernoulli_terms.cache_clear()
     tsums.formulas._bernoulli_row.cache_clear()
 
 
@@ -119,12 +119,16 @@ class TestClosedForms:
         finally:
             clear_row_memos()
 
-    @pytest.mark.parametrize("route, memo", [(T_from_t_values, "_t_value_terms"),
-                                             (T_from_bernoulli, "_bernoulli_terms")])
-    def test_cell_order_does_not_matter(self, route, memo):
+    @pytest.mark.parametrize("route", [
+        pytest.param(T_from_t_values, id="T_from_t_values-_t_value_terms"),
+        pytest.param(T_from_bernoulli, id="T_from_bernoulli-_bernoulli_terms"),
+    ])
+    def test_cell_order_does_not_matter(self, route):
         # From an empty memo, the cells of one n are the same values whether
-        # the deepest or the shallowest cell builds the row of n.
-        clear = getattr(tsums.formulas, memo).cache_clear
+        # the deepest or the shallowest cell builds the row of n.  Both
+        # routes now read the one row of n in _t_value_terms; the case ids
+        # keep the names they had when each route had its own memo.
+        clear = tsums.formulas._t_value_terms.cache_clear
         for n in (1, 2, 9, 40):
             clear()
             deep_first = [route(n, d) for d in range(n, 0, -1)][::-1]
@@ -146,11 +150,33 @@ class TestClosedForms:
                 assert type(den) is int and type(ints) is tuple
                 assert all(type(c) is int for c in ints)
                 assert len(ints) == len(coeff_row(d).pairs)
+        memo = tsums.formulas._t_value_terms
         for n in (1, 8, 40):
-            for memo in (tsums.formulas._t_value_terms, tsums.formulas._bernoulli_terms):
-                _, nums = memo(n)
-                assert memo(n) is memo(n)
-                assert type(nums) is tuple and len(nums) == (n - 1) // 2 + 1
+            _, nums = memo(n)
+            assert memo(n) is memo(n)
+            assert type(nums) is tuple and len(nums) == (n - 1) // 2 + 1
+
+    def test_routes_read_each_t_value_of_n_once(self, monkeypatch):
+        # The t-value and Bernoulli routes share one row of n, so every
+        # depth of both routes at n = 12 reads each t(2k) with k > 6, which
+        # only a row of n holds, exactly once.  Every private memo of the
+        # module starts empty, so a second row of n would be read too.
+        reads = Counter()
+
+        def counted(k):
+            reads[k] += 1
+            return t_even(k)
+
+        try:
+            for name, memo in vars(tsums.formulas).items():
+                if name.startswith("_") and hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+            monkeypatch.setattr(tsums.formulas, "t_even", counted)
+            for d in range(1, 13):
+                assert T_from_t_values(12, d) == T_from_bernoulli(12, d) == T_from_euler(12, d)
+        finally:
+            clear_row_memos()
+        assert {k: c for k, c in reads.items() if k > 6} == dict.fromkeys(range(7, 13), 1)
 
 
 class TestEulerMemo:
@@ -356,12 +382,13 @@ class TestCoeffRows:
             m, ints = tsums.formulas._t_value_row(d)
             assert [Fraction(c, m) for c in ints] == tval, d
             # The Bernoulli row of d folds t(2j)/pi**(2j) into c_{d,j}.  It
-            # equals the t-value row, and both routes read the same row of n,
-            # t(2n-2j)/pi**(2n-2j), so T_from_bernoulli = T_from_t_values
-            # for every n >= d.
+            # is the t-value row, the same (M, ints) tuple, and both routes
+            # dot it with one memoized row of n, so T_from_bernoulli =
+            # T_from_t_values for every n >= d.
             folded = [c * t_even(j).coeff if j else c for j, c in bern]
-            m, ints = tsums.formulas._bernoulli_row(d)
+            m, ints = row = tsums.formulas._bernoulli_row(d)
             assert [Fraction(c, m) for c in ints] == folded == tval, d
+            assert row == tsums.formulas._t_value_row(d), d
             m, ints = tsums.formulas._bernoulli_euler_row(d)
             assert [Fraction(c, m) for c in ints] == [
                 Fraction(math.comb(2 * d - 2 * j - 2, d - 1), 2 ** (2 * d - 1) * d)
