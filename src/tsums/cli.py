@@ -34,6 +34,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .exact import PiPower
 from .formulas import T_from_euler, coeff_row
@@ -71,27 +72,27 @@ _TABLE_JSON_ROW = """  {{
   }}"""
 
 
-def _table_json(rows: list[tuple[int, int, PiPower]]) -> str:
+def _table_json(rows: Iterable[tuple[int, int, PiPower]]) -> Iterator[str]:
     """The rows as the indent-2 JSON list of weight, depth, coefficient
-    {num, den} (decimal strings) and pi_exp objects.  ``rows`` is never
-    empty: the usage checks keep max-n >= 1 and --depth <= max-n."""
-    body = ",\n".join(
-        _TABLE_JSON_ROW.format(weight=2 * n, depth=d, num=v.coeff.numerator,
-                               den=v.coeff.denominator, pi_exp=v.pi_exp)
-        for n, d, v in rows
-    )
-    return f"[\n{body}\n]"
+    {num, den} (decimal strings) and pi_exp objects, one row at a time:
+    the pieces join to the list's text.  ``rows`` is never empty: the
+    usage checks keep max-n >= 1 and --depth <= max-n."""
+    sep = "[\n"
+    for n, d, v in rows:
+        yield sep + _TABLE_JSON_ROW.format(weight=2 * n, depth=d, num=v.coeff.numerator,
+                                           den=v.coeff.denominator, pi_exp=v.pi_exp)
+        sep = ",\n"
+    yield "\n]"
 
 
 def _cmd_table(args) -> int:
-    rows = []
-    for n in range(1, args.max_n + 1):
-        for d in range(1, n + 1):
-            if args.depth is not None and d != args.depth:
-                continue
-            rows.append((n, d, T_from_euler(n, d)))
+    # Each row is printed as it is computed, so the text is never held whole.
+    rows = ((n, d, T_from_euler(n, d)) for n in range(1, args.max_n + 1)
+            for d in range(1, n + 1) if args.depth in (None, d))
     if args.format == "json":
-        print(_table_json(rows))
+        for piece in _table_json(rows):
+            print(piece, end="")
+        print()
     elif args.format == "csv":
         print("weight,depth,num,den,pi_exp")
         for n, d, v in rows:

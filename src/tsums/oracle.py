@@ -13,7 +13,8 @@ below), and their running sums
 reads; A_0 feeds nothing, so its additions are only summed.  A_0(N) is the
 partial sum; the inner sums A_i(N-1), kept from before the last index, feed
 the bound.  Cost O(d*N), memory O(d*B), whatever N.  Both passes here run
-in fixed-point integers scaled by 10**(dps+20); one ulp is 10**-(dps+20).
+in fixed-point integers; one ulp is one unit of the scale, 10**(dps+20) in
+the ladder and 10**k <= 10**(dps+20) in t_numeric (_t_scale, see Rounding).
 
 Tail (tail_order=1): when the inner exponents are >= 2 the inner sums
 increase to a finite limit, so the first-order integral correction
@@ -101,15 +102,21 @@ keeps the 2(d+1)(N+1) ulps of each of its C(n-1,d-1) >= n-d+1 members, a
 slack of more than 2(4.8(n-d+1) - 1.2) ulps for d >= 2 and 5.7 for d = 1.
 
 Rounding.  _finish works at dps+20 digits, p = round((dps+21) log2(10))
-bits, so a rounding moves x by at most |x| 2**-p < 0.15|x| ulps, and every
-number it forms is below 1.28: t(s) <= e_d(1, x_2, ...) < 1.26 and
-T(2n,d) <= h_n(1, x_2, ...) <= 4/pi.  The value takes two roundings in the
-conversion and seven per tail with a non-zero inner sum (a zero one adds an
-exact 0): under 0.19(2 + 7t) ulps for t such tails, so under 1.8 for
-t_numeric and for T_numeric at d = 1 (only j_1 = n), and under
-0.4 + 1.4(n-d+1) at d >= 2, each within the slack above.  Rounding err,
-cap, drift and C moves the bound by a relative 1e-15 at most, far inside
-its factor 2 (tail_order=1) or its (2N-1)**-s_1 term (tail_order=0).
+bits, so a rounding moves x by at most |x| 2**-p < 0.15|x| ulps at any
+scale up to 10**(dps+20), and every number it forms is below 1.28: t(s) <=
+e_d(1, x_2, ...) < 1.26 and T(2n,d) <= h_n(1, x_2, ...) <= 4/pi.  The value
+takes two roundings in the conversion and seven per tail with a non-zero
+inner sum (a zero one adds an exact 0): under 0.19(2 + 7t) ulps for t such
+tails, so under 1.8 for t_numeric and for T_numeric at d = 1 (only j_1 =
+n), and under 0.4 + 1.4(n-d+1) at d >= 2, each within the slack above.
+Rounding err, cap, drift and C moves the bound by a relative 1e-15 at most,
+far inside its factor 2 (tail_order=1) or its (2N-1)**-s_1 term
+(tail_order=0).  That term is a_tail (2N-1)**-s_1 or more, and for N >= d
+a_tail = A_1(N-1) holds the largest term L = prod_{j>=2} (2(d-j)+1)**-s_j,
+so t_numeric takes k = min(dps+20, ceil(log10(2(d+1)(N+1)) + s_1
+log10(2N-1) - log10(L)) + 16): its 2(d+1)(N+1) ulps stay below 1e-16 of
+the bound, inside the rounding above, and the 16 digits absorb the rounding
+of the float logarithms.  For N < d, A_1(N-1) = 0 and k = dps+20.
 """
 
 from __future__ import annotations
@@ -288,6 +295,21 @@ def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]
     return inner, A
 
 
+def _t_scale(s: Sequence[int], N: int, dps: int) -> int:
+    """The fixed-point scale 10**k of t_numeric: the fewest digits, up to
+    dps+20, that keep its quantization allowance below 1e-16 of its bound
+    (see Rounding in the module docstring)."""
+    d, k = len(s), dps + 20
+    if N < d:  # A_1(N-1) = 0
+        return 10**k
+    # Each e log10(b) with b >= 3 exceeds e/3, so capping e at 3k leaves
+    # the min unchanged and every float finite.
+    bases = [2 * N - 1] + [2 * (d - j) + 1 for j in range(2, d + 1)]
+    digits = math.log10(2 * (d + 1) * (N + 1)) + sum(
+        min(e, 3 * k) * math.log10(b) for e, b in zip(s, bases))
+    return 10 ** min(k, math.ceil(digits) + 16)
+
+
 def t_numeric(
     exponents: Sequence[int],
     params: TruncationParams = TruncationParams(),
@@ -296,7 +318,9 @@ def t_numeric(
     """Evaluate t(s_1,...,s_d) by truncated summation of the defining series.
 
     Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
-    and dps >= MIN_DPS.  Cost O(d*N); memory O(d*_BLOCK), whatever N.
+    and dps >= MIN_DPS.  The sums run at the scale _t_scale picks, at
+    most 10**(dps+20) and as small as the bound allows; dps sets the
+    precision of the result.  Cost O(d*N); memory O(d*_BLOCK), whatever N.
     """
     s = [_index(x) for x in exponents]
     dps = _check_dps(dps)
@@ -310,7 +334,7 @@ def t_numeric(
         )
     N = params.terms
     d = len(s)
-    scale = 10 ** (dps + 20)
+    scale = _t_scale(s, N, dps)
     inner, A = _t_sums(s, N, scale)
 
     # Float upper bounds on the inner sums (cap) and on how far they can

@@ -180,7 +180,8 @@ def test_output_digest(capsys, argv, digest):
               [(n, d) for n in range(1, 13) for d in range(1, n + 1)]]
 )
 def test_table_json_matches_indenting_encoder(cells):
-    # table prints its rows without json.dumps; the text must not differ.
+    # table prints its rows without json.dumps, one at a time; the text
+    # they join to must not differ.
     # The cells are those of --depth 2, of --max-n 1, of one cell and of
     # --max-n 12; no table has zero rows.
     rows = [(n, d, T_from_euler(n, d)) for n, d in cells]
@@ -190,7 +191,7 @@ def test_table_json_matches_indenting_encoder(cells):
          "pi_exp": v.pi_exp}
         for n, d, v in rows
     ]
-    assert tsums.cli._table_json(rows) == json.dumps(payload, indent=2)
+    assert "".join(tsums.cli._table_json(rows)) == json.dumps(payload, indent=2)
 
 
 class TestVerify:

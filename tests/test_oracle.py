@@ -55,22 +55,38 @@ def exact_sum(parts):
     return PrecReal(value, err)
 
 
-def _uncapped_t_numeric(s, params, dps):
-    """t_numeric's pass dividing by the real powers b**s_i, finished as
-    t_numeric finishes: a reference for its exponent cap."""
-    N, d, scale = params.terms, len(s), 10 ** (dps + 20)
-    A = [0] * d + [scale]
-    for b in range(1, 2 * N, 2):
-        if b == 2 * N - 1:
-            inner = A[:]
-        for i, e in enumerate(s):
-            A[i] += A[i + 1] // b**e
+def _finish_t(s, inner, A, params, dps, scale):
+    """The fixed-point sums A of t(s), and A before the last index (inner),
+    finished as t_numeric finishes them."""
+    N, d = params.terms, len(s)
     cap, drift = 1.0, 0.0
     for i in range(d - 1, 0, -1):
         drift = cap * _reach(s[i], N)
         cap = inner[i] / scale + drift
     return _finish(A[0], [(s[0], inner[1], drift, cap)], 2 * (d + 1) * (N + 1),
                    N, scale, params, dps)
+
+
+def _uncapped_t_numeric(s, params, dps):
+    """t_numeric's pass dividing by the real powers b**s_i, at the scale
+    t_numeric picks and finished as it finishes: a reference for its
+    exponent cap."""
+    N, d = params.terms, len(s)
+    scale = oracle._t_scale(s, N, dps)
+    A = [0] * d + [scale]
+    for b in range(1, 2 * N, 2):
+        if b == 2 * N - 1:
+            inner = A[:]
+        for i, e in enumerate(s):
+            A[i] += A[i + 1] // b**e
+    return _finish_t(s, inner, A, params, dps, scale)
+
+
+def _full_scale_t_numeric(s, params, dps=oracle.DEFAULT_DPS):
+    """t(s) summed at the ladder's scale 10**(dps+20) and finished as
+    t_numeric finishes, whatever scale t_numeric picks."""
+    scale = 10 ** (dps + 20)
+    return _finish_t(s, *oracle._t_sums(s, params.terms, scale), params, dps, scale)
 
 
 def _reference_t_sums(s, N, scale):
@@ -178,6 +194,48 @@ class TestTNumeric:
             for s in ([2], [150], [2, 200], [300, 1, 2], [3, 2, 1000], [1000, 150, 2]):
                 got = t_numeric(s, params, dps=10)
                 assert got == _uncapped_t_numeric(s, params, 10), (s, N)
+
+    def test_scale_follows_the_bound(self, monkeypatch):
+        # The full scale 10**(dps+20) when N < d, where no inner sum sizes
+        # it, and where the rule asks for more digits: t(16) at the
+        # benchmark's 40 000 terms, and t(12) at 10**5 terms, which
+        # test_bound_covers_final_rounding checks at that scale.  Far
+        # fewer digits for t(2) at the default 10**6 terms.  The pass
+        # itself is never run.
+        class Scale(Exception):
+            pass
+
+        def record(s, N, scale):
+            raise Scale(scale)
+
+        monkeypatch.setattr(oracle, "_t_sums", record)
+
+        def scale_of(s, N, dps=oracle.DEFAULT_DPS):
+            with pytest.raises(Scale) as got:
+                t_numeric(s, TruncationParams(terms=N), dps)
+            return got.value.args[0]
+
+        for s, N in (([2, 3], 1), ([3, 1, 2], 2), ([2, 2, 2, 2, 2], 4), ([16], 40_000), ([12], 10**5)):
+            assert scale_of(s, N) == 10**70, (s, N)
+        assert scale_of([5, 3], 1, dps=10) == 10**30
+        assert scale_of([2], 10**6) <= 10**40
+
+    @pytest.mark.parametrize("N", [1, 2, 1000, 40_000])
+    def test_scale_keeps_value_and_bound(self, N):
+        # Below the full scale the quantization allowance stays under 1e-16
+        # of the bound, so err moves by float rounding only and the value
+        # by far less than err.  Every vector with d <= N runs below the
+        # full scale, so no comparison here is between equal passes.
+        dps = oracle.DEFAULT_DPS
+        for s in BLOCK_VECTORS + ([3, 1, 2], [5, 3, 3], [2, 1, 1, 5, 3]):
+            assert (oracle._t_scale(s, N, dps) < 10 ** (dps + 20)) == (N >= len(s)), (s, N)
+            sums = oracle._t_sums(s, N, 10 ** (dps + 20))
+            for tail_order in (0, 1):
+                params = TruncationParams(terms=N, tail_order=tail_order)
+                got = t_numeric(s, params, dps)
+                full = _finish_t(s, *sums, params, dps, 10 ** (dps + 20))
+                assert abs(mp.fsub(got.value, full.value, exact=True)) <= got.err, (s, N, tail_order)
+                assert abs(got.err - full.err) <= mp.mpf("1e-15") * full.err, (s, N, tail_order)
 
     def test_depth_one(self):
         got = t_numeric([2], FAST)
@@ -298,7 +356,8 @@ class TestTNumericSums:
     def test_error_adds_member_bounds(self):
         # The grouped bound is the sum of the member bounds up to float
         # rounding, and the members' sum lies within it.  At d = 1 and
-        # d = n the cell has one member, and the two passes agree exactly.
+        # d = n the cell has one member, and the two passes agree exactly
+        # at the ladder's scale.
         for tail_order in (0, 1):
             params = TruncationParams(terms=2_000, tail_order=tail_order)
             for n in range(1, 7):
@@ -314,7 +373,9 @@ class TestTNumericSums:
                     assert abs(got.err - want.err) <= mp.mpf("1e-12") * want.err, (
                         tail_order, n, d)
                     if d in (1, n):
-                        assert (got.value, got.err) == (want.value, want.err), (
+                        (c,) = compositions(n, d)
+                        member = _full_scale_t_numeric([2 * j for j in c], params)
+                        assert (got.value, got.err) == (member.value, member.err), (
                             tail_order, n, d)
 
     def test_reassociation_within_bounds(self):
