@@ -18,11 +18,11 @@ Harvey ("Fast computation of Bernoulli, tangent and secant numbers",
 arXiv:1108.0286): tangent numbers T_k for the Bernoulli table, with
 B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)), and secant numbers S_k for the
 Euler table, with E_2k = (-1)**k S_k.  The two are separate algorithms, so
-the Bernoulli-fed routes and the Euler route share no table code.  A
-triangle is not incremental: an ask past the end recomputes the table to
-the asked index or 3/2 of its length, whichever is larger, under one
-module lock, and appends the new entries in one step, so every reader sees
-a consistent prefix.
+the Bernoulli-fed routes and the Euler route share no triangle code; both
+tables grow by one routine, :func:`_grow`.  A triangle is not incremental:
+an ask past the end recomputes the table to the asked index or 3/2 of its
+length, whichever is larger, under one module lock, and appends the new
+entries in one step, so every reader sees a consistent prefix.
 
 Every index is taken through :func:`_index`, the package's one integer
 check (only ``series``, which imports nothing from the package, keeps a
@@ -137,8 +137,8 @@ class PiPower(_Frozen):
 
     @staticmethod
     def zero() -> "PiPower":
-        """T(2n,d) for d > n, the empty sum over compositions."""
-        return PiPower(Fraction(0), 0)
+        """T(2n,d) for d > n, the empty sum over compositions; one shared instance."""
+        return _ZERO
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -152,6 +152,8 @@ class PiPower(_Frozen):
             return str(self.coeff)
         return f"{self.coeff}*pi^{self.pi_exp}"
 
+
+_ZERO = PiPower(Fraction(0), 0)
 
 # Grow-on-demand caches; entries are immutable once written.  The lock is for
 # library callers that share these tables across threads (the package and its
@@ -176,75 +178,71 @@ def _check_args(n: int, d: int) -> tuple[int, int]:
     return n, d
 
 
-def _grow_bernoulli(j: int) -> None:
-    # Brent and Harvey's in-place tangent triangle, integers only: t[k]
-    # starts at (k-1)!, and after the passes k = 2..K it holds the tangent
-    # number T_k, the (2k-1)-th derivative of tan at 0; then B_2k =
-    # (-1)**(k-1) 2k T_k / (4**k (4**k - 1)).  The triangle is not
-    # incremental, so a call recomputes every pair up to K, the asked pair or
-    # 3/2 of the table's length, whichever is larger.  For asks that rise one
-    # pair at a time (the table and verify commands) 3/2 costs about 2.9
-    # one-shot triangles on average against 3.7 for doubling, and at most
-    # 6.2 against 9.1 (measured for final pairs 100 <= N <= 700).  Called
-    # under _lock; it returns at once if another thread has grown the table
-    # past j meanwhile, and appends the new entries in one list.extend, so a
-    # reader sees the old prefix or the new one, never a partial one.
-    have = len(_bernoulli_even)
-    if j < have:
-        return
-    K = max(j, 3 * have // 2)
+def _even_index(m: int, name: str) -> int:
+    """m // 2 for an even m >= 0 (:func:`_index`), else ValueError naming ``name``."""
+    m = _index(m)
+    if m < 0 or m % 2:
+        raise ValueError(f"{name} requires an even m >= 0, got {m}")
+    return m // 2
+
+
+def _grow(table: list, triangle, j: int) -> None:
+    """Extend ``table`` past index j by ``triangle(have, K)``, its entries
+    have..K.  A triangle is not incremental, so K is the asked pair or 3/2
+    of the table's length, whichever is larger: for asks that rise one pair
+    at a time (the table and verify commands) 3/2 costs about 2.9 one-shot
+    triangles on average against 3.7 for doubling, and at most 6.2 against
+    9.1 (measured for final pairs 100 <= N <= 700).  The length is read
+    again under _lock, so a table another thread grew past j meanwhile
+    gets nothing, and one list.extend appends the new entries, so a reader
+    sees the old prefix or the new one, never a partial one."""
+    with _lock:
+        have = len(table)
+        if j >= have:
+            table.extend(triangle(have, max(j, 3 * have // 2)))
+
+
+def _tangent_entries(have: int, K: int) -> list[Fraction]:
+    """B_2k for have <= k <= K by Brent and Harvey's in-place tangent
+    triangle, integers only: t[k] starts at (k-1)!, and after the passes
+    k = 2..K it holds the tangent number T_k, the (2k-1)-th derivative of
+    tan at 0; then B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1))."""
     t = [0, 1] + [0] * (K - 1)
     for k in range(2, K + 1):
         t[k] = (k - 1) * t[k - 1]
     for k in range(2, K + 1):
         for i in range(k, K + 1):
             t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
-    _bernoulli_even.extend(
-        [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(have, K + 1)]
-    )
+    return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(have, K + 1)]
 
 
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m for an even m >= 0."""
-    m = _index(m)
-    if m < 0 or m % 2:
-        raise ValueError(f"bernoulli requires an even m >= 0, got {m}")
-    j = m // 2
-    if j >= len(_bernoulli_even):
-        with _lock:
-            _grow_bernoulli(j)
-    return _bernoulli_even[j]
-
-
-def _grow_euler(j: int) -> None:
-    # Brent and Harvey's in-place secant triangle, a separate algorithm from
-    # the tangent one, so the Euler route shares no table code with the
-    # Bernoulli-fed routes: s[k] starts at k!, and after the passes
-    # k = 1..K it holds the secant number S_k, the 2k-th derivative of sec
-    # at 0; then E_2k = (-1)**k S_k.  Growth rule, lock and one-step extend
-    # as in _grow_bernoulli.
-    have = len(_euler_even)
-    if j < have:
-        return
-    K = max(j, 3 * have // 2)
+def _secant_entries(have: int, K: int) -> list[int]:
+    """E_2k for have <= k <= K by Brent and Harvey's in-place secant
+    triangle: s[k] starts at k!, and after the passes k = 1..K it holds the
+    secant number S_k, the 2k-th derivative of sec at 0; then
+    E_2k = (-1)**k S_k."""
     s = [1] + [0] * K
     for k in range(1, K + 1):
         s[k] = k * s[k - 1]
     for k in range(1, K + 1):
         for i in range(k + 1, K + 1):
             s[i] = (i - k) * s[i - 1] + (i - k + 1) * s[i]
-    _euler_even.extend([(-1) ** k * s[k] for k in range(have, K + 1)])
+    return [(-1) ** k * s[k] for k in range(have, K + 1)]
+
+
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m for an even m >= 0."""
+    j = _even_index(m, "bernoulli")
+    if j >= len(_bernoulli_even):
+        _grow(_bernoulli_even, _tangent_entries, j)
+    return _bernoulli_even[j]
 
 
 def euler_number(m: int) -> int:
     """Signed Euler number E_m (an integer) for an even m >= 0."""
-    m = _index(m)
-    if m < 0 or m % 2:
-        raise ValueError(f"euler_number requires an even m >= 0, got {m}")
-    j = m // 2
+    j = _even_index(m, "euler_number")
     if j >= len(_euler_even):
-        with _lock:
-            _grow_euler(j)
+        _grow(_euler_even, _secant_entries, j)
     return _euler_even[j]
 
 

@@ -306,6 +306,8 @@ class TestPiPower:
         # A zero value compares equal regardless of the exponent it was
         # built with.
         assert PiPower(Fraction(0), 4) == PiPower(Fraction(0), 0) == PiPower.zero()
+        # zero() builds nothing: every caller shares one frozen instance.
+        assert PiPower.zero() is PiPower.zero()
 
     def test_addition_same_weight(self):
         # The routes sum coefficients, never values: even two values of one

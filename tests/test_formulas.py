@@ -65,10 +65,11 @@ class TestClosedForms:
                 assert path(n, n) == t_all_twos(n), (path.__name__, n)
 
     def test_vanishing_beyond_depth(self):
+        # Every d > n cell of every route is the one shared zero.
         for path in ALL_PATHS:
             for n in range(1, 6):
                 for d in range(n + 1, n + 4):
-                    assert path(n, d) == PiPower.zero()
+                    assert path(n, d) is PiPower.zero(), (path.__name__, n, d)
 
     def test_rejects_bad_arguments(self):
         for path in ALL_PATHS:
@@ -317,7 +318,23 @@ class TestGenfuncTable:
 
     def test_absent_cells_are_zero(self):
         table = T_table_from_genfunc(4)
-        assert table.value(2, 3) == PiPower.zero()
+        assert table.value(2, 3) is PiPower.zero()
+
+    def test_lookups_build_no_value(self, monkeypatch):
+        # A lookup of a present cell returns its entry and builds no
+        # PiPower, not even the zero it would return for an absent cell.
+        table = T_table_from_genfunc(6)
+        built = []
+        init = PiPower.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PiPower, "__init__", counting_init)
+        cells = [(n, d) for n in range(1, 7) for d in range(1, n + 1)]
+        assert [table.value(n, d) for n, d in cells] == [table.entries[c] for c in cells]
+        assert built == []
 
     def test_out_of_range_rejected(self):
         table = T_table_from_genfunc(4)
