@@ -16,7 +16,10 @@ all-twos value t({2}**n) and N_{n,d} to T(2n,d); it extends to infinitely
 many variables, so the numeric image is computed from generator expressions
 (:class:`GenExpr`), truncated at a finite number of variables with a tail
 bound attached.  A generator expression is a sum of terms c e_k h_l, keyed
-by (k, l), since every expression the checks need has that form.
+by (k, l), since every expression the checks need has that form.  The
+generators and the sum are fixed-point integers with integer error bounds,
+floors only, and become mpf once, at the end (see
+:func:`_generator_value` and :func:`specialize_odd_squares`).
 
 Each N_{n,d} is written once, as the generator expression
 :func:`monomial_depth_expr`: the exact checks expand it in the m_lambda and
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from operator import add, floordiv, mul
 from typing import Iterator
@@ -304,78 +307,70 @@ def _power_sum(j: int, M: int, scale: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _generator_value(kind: str, j: int, num_vars: int, dps: int):
-    """Numeric image of one generator under x_i -> 1/(2i-1)**2, truncated to
-    the first num_vars variables.  Returns (value, err) as mpf, and the
-    exact (1, 0) for e_0 = h_0 = 1.
+def _generator_value(kind: str, j: int, num_vars: int, dps: int) -> tuple[int, int]:
+    """Image of one generator under x_i -> 1/(2i-1)**2, truncated to the
+    first M = num_vars variables, in fixed point: two integers in ulps of
+    10**-(dps+20), the floored value and a ceiling of its error.  e_0 = h_0
+    = 1 is the exact (scale, 0), with scale = 10**(dps+20).
 
-    p_j, asked for only at j >= 1, is the fixed-point integer
-    sum_{i<=M} scale // (2i-1)**(2j) with scale = 10**(dps+20).
-    :func:`_power_sum` keeps the M quotients of the last p_j, block by
-    block next to the block's divisors, and divides each once more by
-    (2i-1)**2 for p_{j+1}, so a new degree computes no square; as
-    floor(floor(a/b)/c) = floor(a/(bc)), that is the integer of a direct
-    pass, so the allowance below is unchanged.  The divisors are built when
-    the chain starts.  A request for another (M, dps), or for a j at or
-    below the one reached, restarts the chain from scale: correct, only
-    slower.  Newton's identities ask for p_1, p_2, ... in rising order, so
-    each new degree costs one division per variable.  e_j and h_j follow
-    from the power sums by Newton's identities, which hold in any number
-    of variables:
+    p_j, asked for only at j >= 1, is the integer
+    sum_{i<=M} scale // (2i-1)**(2j).  :func:`_power_sum` keeps the M
+    quotients of the last p_j, block by block next to the block's
+    divisors, and divides each once more by (2i-1)**2 for p_{j+1}, so a
+    new degree computes no square; as floor(floor(a/b)/c) = floor(a/(bc)),
+    that is the integer of a direct pass.  The divisors are built when the
+    chain starts.  A request for another (M, dps), or for a j at or below
+    the one reached, restarts the chain from scale: correct, only slower.
+    Newton's identities ask for p_1, p_2, ... in rising order, so each new
+    degree costs one division per variable.  e_j and h_j follow from the
+    power sums by Newton's identities, which hold in any number of
+    variables:
 
       j e_j = sum_{r=1}^{j} (-1)**(r-1) e_{j-r} p_r,
       j h_j = sum_{r=1}^{j} h_{j-r} p_r,
 
-    evaluated at dps+10 digits from the cached truncated values.
+    summed exactly over the integers of e_{j-r} (h_{j-r}) and p_r and
+    floored once, by the division by j scale.
 
-    Tail bounds: with T = sum_{i>num_vars} x_i <= 1/(2(2M-1)),
+    Tail bounds: with T = sum_{i>M} x_i <= 1/(2(2M-1)),
+      p_j misses at most (2M-1)**(1-2j) / (2(2j-1)),
       e_j misses at most sum_{r>=1} e_{j-r}(<=M) T**r / r!,
       h_j misses at most sum_{r>=1} h_{j-r}(<=M) T**r,
     since the elementary (resp. complete) functions of the dropped tail are
-    bounded by T**r/r! (resp. T**r).
+    bounded by T**r/r! (resp. T**r).  Each is summed exactly, with T the
+    rational 1/(2(2M-1)), and rounded up.
 
-    Rounding allowance, in ulps of 10**-(dps+20): M + 10**10 for p_j, and
-    j (3M + 4j 10**10) for e_j and h_j.  With U = 10**-(dps+10), a rounding
-    at dps+10 digits (round((dps+11) log2 10) bits) moves x by under 0.15U|x|.
-    The floors of the pass lose under M ulps, and mpf(total) / scale rounds
-    a number below 1.24 twice, so p_r is off by at most
-    delta = M 10**-(dps+20) + 0.4U.  Over M variables 1 <= p_r <= p_1 <
-    1.24, sum_r (p_r - 1) < 1/4, e_i < 1.26, sum_i e_i < cosh(pi/2) < 2.51,
-    h_i < 4/pi < 1.28 and sum_{r<=j} h_{j-r} p_r = j h_j.  Let R_i bound the
-    error of the computed e_i (or h_i), R_0 = 0, with j R_i < 0.01 (true
-    while 3j**2 M < 10**27 and j < 10**5).  In step j the earlier errors
-    enter with weights sum_{r<j} (p_r + delta) < j, so after the division by
-    j they add less than max_{i<j} R_i; the p_r add delta sum_r e_{j-r} / j
-    < 2.51 delta / j (h: 1.28 delta); and j products, j-1 additions and the
-    division round numbers below 3.2, 3.2 and 1.3 (h: 1.31j + 0.33 and 1.3),
-    adding under 1.2U (h: (0.4j + 0.3)U).  Summed over the steps, R_j <
-    2.51 delta H_j + 1.2jU for e_j (H_j <= j harmonic) and 1.28 j delta +
-    (0.2j**2 + 0.5j)U for h_j, both below 3j delta + 2j**2 U, inside the
-    allowance.  That stays below the former blanket 10**(10-dps) while
-    j (3M + 4j 10**10) < 10**30, past any M and j a call can finish.
+    Floors allowance, in ulps: M for p_j, 3jM + j for e_j and h_j.  The M
+    floors of a pass lose under M ulps, and the integer of p_r is at most
+    scale p_r.  Over M variables 1 <= p_r <= p_1 < 1.24, sum_r (p_r - 1) <
+    1/4, sum_i e_i < cosh(pi/2) < 2.51 and h_i < 4/pi < 1.28.  Let R_i bound
+    the error of the integer of e_i (or h_i), R_0 = 0.  In step j, the
+    earlier errors enter with weights sum_{r<j} p_r < j, so after the
+    division by j they add less than max_{i<j} R_i; the p_r add under
+    M sum_r e_{j-r} / j < 2.51 M / j (h: 1.28 M); the floor adds under 1.
+    Summed over the steps, R_j < 2.51 M H_j + j for e_j (H_j <= j
+    harmonic) and 1.28 jM + j for h_j.  The tail sums read the integers of
+    e_{j-r} (h_{j-r}), which may fall short of scale e_{j-r} by R_{j-r};
+    that adds under 1.2 T (j-1)(3M + 1) <= 1.4(j-1) ulps at M >= 2, within
+    the allowance's margin over R_j (at least 1.7 M (j-1)).
     """
     if j == 0:
-        return 1, 0
-    import mpmath as mp
-
+        return 10 ** (dps + 20), 0
     M = num_vars
     scale = 10 ** (dps + 20)
-    with mp.workdps(dps + 10):
-        if kind == "p":
-            total = _power_sum(j, M, scale)
-            err = mp.mpf(2 * M - 1) ** (1 - 2 * j) / (2 * (2 * j - 1))
-            return mp.mpf(total) / scale, +(err + mp.mpf(M + 10**10) / scale)
-        if kind not in ("e", "h"):
-            raise ValueError(f"unknown generator kind {kind!r}")
-        rounding = mp.mpf(j * (3 * M + 4 * j * 10**10)) / scale
-        below = [_generator_value(kind, r, M, dps)[0] for r in range(j)]
-        sign = -1 if kind == "e" else 1
-        tail_p1 = mp.mpf(1) / (2 * (2 * M - 1))
-        value = err = mp.mpf(0)
-        for r in range(1, j + 1):
-            value += sign ** (r - 1) * below[j - r] * _generator_value("p", r, M, dps)[0]
-            err += below[j - r] * tail_p1**r / (math.factorial(r) if kind == "e" else 1)
-        return value / j, +(err + rounding)
+    if kind == "p":
+        tail = Fraction(scale, 2 * (2 * j - 1) * (2 * M - 1) ** (2 * j - 1))
+        return _power_sum(j, M, scale), math.ceil(tail) + M
+    if kind not in ("e", "h"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    below = [_generator_value(kind, r, M, dps)[0] for r in range(j)]
+    sign = -1 if kind == "e" else 1
+    T = Fraction(1, 2 * (2 * M - 1))
+    total = tail = 0
+    for r in range(1, j + 1):
+        total += sign ** (r - 1) * below[j - r] * _generator_value("p", r, M, dps)[0]
+        tail += below[j - r] * T**r / (math.factorial(r) if kind == "e" else 1)
+    return total // (j * scale), math.ceil(tail) + 3 * j * M + j
 
 
 def specialize_odd_squares(
@@ -385,22 +380,16 @@ def specialize_odd_squares(
 
     Truncates the variable list at num_vars and attaches a first-order tail
     bound; the value itself is the truncated specialization.  dps must be
-    an integer >= MIN_DPS, the oracle's floor (checked by its _check_dps):
-    the power sums are fixed-point passes at 10**(dps+20), and the rounding
-    allowance of each generator is derived in :func:`_generator_value`.
-    Each term c e_k h_l contributes c v_e v_h, with the error
-    |c| (err_e (|v_h| + err_h) + err_h (|v_e| + err_e)) of a product.
-
-    With L the lcm of the denominators of the t terms and a = cL, the sum
-    of a v_e v_h is exact and its quotient q by L rounds once, to nearest
-    at the p bits of dps+10 digits: by at most 2**-p |q|, within the
-    allowance 2**(1-p) |q|, added unless value * L is the sum (so a dyadic
-    constant keeps err 0).  The sum S of |a| times the errors adds
-    non-negative numbers at p bits, with at most t+4 roundings to nearest
-    on the path of any term (4 within it, t in the accumulation), so the
-    exact sum is at most S / (1 - (t+4) 2**-p) <= S (1 + (t+4) 2**(1-p)).
-    Both allowances are added exactly, and the total is divided by L
-    rounding up.
+    an integer >= MIN_DPS, the oracle's floor (checked by its _check_dps).
+    The generators are fixed-point integers at 10**(dps+20), each with its
+    error bound (see :func:`_generator_value`).  With L the lcm of the
+    denominators of the terms and a = cL, each term c e_k h_l adds
+    a v_e v_h, and the error |a| (err_e (|v_h| + err_h) + err_h (|v_e| +
+    err_e)) of a product, both summed exactly in integers over
+    L 10**(2(dps+20)).  Only then do they become mpf, at dps+20 digits (p
+    bits): the value to nearest, off by at most 2**(1-p) |value|, which is
+    added unless the conversion is exact (so a dyadic constant keeps err
+    0), and the error rounding up.
     """
     import mpmath as mp
 
@@ -408,17 +397,17 @@ def specialize_odd_squares(
     if num_vars < 2:
         raise ValueError(f"need at least 2 variables, got {num_vars}")
     den = math.lcm(*(c.denominator for c in expr.terms.values()))
-    add, mul = partial(mp.fadd, exact=True), partial(mp.fmul, exact=True)
-    total = total_err = mp.mpf(0)
-    with mp.workdps(dps + 10):
-        for (k, ell), coeff in expr.terms.items():
-            v_e, err_e = _generator_value("e", k, num_vars, dps)
-            v_h, err_h = _generator_value("h", ell, num_vars, dps)
-            a = coeff.numerator * (den // coeff.denominator)
-            total = add(total, mul(a, mul(v_e, v_h)))
-            total_err += abs(a) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
-        value = mp.fdiv(total, den)
-        slack = mp.ldexp(mul(total_err, len(expr.terms) + 4), 1 - mp.mp.prec)
-        if mul(value, den) != total:
-            slack = add(slack, mp.ldexp(abs(total), 1 - mp.mp.prec))
-        return PrecReal(value, mp.fdiv(add(total_err, slack), den, rounding="u"))
+    total = total_err = 0
+    for (k, ell), coeff in expr.terms.items():
+        v_e, err_e = _generator_value("e", k, num_vars, dps)
+        v_h, err_h = _generator_value("h", ell, num_vars, dps)
+        a = coeff.numerator * (den // coeff.denominator)
+        total += a * v_e * v_h
+        total_err += abs(a) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
+    unit = den * 10 ** (2 * (dps + 20))
+    with mp.workdps(dps + 20):
+        value = mp.fdiv(total, unit)
+        err = mp.fdiv(total_err, unit, rounding="u")
+        if mp.fmul(value, unit, exact=True) != total:
+            err = mp.fadd(err, mp.ldexp(abs(value), 1 - mp.mp.prec), rounding="u")
+        return PrecReal(value, err)

@@ -191,7 +191,10 @@ def suite_symmetric(max_n: int) -> Report:
     for id, params, expr, value in spots:
         got = symfunc.specialize_odd_squares(expr, spot_vars, spot_dps)
         want = oracle.pi_power_eval(value, spot_dps)
-        ok = abs(got.value - want.value) <= got.err + want.err
+        # |gap| <= err by two exact comparisons: abs() would round to the
+        # caller's precision.
+        gap = got - want
+        ok = mp.fneg(gap.err, exact=True) <= gap.value <= gap.err
         rep.add(id, {**params, "num_vars": spot_vars},
                 mp.nstr(want.value, 15), mp.nstr(got.value, 15), ok)
     return rep

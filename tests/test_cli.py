@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -298,6 +299,36 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "symmetric", "--num-vars", "10"])
         assert exc.value.code == 2
+
+    def test_symmetric_spot_values_are_pinned(self):
+        # The printed values of the 12 specialization spots at the suite's
+        # defaults (20 000 variables, 30 digits), so a drift in the
+        # fixed-point evaluation shows, not only a flipped verdict.
+        spots = {c.id: (c.actual, c.passed) for c in run_suite("symmetric").cases
+                 if c.id.startswith("specialize ")}
+        assert spots == {
+            "specialize e_1": ("1.23368805013617", True),
+            "specialize h_1": ("1.23368805013617", True),
+            "specialize e_2": ("0.253654086722301", True),
+            "specialize h_2": ("1.26833211832649", True),
+            "specialize e_3": ("0.020860309990889", True),
+            "specialize h_3": ("1.27265647231667", True),
+            "specialize e_4": ("0.000918999501147798", True),
+            "specialize h_4": ("1.27315957234761", True),
+            "specialize N(2,1)": ("1.01467803160419", True),
+            "specialize N(2,2)": ("0.253654086722301", True),
+            "specialize N(3,2)": ("0.25034908568484", True),
+            "specialize N(3,3)": ("0.020860309990889", True),
+        }
+
+    def test_symmetric_verdicts_ignore_the_ambient_precision(self):
+        # Each spot compares |got - want| with its err exactly: abs() of an
+        # mpf rounds to the ambient precision, and at 3..14 bits that fails
+        # up to five of the twelve spots.
+        for prec in range(2, 60):
+            with mp.workprec(prec):
+                report = run_suite("symmetric")
+            assert all(c.passed for c in report.cases), prec
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

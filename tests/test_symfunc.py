@@ -301,12 +301,22 @@ def test_indices_must_be_integers(call, args, want):
     assert getattr(got, "terms", got) == want
 
 
+def _generator_mpf(kind, j, m, dps):
+    """_generator_value as mpf: its two integers divided by the scale
+    10**(dps+20) at dps+20 digits, the value to nearest and the err rounding
+    up, as specialize_odd_squares converts its sum."""
+    value, err = _generator_value(kind, j, m, dps)
+    scale = 10 ** (dps + 20)
+    with mp.workdps(dps + 20):
+        return mp.fdiv(value, scale), mp.fdiv(err, scale, rounding="u")
+
+
 class TestSpecialization:
     M = 10_000
     DPS = 25
 
     def test_power_sum_hits_t(self):
-        value, err = _generator_value("p", 1, self.M, self.DPS)
+        value, err = _generator_mpf("p", 1, self.M, self.DPS)
         want = pi_power_eval(t_all_twos(1), self.DPS)
         assert abs(value - want.value) <= err
 
@@ -323,7 +333,7 @@ class TestSpecialization:
             assert abs(got.value - want.value) <= got.err, n
 
     def test_degree_one_images_identical(self):
-        a, _ = _generator_value("p", 1, self.M, self.DPS)
+        a, _ = _generator_mpf("p", 1, self.M, self.DPS)
         b = specialize_odd_squares(GenExpr.elem(1), self.M, self.DPS)
         c = specialize_odd_squares(GenExpr.homog(1), self.M, self.DPS)
         assert a == b.value == c.value
@@ -337,7 +347,7 @@ class TestSpecialization:
     def test_expression_arithmetic(self):
         e = GenExpr({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
         got = specialize_odd_squares(e, self.M, self.DPS)
-        want, want_err = _generator_value("p", 1, self.M, self.DPS)
+        want, want_err = _generator_mpf("p", 1, self.M, self.DPS)
         assert abs(got.value - want) <= got.err + want_err
 
     def test_rejects_non_integer_precision(self):
@@ -368,6 +378,23 @@ class TestSpecialization:
         got = specialize_odd_squares(GenExpr.elem(1), 10**4, 10)
         assert got.err < mp.mpf("1e-4")
         assert abs(got.value - mp.pi**2 / 8) <= got.err
+
+    def test_caller_context_changes_no_bit(self):
+        # The sum is in integers and converted at its own precision, so the
+        # caller's mpmath context changes no bit of a value or an err.
+        exprs = [GenExpr.elem(3), GenExpr.homog(4), monomial_depth_expr(4, 2),
+                 GenExpr({(0, 0): Fraction(-3, 4)}), GenExpr({(0, 0): Fraction(1, 3), (2, 1): 5})]
+
+        def images():
+            _generator_value.cache_clear()
+            return [(got.value._mpf_, got.err._mpf_)
+                    for got in (specialize_odd_squares(e, 2000, 30) for e in exprs)]
+
+        want = images()
+        with mp.workprec(8):
+            assert images() == want
+        with mp.workdps(200):
+            assert images() == want
 
     @pytest.mark.parametrize("dps", [5, -30])
     def test_rejects_low_precision(self, dps):
@@ -446,7 +473,7 @@ class TestSpecializationExact:
         """(value, err) of one generator in m variables: the p_j pass
         itself, or e_j or h_j through the specialization."""
         if kind == "p":
-            return _generator_value("p", j, m, dps)
+            return _generator_mpf("p", j, m, dps)
         got = specialize_odd_squares({"e": GenExpr.elem, "h": GenExpr.homog}[kind](j), m, dps)
         return got.value, got.err
 
@@ -472,14 +499,14 @@ class TestSpecializationExact:
     @pytest.mark.parametrize("dps", [10, 30])
     @pytest.mark.parametrize("m", [2, 5, 9])
     def test_rounding_within_derived_allowance(self, m, dps):
-        # _generator_value's allowance, in ulps of 10**-(dps+20): m + 10**10
-        # for p_j, j (3m + 4j 10**10) for e_j and h_j; it covers the gap to
-        # the exact truncated value and stays below the former 10**(10-dps).
+        # _generator_value's floors allowance, in ulps of 10**-(dps+20): m
+        # for p_j, 3jm + j for e_j and h_j; it covers the gap to the exact
+        # truncated value and stays below the former 10**(10-dps).
         for kind in self.KINDS:
             for j in range(1, 9):
-                value, _ = _generator_value(kind, j, m, dps)
+                value, _ = _generator_mpf(kind, j, m, dps)
                 exact = _odd_square_values(kind, j, m)
-                ulps = m + 10**10 if kind == "p" else j * (3 * m + 4 * j * 10**10)
+                ulps = m if kind == "p" else 3 * j * m + j
                 assert ulps < 10**30
                 with mp.workdps(dps + 40):
                     gap = abs(value - mp.mpf(exact.numerator) / exact.denominator)
@@ -551,8 +578,7 @@ class TestChainedPowerSums:
                 scale = 10 ** (dps + 20)
                 total = _direct_power_sum(j, m, dps)
                 assert _power_sum(j, m, scale) == total, (j, m, dps)
-                with mp.workdps(dps + 10):
-                    assert value == mp.mpf(total) / scale, (j, m, dps)
+                assert value == total, (j, m, dps)
 
     @pytest.mark.parametrize("order", ["falling", "interleaved"])
     def test_any_order_gives_the_same_values(self, rising, order):
