@@ -322,13 +322,17 @@ class TestVerify:
         }
 
     def test_symmetric_verdicts_ignore_the_ambient_precision(self):
-        # Each spot compares |got - want| with its err exactly: abs() of an
-        # mpf rounds to the ambient precision, and at 3..14 bits that fails
-        # up to five of the twelve spots.
-        for prec in range(2, 60):
-            with mp.workprec(prec):
-                report = run_suite("symmetric")
-            assert all(c.passed for c in report.cases), prec
+        # Each spot, and each oracle cell, compares |got - want| with its err
+        # exactly: abs() of an mpf rounds to the ambient precision, and at
+        # 3..14 bits that fails up to five of the twelve spots.  Every
+        # verdict and printed value is the same at every ambient precision.
+        for suite, size in (("symmetric", {}), ("oracle", {"max_n": 3, "terms": 20_000})):
+            want = [(c.id, c.expected, c.actual, True) for c in run_suite(suite, **size).cases]
+            for prec in range(2, 60):
+                with mp.workprec(prec):
+                    report = run_suite(suite, **size)
+                got = [(c.id, c.expected, c.actual, c.passed) for c in report.cases]
+                assert got == want, (suite, prec)
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -353,15 +357,13 @@ class TestVerify:
         assert report["suite"] == "all"
         assert report["summary"]["failed"] == 0
         assert all(c["elapsed_s"] >= 0 for c in report["cases"])
-        prefixes = {c["id"].split("/")[0] for c in report["cases"]}
-        assert prefixes == {
-            "closed-forms",
-            "genfunc",
-            "depth-sum",
-            "bernoulli-euler",
-            "symmetric",
-            "oracle",
-        }
+        # Each suite once, in SUITES order, its cases unchanged but for the
+        # 'suite/' prefix of each id.
+        assert [(c["id"], c["params"], c["expected"], c["actual"], c["pass"])
+                for c in report["cases"]] == [
+            (f"{sub}/{c.id}", c.params, c.expected, c.actual, c.passed)
+            for sub in SUITES
+            for c in run_suite(sub, max_n=2, max_d=3, terms=20_000).cases]
 
 
 @pytest.mark.parametrize(
