@@ -7,26 +7,28 @@ A_i(m) over m >= n_{i+1} > ... > n_d of prod_{j>i} (2n_j - 1)**-s_j
 A_{i+1} before index m adds to it (the indices stay strict).  The indices
 run in blocks of B = _BLOCK, and each block one level at a time, i = d-1
 down to 0: level i's additions over the block are the floor divisions of
-level i+1's values before each index by (2m-1)**s_{i+1} (see Divisions
-below), and their running sums
-(itertools.accumulate) are the values before each index that level i-1
-reads; A_0 feeds nothing, so its additions are only summed.  A_0(N) is the
-partial sum; the inner sums A_i(N-1), kept from before the last index, feed
-the bound.  Cost O(d*N), memory O(d*B), whatever N.  Both passes here run
-in fixed-point integers; one ulp is one unit of the scale, 10**(dps+20) in
-the ladder and 10**k <= 10**(dps+20) in t_numeric (_t_scale, see Rounding).
+level i+1's values before each index by (2m-1)**s_{i+1} (see Divisions),
+and their running sums (itertools.accumulate) are the values before each
+index that level i-1 reads; A_0 feeds nothing, so its additions are only
+summed.  A_0(N) is the partial sum; the inner sums A_i(N-1), kept from
+before the last index, feed the bound.  Cost O(d*N), memory O(d*B),
+whatever N.  Both passes run in fixed-point integers; one ulp is one unit
+of the scale, 10**(dps+20) in the ladder and 10**k <= 10**(dps+20) in
+t_numeric (_t_scale, see Scale).
 
 Tail (tail_order=1): when the inner exponents are >= 2 the inner sums
 increase to a finite limit, so the first-order integral correction
-A_1(N-1) (2N-1)**(1-s_1) / (2(s_1-1)) is added, and err is twice the
-next-order term A_1(N-1) (2N-1)**-s_1 plus twice the drift of the inner sums
-beyond N times the tail integral; tail_order=0 keeps the raw partial sum,
-with err cap_1 r(s_1).  The float bounds are cap_d = 1, drift_i =
-cap_{i+1} r(s_{i+1}), cap_i = A_i(N-1) + drift_i, where r(s) = (2N-1)**-s +
-int_N^inf (2x-1)**-s dx (_reach).  All are true upper bounds for inner
+a_tail (2N-1)**(1-s_1) / (2(s_1-1)), a_tail = A_1(N-1), is added, and err
+is twice the next-order term a_tail g_1, g_1 = (2N-1)**-s_1, plus twice the
+drift of the inner sums beyond N times the tail integral; tail_order=0
+keeps the raw partial sum, with err cap_1 r(s_1).  The bounds are exact
+rationals: cap_d = 1, drift_i = cap_{i+1} r(s_{i+1}), cap_i = A_i(N-1) +
+drift_i, where r(s) = (2N-1)**-s + int_N^inf (2x-1)**-s dx = (2N-1)**-s +
+(2N-1)**(1-s)/(2(s-1)) (_reach).  All are true upper bounds for inner
 exponents >= 2.  An inner exponent 1 (never produced by the even-argument
-sums this library verifies) makes the inner sums grow like log n, and the
-drift term is then only a one-log-order estimate, not a proven bound.
+sums this library verifies) makes the inner sums grow like log n; r(1) is
+then the exact Fraction of the float 1/(2N-1) + log(2N+1)/2, and the
+drift term only a one-log-order estimate, not a proven bound.
 
 T(2n,d) sums t(2j_1,...,2j_d) over the compositions of n into d parts.
 With x_m = (2m-1)**-2 it is the limit of
@@ -43,16 +45,16 @@ ascending, and per k, w ascending, so that g carries G_k[w-1].  A cell's
 g over the block divides the values of S[k-1][w-1] before each index, and
 its running sums are the values of S[k][w] before each index that level
 k+1 reads; the cells with k = n or w = n feed no later cell, so their g
-is only summed; its division by (2m-1)**2 follows the rule below.  One pass
-of the top weight n serves every depth of every weight w <= n, because a
-cell S[k][w] depends only on cells of weight below w and never on n; it
-costs n(n+1)/2 updates per index and O(n*B) memory.  The member bounds
-sum by leading part j_1 over the cells S_{d-1}[n-j_1](N-1), with the caps
-from the float recursion C_k[w] = S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j],
-C_0[0] = 1, summed over the compositions; so the bound equals the sum of
-the member bounds up to float rounding.  Both passes end in _finish, which
-converts the fixed-point sum and adds one tail correction and bound per
-leading exponent.
+is only summed.  One pass of the top weight n serves every depth of every
+weight w <= n, because a cell S[k][w] depends only on cells of weight
+below w and never on n; it costs n(n+1)/2 updates per index and O(n*B)
+memory.  The member bounds sum by leading part j_1 over the cells
+S_{d-1}[n-j_1](N-1), with the caps from the exact recursion C_k[w] =
+S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j], C_0[0] = 1, summed over the
+compositions; so the bound is the sum of the member bounds, read off the
+ladder's sums.  Both passes end in _finish, which adds one tail
+correction and bound per leading exponent to the fixed-point sum and
+converts once (see Conversion).
 
 Divisions.  Both passes divide a block's values by b**e, b = 2m-1 (e =
 s_{i+1} in t_numeric, e = 2 in the ladder), by one rule (_divisors): a
@@ -61,26 +63,22 @@ them make up b**e, otherwise one division by b**e.  CPython divides by one
 digit about twice as fast as by several.  The one-digit powers are b**2
 while the block's b < 2**15 (it fits one 30-bit digit) and b above, so the
 chain serves e <= 4 below 2**15 and e <= 2 above.  Each divisor list is
-built once per block; the one-digit divisor b is a list of the block's b,
-which the powers of b are built from too, never the block's range: a map
-over a range makes a new int for every element on every pass, and over a
-list it reads the stored ones (a million-term ladder pass of weight 5 runs
-about 5 % faster).
+built once per block, from a list of the block's b, never from its range,
+whose map makes a new int for every element on every pass (a million-term
+ladder pass of weight 5 runs about 5 % faster).
 
 Quantization.  The blocks change only the order in which the floors run:
 each floor divides the sum it read one index at a time, as it stood before
 its index, by the same divisor.  So every sum is the same integer for any
 B, and the bounds below, proved for one index at a time, hold unchanged.
 Nor do the chains change a sum: floor(floor(x/a)/c) = floor(x/(ac)) for
-integers x >= 0 and a, c >= 1, so a chain yields the integer of one floor
-division by b**e, the one floor per division that the bounds count.
-Each floor division subtracts some theta in [0, 1) ulp from a linear
-recurrence with non-negative coefficients, so every sum falls short
-by the thetas, each weighted by how much a unit in it adds to that sum;
-index 1 divides by 1 exactly.  With e_v and h_v the elementary and complete
-homogeneous symmetric polynomials, cosh(pi z/2) and cos(pi z/2) =
-prod_i (1 +- z**2/(2i-1)**2) give sum_{v>=1} e_v(x_2, x_3, ...) < 0.255 and
-sum_{v>=1} h_v(x_2, x_3, ...) = 4/pi - 1 < 0.28.
+integers x >= 0 and a, c >= 1.  Each floor division subtracts some theta
+in [0, 1) ulp from a linear recurrence with non-negative coefficients, so
+every sum falls short by the thetas, each weighted by how much a unit in
+it adds to that sum; index 1 divides by 1 exactly.  With e_v and h_v the
+elementary and complete homogeneous symmetric polynomials, cosh(pi z/2)
+and cos(pi z/2) = prod_i (1 +- z**2/(2i-1)**2) give sum_{v>=1} e_v(x_2,
+x_3, ...) < 0.255 and sum_{v>=1} h_v(x_2, x_3, ...) = 4/pi - 1 < 0.28.
 
 In t_numeric (inner exponents >= 2) a loss in A_i, i >= 1, at index m >= 2
 reaches A_0 with weight at most e_i(x_{m+1}, ...) < 0.255, so A_0(N) is
@@ -88,7 +86,7 @@ short by less than (N-1)(1 + 0.255(d-1)) ulps and each A_i(N-1) by less
 than (N-1)(1 + 0.255(d-2)).  For N >= 2 the finish weights those by less
 than 0.52 in all (1/6 + 2/9 in the correction and the a_tail g_1 term, the
 drift through r <= 0.28 per level), so the total is below (N-1)(1 + 0.39d)
-ulps, a slack of more than (N+1)(1.6d + 1) > 5 of the 2(d+1)(N+1) allowed.
+ulps, within the 2(d+1)(N+1) allowed.
 
 In the ladder a loss in g at cell (k,w) and index m >= 2 adds x_m**i to
 S_k[w+i](m) and reaches S_d[n] with weight at most h_{n-w}(x_m, x_{m+1},
@@ -97,31 +95,33 @@ S_k[w+i](m) and reaches S_d[n] with weight at most h_{n-w}(x_m, x_{m+1},
 (N-1)(9/8 + 0.28(d-1)(n-d+1)) ulps, and each inner cell S_k[w](N-1) the
 bound uses by less than (4/pi)(N-2) d(n-d+1), which the finish weights by
 less than 0.23 in all (for N >= 3; below that they are exact): the total is
-below (N+1)(9/8 + 0.6 d(n-d+1)) ulps, and (9/8)(N-1) for d = 1.  T_numeric
-keeps the 2(d+1)(N+1) ulps of each of its C(n-1,d-1) >= n-d+1 members, a
-slack of more than 2(4.8(n-d+1) - 1.2) ulps for d >= 2 and 5.7 for d = 1.
+below (N+1)(9/8 + 0.6 d(n-d+1)) ulps, within the 2(d+1)(N+1) of each of
+T_numeric's C(n-1,d-1) >= n-d+1 members.
 
-Rounding.  _finish works at dps+20 digits, p = round((dps+21) log2(10))
-bits, so a rounding moves x by at most |x| 2**-p < 0.15|x| ulps at any
-scale up to 10**(dps+20), and every number it forms is below 1.28: t(s) <=
-e_d(1, x_2, ...) < 1.26 and T(2n,d) <= h_n(1, x_2, ...) <= 4/pi.  The value
-takes two roundings in the conversion and seven per tail with a non-zero
-inner sum (a zero one adds an exact 0): under 0.19(2 + 7t) ulps for t such
-tails, so under 1.8 for t_numeric and for T_numeric at d = 1 (only j_1 =
-n), and under 0.4 + 1.4(n-d+1) at d >= 2, each within the slack above.
-Rounding err, cap, drift and C moves the bound by a relative 1e-15 at most,
-far inside its factor 2 (tail_order=1) or its (2N-1)**-s_1 term
-(tail_order=0).  That term is a_tail (2N-1)**-s_1 or more, and for N >= d
-a_tail = A_1(N-1) holds the largest term L = prod_{j>=2} (2(d-j)+1)**-s_j,
-so t_numeric takes k = min(dps+20, ceil(log10(2(d+1)(N+1)) + s_1
-log10(2N-1) - log10(L)) + 16): its 2(d+1)(N+1) ulps stay below 1e-16 of
-the bound, inside the rounding above, and the 16 digits absorb the rounding
-of the float logarithms.  For N < d, A_1(N-1) = 0 and k = dps+20.
+Conversion.  _finish sums the value and every part of err as exact
+Fractions and converts once by PrecReal._exact, as specialize_odd_squares
+does: at dps+20 digits, p bits, the value to nearest and err rounding up,
+plus 2**(1-p) |value| unless the value converts exactly.  So the reported
+err bounds the reported value's distance from t(s) or T(2n,d) whenever
+the exact err bounds the exact value's.  In t_numeric, for N >= 2, an
+exponent above top = bitlen(scale) + 4(dps+21) counts as top, so no power
+of 2N-1 grows without limit: that raises r and g_1 by less than
+2**-(p+10)/scale, and a leading one keeps the raw partial sum with the
+tail_order=0 bound, dropping a correction as small.
+
+Scale.  The bound's a_tail g_1 part (2 a_tail g_1, or cap_1 g_1 at
+tail_order=0) is a_tail (2N-1)**-s_1 or more, and for N >= d a_tail holds
+the largest term L = prod_{j>=2} (2(d-j)+1)**-s_j, so t_numeric takes
+k = min(dps+20, ceil(log10(2(d+1)(N+1)) + s_1 log10(2N-1) - log10(L)) +
+16): its 2(d+1)(N+1) ulps stay below 1e-16 of the bound, and the 16
+digits absorb the rounding of the float logarithms.  For N < d, a_tail =
+0 and k = dps+20.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, floordiv
 from typing import Iterable, Iterator, Sequence
@@ -131,14 +131,8 @@ from .exact import PiPower, _check_args, _Frozen, _index
 # mpmath is imported inside the functions that use it, so that importing
 # the package for exact work never loads it.
 
-__all__ = [
-    "DivergentSeriesError",
-    "PrecReal",
-    "TruncationParams",
-    "t_numeric",
-    "T_numeric",
-    "pi_power_eval",
-]
+__all__ = ["DivergentSeriesError", "PrecReal", "TruncationParams", "t_numeric", "T_numeric",
+           "pi_power_eval"]
 
 DEFAULT_TERMS = 1_000_000
 DEFAULT_DPS = 50
@@ -172,6 +166,21 @@ class PrecReal(_Frozen):
             raise ValueError(f"error bound must be finite and >= 0, got {err}")
         super().__init__(value, err)
 
+    @classmethod
+    def _exact(cls, num: int, err_num: int, den: int, dps: int) -> "PrecReal":
+        """num/den with the bound err_num/den (integers, den >= 1) at dps+20
+        digits (p bits): the value to nearest, the error rounding up, plus
+        2**(1-p) |value| unless the value converts exactly.  The one
+        conversion of the oracle's finish and of symfunc's specialization."""
+        import mpmath as mp
+
+        with mp.workdps(dps + 20):
+            value = mp.fdiv(num, den)
+            err = mp.fdiv(err_num, den, rounding="u")
+            if mp.fmul(value, den, exact=True) != num:
+                err = mp.fadd(err, mp.ldexp(abs(value), 1 - mp.mp.prec), rounding="u")
+            return cls(value, err)
+
     def __sub__(self, other: "PrecReal") -> "PrecReal":
         import mpmath as mp
 
@@ -204,39 +213,37 @@ def _check_dps(dps: int) -> int:
     return dps
 
 
-def _reach(s: int, N: int) -> float:
-    """r(s) = (2N-1)**-s + int_N^inf (2x-1)**-s dx, a float bound on the sum
-    of (2n-1)**-s over n >= N; a one-log-order stand-in for s = 1."""
-    g = float(2 * N - 1) ** (-s)
+def _tail(s: int, N: int) -> tuple[Fraction, Fraction]:
+    """g = (2N-1)**-s and the integral int_N^inf (2x-1)**-s dx =
+    (2N-1)**(1-s)/(2(s-1)), exactly, for s >= 2."""
+    return Fraction(1, (2 * N - 1) ** s), Fraction(1, 2 * (s - 1) * (2 * N - 1) ** (s - 1))
+
+
+def _reach(s: int, N: int) -> Fraction:
+    """r(s) = g + integral (_tail), a bound on the sum of (2n-1)**-s over
+    n >= N; for s = 1 the exact Fraction of a float one-log-order stand-in."""
     if s >= 2:
-        return g + (2 * N - 1) ** (1 - s) / (2 * (s - 1))
-    return g + 0.5 * math.log(2 * N + 1)
+        return sum(_tail(s, N))
+    return Fraction(1 / (2 * N - 1) + math.log(2 * N + 1) / 2)
 
 
-def _finish(total: int, tails: Sequence[tuple[int, int, float, float]], ulps: int,
-            N: int, scale: int, params: TruncationParams, dps: int) -> PrecReal:
+def _finish(total: int, tails: Sequence[tuple[int, Fraction, Fraction]], ulps: int,
+            N: int, scale: int, tail_order: int, dps: int) -> PrecReal:
     """The fixed-point sum ``total`` as a PrecReal: add the tail correction
-    and the bound of each ``(s1, a_tail, drift, cap)``, one per leading
-    exponent s1 (a_tail the fixed-point inner sum before index N, drift and
-    cap its float bounds), and ``ulps`` units of 1/scale."""
-    import mpmath as mp
-
-    with mp.workdps(dps + 20):
-        value = mp.mpf(total) / scale
-        err = mp.mpf(0)
-        for s1, a_tail, drift, cap in tails:
-            a_tail = mp.mpf(a_tail) / scale
-            g1 = mp.mpf(2 * N - 1) ** (-s1)
-            integral = mp.mpf(2 * N - 1) ** (1 - s1) / (2 * (s1 - 1))
-            if params.tail_order == 1:
-                value += a_tail * integral
-                err += 2 * (a_tail * g1 + mp.mpf(drift) * integral)
-            else:
-                err += mp.mpf(cap) * (g1 + integral)
-        # Quantization allowance, whose slack covers the roundings here
-        # (see the module docstring).
-        err += mp.mpf(ulps) / scale
-        return PrecReal(+value, +err)
+    and the bound of each ``(s1, a_tail, drift)``, one per leading exponent
+    s1 (a_tail the inner sum before index N, drift its bound on how far
+    that sum moves beyond N), and ``ulps`` units of 1/scale, all exactly,
+    then convert once (see Conversion in the module docstring)."""
+    value, err = Fraction(total, scale), Fraction(ulps, scale)
+    for s1, a_tail, drift in tails:
+        g1, integral = _tail(s1, N)
+        if tail_order == 1:
+            value += a_tail * integral
+            err += 2 * (a_tail * g1 + drift * integral)
+        else:
+            err += (a_tail + drift) * (g1 + integral)
+    return PrecReal._exact(value.numerator * err.denominator, err.numerator * value.denominator,
+                           value.denominator * err.denominator, dps)
 
 
 def _blocks(M: int) -> Iterator[range]:
@@ -298,7 +305,7 @@ def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]
 def _t_scale(s: Sequence[int], N: int, dps: int) -> int:
     """The fixed-point scale 10**k of t_numeric: the fewest digits, up to
     dps+20, that keep its quantization allowance below 1e-16 of its bound
-    (see Rounding in the module docstring)."""
+    (see Scale in the module docstring)."""
     d, k = len(s), dps + 20
     if N < d:  # A_1(N-1) = 0
         return 10**k
@@ -310,11 +317,8 @@ def _t_scale(s: Sequence[int], N: int, dps: int) -> int:
     return 10 ** min(k, math.ceil(digits) + 16)
 
 
-def t_numeric(
-    exponents: Sequence[int],
-    params: TruncationParams = TruncationParams(),
-    dps: int = DEFAULT_DPS,
-) -> PrecReal:
+def t_numeric(exponents: Sequence[int], params: TruncationParams = TruncationParams(),
+              dps: int = DEFAULT_DPS) -> PrecReal:
     """Evaluate t(s_1,...,s_d) by truncated summation of the defining series.
 
     Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
@@ -329,22 +333,27 @@ def t_numeric(
     if any(x < 1 for x in s):
         raise ValueError(f"all exponents must be >= 1, got {s}")
     if s[0] < 2:
-        raise DivergentSeriesError(
-            "series diverges: the leading exponent must be >= 2"
-        )
+        raise DivergentSeriesError("series diverges: the leading exponent must be >= 2")
     N = params.terms
-    d = len(s)
     scale = _t_scale(s, N, dps)
-    inner, A = _t_sums(s, N, scale)
+    return _t_finish(s, *_t_sums(s, N, scale), N, scale, params, dps)
 
-    # Float upper bounds on the inner sums (cap) and on how far they can
-    # still move beyond N (drift); used only for the error bound.
-    cap, drift = 1.0, 0.0
+
+def _t_finish(s: Sequence[int], inner: list[int], A: list[int], N: int, scale: int,
+              params: TruncationParams, dps: int) -> PrecReal:
+    """t_numeric's finish of its fixed-point sums A, and A before the last
+    index (inner): the exact drift_i = (A_{i+1}(N-1) + drift_{i+1})
+    r(s_{i+1}), then _finish.  For N >= 2 an exponent above top counts as
+    top (see Conversion in the module docstring)."""
+    d = len(s)
+    top = scale.bit_length() + 4 * (dps + 21) if N > 1 else math.inf
+    e = [min(x, top) for x in s]
+    a = [Fraction(x, scale) for x in inner]  # a[d] = 1
+    drift = 0
     for i in range(d - 1, 0, -1):
-        drift = cap * _reach(s[i], N)
-        cap = inner[i] / scale + drift
-    return _finish(A[0], [(s[0], inner[1], drift, cap)], 2 * (d + 1) * (N + 1),
-                   N, scale, params, dps)
+        drift = (a[i + 1] + drift) * _reach(e[i], N)
+    return _finish(A[0], [(e[0], a[1], drift)], 2 * (d + 1) * (N + 1),
+                   N, scale, params.tail_order if s[0] <= top else 0, dps)
 
 
 def _ladder_block(S: list[list[int]], bs: range) -> None:
@@ -397,49 +406,40 @@ def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[Prec
     scale = 10 ** (dps + 20)
     inner, S = _weight_ladder(n, N, scale)
 
-    # Drift bounds in floats: C[k][w] sums the caps of t_numeric over the
-    # compositions of w into k parts and D[k][w] their drifts.
-    r = [0.0] + [_reach(2 * j, N) for j in range(1, n + 1)]
-    C = [[1.0] + [0.0] * n]
-    D = [[0.0] * (n + 1)]
+    # Exact drift bounds: D[k][w] sums the drifts of t_numeric over the
+    # compositions of w into k parts, and a[k][w] + D[k][w] their caps (both
+    # 0 for w < k).
+    a = [[Fraction(x, scale) for x in row] for row in inner]
+    r = [0] + [_reach(2 * j, N) for j in range(1, n + 1)]
+    D = [[0] * (n + 1)]
     for k in range(1, n):
-        D.append([sum(r[j] * C[k - 1][w - j] for j in range(1, w + 1)) for w in range(n + 1)])
-        C.append([inner[k][w] / scale + D[k][w] for w in range(n + 1)])
+        D.append([sum(r[j] * (a[k - 1][w - j] + D[k - 1][w - j]) for j in range(1, w - k + 2))
+                  for w in range(n + 1)])
 
     # One tail per leading part j = j_1, and the quantization allowance of
     # the C(w-1,d-1) per-composition passes, which covers the ladder's.
     rows = tuple(
-        tuple(
-            _finish(
-                S[d][w],
-                [(2 * j, inner[d - 1][w - j], D[d - 1][w - j], C[d - 1][w - j])
-                 for j in range(1, w - d + 2)],
-                math.comb(w - 1, d - 1) * 2 * (d + 1) * (N + 1),
-                N, scale, params, dps,
-            )
-            for d in range(1, w + 1)
-        )
-        for w in range(1, n + 1)
-    )
+        tuple(_finish(S[d][w], [(2 * j, a[d - 1][w - j], D[d - 1][w - j])
+                                for j in range(1, w - d + 2)],
+                      math.comb(w - 1, d - 1) * 2 * (d + 1) * (N + 1),
+                      N, scale, params.tail_order, dps)
+              for d in range(1, w + 1))
+        for w in range(1, n + 1))
     _rows[params.terms, params.tail_order, dps] = rows
     return rows
 
 
-def T_numeric(
-    n: int,
-    d: int,
-    params: TruncationParams = TruncationParams(),
-    dps: int = DEFAULT_DPS,
-) -> PrecReal:
+def T_numeric(n: int, d: int, params: TruncationParams = TruncationParams(),
+              dps: int = DEFAULT_DPS) -> PrecReal:
     """T(2n,d), the sum of t(2j_1,...,2j_d) over the compositions of n into
     d parts, from the weight-ladder pass of the highest weight asked for so
     far, which serves every depth of every lower weight (memoized).  The
-    bound equals the sum of the t_numeric member bounds up to float
-    rounding.  Requires integers n, d >= 1 and dps >= MIN_DPS.  A memoized
-    cell asked for with an int dps costs one dict lookup; any other call
-    checks n, d (_check_args) and dps (_check_dps) before any work, then
-    reads the memo, so a float or Fraction dps is refused, memoized or not.
-    Cost O(n**2 * N) per new top weight."""
+    bound is the sum of the t_numeric member bounds, read off the ladder's
+    sums, before the one conversion.  Requires integers n, d >= 1 and dps
+    >= MIN_DPS.  A memoized cell asked for with an int dps costs one dict
+    lookup; any other call checks n, d (_check_args) and dps (_check_dps)
+    before any work, then reads the memo, so a float or Fraction dps is
+    refused, memoized or not.  Cost O(n**2 * N) per new top weight."""
     # A hit is one dict lookup on a key of plain fields, with no Python-level
     # call (hashing params itself would make one).  Of the n and d that
     # _index refuses, only True passes the comparisons and the index.  A
@@ -456,9 +456,7 @@ def T_numeric(
     n, d = _check_args(n, d)
     dps = _check_dps(dps)
     if d > n:
-        import mpmath as mp
-
-        return PrecReal(mp.mpf(0), mp.mpf(0))
+        return PrecReal._exact(0, 0, 1, dps)
     rows = _rows.get((params.terms, params.tail_order, dps), ())
     if n <= len(rows):
         return rows[n - 1][d - 1]

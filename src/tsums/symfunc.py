@@ -57,7 +57,7 @@ from typing import Iterator
 from .exact import _check_args, _index
 from .oracle import PrecReal, _check_dps
 
-# mpmath and array are imported inside the functions that use them, as in
+# array is imported inside the function that uses it, as mpmath is in
 # oracle.
 
 __all__ = [
@@ -386,13 +386,11 @@ def specialize_odd_squares(
     denominators of the terms and a = cL, each term c e_k h_l adds
     a v_e v_h, and the error |a| (err_e (|v_h| + err_h) + err_h (|v_e| +
     err_e)) of a product, both summed exactly in integers over
-    L 10**(2(dps+20)).  Only then do they become mpf, at dps+20 digits (p
-    bits): the value to nearest, off by at most 2**(1-p) |value|, which is
-    added unless the conversion is exact (so a dyadic constant keeps err
-    0), and the error rounding up.
+    L 10**(2(dps+20)).  Only then do they become mpf, by the oracle's one
+    conversion (PrecReal._exact): at dps+20 digits, the value to nearest
+    and the error rounding up, plus the value's rounding unless the
+    conversion is exact (so a dyadic constant keeps err 0).
     """
-    import mpmath as mp
-
     num_vars, dps = _index(num_vars), _check_dps(dps)
     if num_vars < 2:
         raise ValueError(f"need at least 2 variables, got {num_vars}")
@@ -404,10 +402,4 @@ def specialize_odd_squares(
         a = coeff.numerator * (den // coeff.denominator)
         total += a * v_e * v_h
         total_err += abs(a) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
-    unit = den * 10 ** (2 * (dps + 20))
-    with mp.workdps(dps + 20):
-        value = mp.fdiv(total, unit)
-        err = mp.fdiv(total_err, unit, rounding="u")
-        if mp.fmul(value, unit, exact=True) != total:
-            err = mp.fadd(err, mp.ldexp(abs(value), 1 - mp.mp.prec), rounding="u")
-        return PrecReal(value, err)
+    return PrecReal._exact(total, total_err, den * 10 ** (2 * (dps + 20)), dps)

@@ -18,13 +18,12 @@ from tsums.oracle import (
     PrecReal,
     TruncationParams,
     T_numeric,
-    _finish,
-    _reach,
     _weight_ladder,
     _weight_rows,
     pi_power_eval,
     t_numeric,
 )
+from tsums.verify import _within
 
 FAST = TruncationParams(terms=100_000, tail_order=1)
 
@@ -55,18 +54,6 @@ def exact_sum(parts):
     return PrecReal(value, err)
 
 
-def _finish_t(s, inner, A, params, dps, scale):
-    """The fixed-point sums A of t(s), and A before the last index (inner),
-    finished as t_numeric finishes them."""
-    N, d = params.terms, len(s)
-    cap, drift = 1.0, 0.0
-    for i in range(d - 1, 0, -1):
-        drift = cap * _reach(s[i], N)
-        cap = inner[i] / scale + drift
-    return _finish(A[0], [(s[0], inner[1], drift, cap)], 2 * (d + 1) * (N + 1),
-                   N, scale, params, dps)
-
-
 def _uncapped_t_numeric(s, params, dps):
     """t_numeric's pass dividing by the real powers b**s_i, at the scale
     t_numeric picks and finished as it finishes: a reference for its
@@ -79,14 +66,14 @@ def _uncapped_t_numeric(s, params, dps):
             inner = A[:]
         for i, e in enumerate(s):
             A[i] += A[i + 1] // b**e
-    return _finish_t(s, inner, A, params, dps, scale)
+    return oracle._t_finish(s, inner, A, N, scale, params, dps)
 
 
 def _full_scale_t_numeric(s, params, dps=oracle.DEFAULT_DPS):
     """t(s) summed at the ladder's scale 10**(dps+20) and finished as
     t_numeric finishes, whatever scale t_numeric picks."""
-    scale = 10 ** (dps + 20)
-    return _finish_t(s, *oracle._t_sums(s, params.terms, scale), params, dps, scale)
+    N, scale = params.terms, 10 ** (dps + 20)
+    return oracle._t_finish(s, *oracle._t_sums(s, N, scale), N, scale, params, dps)
 
 
 def _reference_t_sums(s, N, scale):
@@ -223,8 +210,8 @@ class TestTNumeric:
     @pytest.mark.parametrize("N", [1, 2, 1000, 40_000])
     def test_scale_keeps_value_and_bound(self, N):
         # Below the full scale the quantization allowance stays under 1e-16
-        # of the bound, so err moves by float rounding only and the value
-        # by far less than err.  Every vector with d <= N runs below the
+        # of the bound, so err moves by less than 1e-15 of itself and the
+        # value by far less than err.  Every vector with d <= N runs below the
         # full scale, so no comparison here is between equal passes.
         dps = oracle.DEFAULT_DPS
         for s in BLOCK_VECTORS + ([3, 1, 2], [5, 3, 3], [2, 1, 1, 5, 3]):
@@ -233,7 +220,7 @@ class TestTNumeric:
             for tail_order in (0, 1):
                 params = TruncationParams(terms=N, tail_order=tail_order)
                 got = t_numeric(s, params, dps)
-                full = _finish_t(s, *sums, params, dps, 10 ** (dps + 20))
+                full = oracle._t_finish(s, *sums, N, 10 ** (dps + 20), params, dps)
                 assert abs(mp.fsub(got.value, full.value, exact=True)) <= got.err, (s, N, tail_order)
                 assert abs(got.err - full.err) <= mp.mpf("1e-15") * full.err, (s, N, tail_order)
 
@@ -348,14 +335,29 @@ class TestTNumericSums:
             got = T_numeric(n, d, FAST)
             want = pi_power_eval(T_from_euler(n, d))
             assert abs(got.value - want.value) <= got.err, (n, d)
+        # At the smallest cutoffs the tail term dominates err: every cell
+        # with n <= 7, and t(2n) through t_numeric, lies within its bound of
+        # the closed form, by two exact comparisons.
+        for N in (1, 2, 3, 4, 5):
+            for tail_order in (0, 1):
+                params = TruncationParams(terms=N, tail_order=tail_order)
+                T_numeric(7, 1, params)  # one ladder pass serves every cell
+                for n in range(1, 8):
+                    got = t_numeric([2 * n], params)
+                    assert _within(got, pi_power_eval(t_even(n))), (N, tail_order, n)
+                    for d in range(1, n + 1):
+                        got = T_numeric(n, d, params)
+                        want = pi_power_eval(T_from_euler(n, d))
+                        assert _within(got, want), (N, tail_order, n, d)
 
     def test_beyond_depth_is_exact_zero(self):
         r = T_numeric(2, 3, FAST)
         assert r.value == 0 and r.err == 0
 
     def test_error_adds_member_bounds(self):
-        # The grouped bound is the sum of the member bounds up to float
-        # rounding, and the members' sum lies within it.  At d = 1 and
+        # The grouped bound is the sum of the member bounds, up to the
+        # members' own passes and scales, and the members' sum lies within
+        # it.  At d = 1 and
         # d = n the cell has one member, and the two passes agree exactly
         # at the ladder's scale.
         for tail_order in (0, 1):
