@@ -24,11 +24,11 @@ drift of the inner sums beyond N times the tail integral; tail_order=0
 keeps the raw partial sum, with err cap_1 r(s_1).  The bounds are exact
 rationals: cap_d = 1, drift_i = cap_{i+1} r(s_{i+1}), cap_i = A_i(N-1) +
 drift_i, where r(s) = (2N-1)**-s + int_N^inf (2x-1)**-s dx = (2N-1)**-s +
-(2N-1)**(1-s)/(2(s-1)) (_reach).  All are true upper bounds for inner
+(2N-1)**(1-s)/(2(s-1)) (_tails).  All are true upper bounds for inner
 exponents >= 2.  An inner exponent 1 (never produced by the even-argument
 sums this library verifies) makes the inner sums grow like log n; r(1) is
-then the exact Fraction of the float 1/(2N-1) + log(2N+1)/2, and the
-drift term only a one-log-order estimate, not a proven bound.
+then the exact value of the float 1/(2N-1) + log(2N+1)/2, and the drift
+term only a one-log-order estimate, not a proven bound.
 
 T(2n,d) sums t(2j_1,...,2j_d) over the compositions of n into d parts.
 With x_m = (2m-1)**-2 it is the limit of
@@ -98,16 +98,23 @@ less than 0.23 in all (for N >= 3; below that they are exact): the total is
 below (N+1)(9/8 + 0.6 d(n-d+1)) ulps, within the 2(d+1)(N+1) of each of
 T_numeric's C(n-1,d-1) >= n-d+1 members.
 
-Conversion.  _finish sums the value and every part of err as exact
-Fractions and converts once by PrecReal._exact, as specialize_odd_squares
+Cap.  Each A_i < scale (2N)**d <= 2**cap, cap = bitlen(scale) + d
+bitlen(2N) (_cap), so an exponent above cap changes no sum of the pass:
+b**e and b**cap both floor A_i to 0 for b >= 3 and are both 1 at b = 1.
+The finish caps the exponents of its powers of 2N-1 the same way, keeping
+2(s-1), so no power grows without limit.  That only raises g_1, the
+integral and r, and moves the correction by less than scale a_tail
+(2N-1)**(1-cap) < (2/3)**cap ulps (a_tail < (2N)**(d-1), and 2N-1 >= 3
+wherever a power changes), inside the slack of the quantization allowance.
+
+Conversion.  _finish sums the value and err exactly, as integers over
+scale Q**d, and converts once by PrecReal._exact, as specialize_odd_squares
 does: at dps+20 digits, p bits, the value to nearest and err rounding up,
 plus 2**(1-p) |value| unless the value converts exactly.  So the reported
 err bounds the reported value's distance from t(s) or T(2n,d) whenever
-the exact err bounds the exact value's.  In t_numeric, for N >= 2, an
-exponent above top = bitlen(scale) + 4(dps+21) counts as top, so no power
-of 2N-1 grows without limit: that raises r and g_1 by less than
-2**-(p+10)/scale, and a leading one keeps the raw partial sum with the
-tail_order=0 bound, dropping a correction as small.
+the exact err bounds the exact value's.  Q is a common denominator of
+every g, integral and r (_tails), and a bound with j factors r is an
+integer over scale Q**j.
 
 Scale.  The bound's a_tail g_1 part (2 a_tail g_1, or cap_1 g_1 at
 tail_order=0) is a_tail (2N-1)**-s_1 or more, and for N >= d a_tail holds
@@ -121,7 +128,6 @@ digits absorb the rounding of the float logarithms.  For N < d, a_tail =
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, floordiv
 from typing import Iterable, Iterator, Sequence
@@ -131,8 +137,14 @@ from .exact import PiPower, _check_args, _Frozen, _index
 # mpmath is imported inside the functions that use it, so that importing
 # the package for exact work never loads it.
 
-__all__ = ["DivergentSeriesError", "PrecReal", "TruncationParams", "t_numeric", "T_numeric",
-           "pi_power_eval"]
+__all__ = [
+    "DivergentSeriesError",
+    "PrecReal",
+    "TruncationParams",
+    "t_numeric",
+    "T_numeric",
+    "pi_power_eval",
+]
 
 DEFAULT_TERMS = 1_000_000
 DEFAULT_DPS = 50
@@ -213,37 +225,48 @@ def _check_dps(dps: int) -> int:
     return dps
 
 
-def _tail(s: int, N: int) -> tuple[Fraction, Fraction]:
-    """g = (2N-1)**-s and the integral int_N^inf (2x-1)**-s dx =
-    (2N-1)**(1-s)/(2(s-1)), exactly, for s >= 2."""
-    return Fraction(1, (2 * N - 1) ** s), Fraction(1, 2 * (s - 1) * (2 * N - 1) ** (s - 1))
+def _tails(exps: Sequence[int], N: int, cap: float = math.inf) -> tuple[int, dict]:
+    """Q, a common denominator of the tail parts of every exponent s in
+    exps, and for each s the pair Q g, Q integral of g = (2N-1)**-s and
+    int_N^inf (2x-1)**-s dx = (2N-1)**(1-s)/(2(s-1)), the exponent of each
+    power of 2N-1 capped at cap (see Cap in the module docstring), whose
+    sum is Q r(s).  For s = 1 the pair is 0 and Q times the exact value of
+    the one-log-order stand-in for r(1), the float 1/(2N-1) + log(2N+1)/2."""
+    b = 2 * N - 1
+    num, den = (1 / b + math.log(2 * N + 1) / 2).as_integer_ratio()
+    Q = 2 * math.lcm(*(s - 1 if s >= 2 else den for s in exps)) * b ** max(
+        min(s, cap) for s in exps)
+    parts = {1: (0, Q // den * num)}
+    for s in exps:
+        if s >= 2:
+            power = b ** (min(s, cap) - 1)
+            parts[s] = Q // (power * b), Q // (2 * (s - 1) * power)
+    return Q, parts
 
 
-def _reach(s: int, N: int) -> Fraction:
-    """r(s) = g + integral (_tail), a bound on the sum of (2n-1)**-s over
-    n >= N; for s = 1 the exact Fraction of a float one-log-order stand-in."""
-    if s >= 2:
-        return sum(_tail(s, N))
-    return Fraction(1 / (2 * N - 1) + math.log(2 * N + 1) / 2)
+def _cap(d: int, N: int, scale: int) -> int:
+    """The exponent cap of t_numeric at depth d, N terms and this scale
+    (see Cap in the module docstring)."""
+    return scale.bit_length() + d * (2 * N).bit_length()
 
 
-def _finish(total: int, tails: Sequence[tuple[int, Fraction, Fraction]], ulps: int,
-            N: int, scale: int, tail_order: int, dps: int) -> PrecReal:
+def _finish(total: int, tails: Sequence[tuple[int, int, int, int]], ulps: int,
+            scale: int, den: int, tail_order: int, dps: int) -> PrecReal:
     """The fixed-point sum ``total`` as a PrecReal: add the tail correction
-    and the bound of each ``(s1, a_tail, drift)``, one per leading exponent
-    s1 (a_tail the inner sum before index N, drift its bound on how far
-    that sum moves beyond N), and ``ulps`` units of 1/scale, all exactly,
-    then convert once (see Conversion in the module docstring)."""
-    value, err = Fraction(total, scale), Fraction(ulps, scale)
-    for s1, a_tail, drift in tails:
-        g1, integral = _tail(s1, N)
+    and the bound of each ``(a_tail, drift, g1, integral)``, one per leading
+    exponent s1 (a_tail the inner sum before index N, drift its bound on
+    how far that sum moves beyond N, g1 and the integral of s1 from
+    _tails), whose products are integers over den, and ``ulps`` units of
+    1/scale, then convert once (see Conversion in the module docstring)."""
+    value = err = 0
+    for a_tail, drift, g1, integral in tails:
         if tail_order == 1:
             value += a_tail * integral
             err += 2 * (a_tail * g1 + drift * integral)
         else:
             err += (a_tail + drift) * (g1 + integral)
-    return PrecReal._exact(value.numerator * err.denominator, err.numerator * value.denominator,
-                           value.denominator * err.denominator, dps)
+    unit = den // scale
+    return PrecReal._exact(total * unit + value, ulps * unit + err, den, dps)
 
 
 def _blocks(M: int) -> Iterator[range]:
@@ -289,10 +312,7 @@ def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]
     """The fixed-point sums A[i] = A_i of t_numeric for exponents s, before
     and after the last index N (see the module docstring)."""
     d = len(s)
-    # Each A_i <= scale (1 + ln(2N-1)/2)**d < scale (2N)**d < 2**cap: b**e
-    # and b**cap both floor it to 0 for b >= 3 and are both 1 at b = 1, so
-    # the cap is exact.
-    cap = scale.bit_length() + d * (2 * N).bit_length()
+    cap = _cap(d, N, scale)
     exps = [min(e, cap) for e in s]
     A = [0] * d + [scale]
     for bs in _blocks(N - 1):
@@ -317,8 +337,11 @@ def _t_scale(s: Sequence[int], N: int, dps: int) -> int:
     return 10 ** min(k, math.ceil(digits) + 16)
 
 
-def t_numeric(exponents: Sequence[int], params: TruncationParams = TruncationParams(),
-              dps: int = DEFAULT_DPS) -> PrecReal:
+def t_numeric(
+    exponents: Sequence[int],
+    params: TruncationParams = TruncationParams(),
+    dps: int = DEFAULT_DPS,
+) -> PrecReal:
     """Evaluate t(s_1,...,s_d) by truncated summation of the defining series.
 
     Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
@@ -333,7 +356,9 @@ def t_numeric(exponents: Sequence[int], params: TruncationParams = TruncationPar
     if any(x < 1 for x in s):
         raise ValueError(f"all exponents must be >= 1, got {s}")
     if s[0] < 2:
-        raise DivergentSeriesError("series diverges: the leading exponent must be >= 2")
+        raise DivergentSeriesError(
+            "series diverges: the leading exponent must be >= 2"
+        )
     N = params.terms
     scale = _t_scale(s, N, dps)
     return _t_finish(s, *_t_sums(s, N, scale), N, scale, params, dps)
@@ -343,17 +368,15 @@ def _t_finish(s: Sequence[int], inner: list[int], A: list[int], N: int, scale: i
               params: TruncationParams, dps: int) -> PrecReal:
     """t_numeric's finish of its fixed-point sums A, and A before the last
     index (inner): the exact drift_i = (A_{i+1}(N-1) + drift_{i+1})
-    r(s_{i+1}), then _finish.  For N >= 2 an exponent above top counts as
-    top (see Conversion in the module docstring)."""
+    r(s_{i+1}), with the exponents capped (_cap), then _finish."""
     d = len(s)
-    top = scale.bit_length() + 4 * (dps + 21) if N > 1 else math.inf
-    e = [min(x, top) for x in s]
-    a = [Fraction(x, scale) for x in inner]  # a[d] = 1
-    drift = 0
+    Q, parts = _tails(s, N, _cap(d, N, scale))
+    drift, q = 0, 1  # drift over scale * q
     for i in range(d - 1, 0, -1):
-        drift = (a[i + 1] + drift) * _reach(e[i], N)
-    return _finish(A[0], [(e[0], a[1], drift)], 2 * (d + 1) * (N + 1),
-                   N, scale, params.tail_order if s[0] <= top else 0, dps)
+        drift = (inner[i + 1] * q + drift) * sum(parts[s[i]])
+        q *= Q
+    return _finish(A[0], [(inner[1] * q, drift, *parts[s[0]])], 2 * (d + 1) * (N + 1),
+                   scale, scale * q * Q, params.tail_order, dps)
 
 
 def _ladder_block(S: list[list[int]], bs: range) -> None:
@@ -406,31 +429,43 @@ def _weight_rows(n: int, params: TruncationParams, dps: int) -> tuple[tuple[Prec
     scale = 10 ** (dps + 20)
     inner, S = _weight_ladder(n, N, scale)
 
-    # Exact drift bounds: D[k][w] sums the drifts of t_numeric over the
-    # compositions of w into k parts, and a[k][w] + D[k][w] their caps (both
-    # 0 for w < k).
-    a = [[Fraction(x, scale) for x in row] for row in inner]
-    r = [0] + [_reach(2 * j, N) for j in range(1, n + 1)]
+    # Exact drift bounds, over scale * Q**k: D[k][w] sums the drifts of
+    # t_numeric over the compositions of w into k parts, and C[k][w] =
+    # S_k[w](N-1) + D[k][w] their caps (both 0 for w < k).
+    Q, parts = _tails(range(2, 2 * n + 1, 2), N)
+    Qk = [Q**k for k in range(n + 1)]
+    r = [0] + [sum(parts[2 * j]) for j in range(1, n + 1)]
+    C = [inner[0]]
     D = [[0] * (n + 1)]
     for k in range(1, n):
-        D.append([sum(r[j] * (a[k - 1][w - j] + D[k - 1][w - j]) for j in range(1, w - k + 2))
-                  for w in range(n + 1)])
+        D.append([sum(r[j] * C[k - 1][w - j] for j in range(1, w - k + 2)) for w in range(n + 1)])
+        C.append([x * Qk[k] + y for x, y in zip(inner[k], D[k])])
 
     # One tail per leading part j = j_1, and the quantization allowance of
     # the C(w-1,d-1) per-composition passes, which covers the ladder's.
     rows = tuple(
-        tuple(_finish(S[d][w], [(2 * j, a[d - 1][w - j], D[d - 1][w - j])
-                                for j in range(1, w - d + 2)],
-                      math.comb(w - 1, d - 1) * 2 * (d + 1) * (N + 1),
-                      N, scale, params.tail_order, dps)
-              for d in range(1, w + 1))
-        for w in range(1, n + 1))
+        tuple(
+            _finish(
+                S[d][w],
+                [(inner[d - 1][w - j] * Qk[d - 1], D[d - 1][w - j], *parts[2 * j])
+                 for j in range(1, w - d + 2)],
+                math.comb(w - 1, d - 1) * 2 * (d + 1) * (N + 1),
+                scale, scale * Qk[d], params.tail_order, dps,
+            )
+            for d in range(1, w + 1)
+        )
+        for w in range(1, n + 1)
+    )
     _rows[params.terms, params.tail_order, dps] = rows
     return rows
 
 
-def T_numeric(n: int, d: int, params: TruncationParams = TruncationParams(),
-              dps: int = DEFAULT_DPS) -> PrecReal:
+def T_numeric(
+    n: int,
+    d: int,
+    params: TruncationParams = TruncationParams(),
+    dps: int = DEFAULT_DPS,
+) -> PrecReal:
     """T(2n,d), the sum of t(2j_1,...,2j_d) over the compositions of n into
     d parts, from the weight-ladder pass of the highest weight asked for so
     far, which serves every depth of every lower weight (memoized).  The

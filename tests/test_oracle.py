@@ -54,19 +54,25 @@ def exact_sum(parts):
     return PrecReal(value, err)
 
 
-def _uncapped_t_numeric(s, params, dps):
-    """t_numeric's pass dividing by the real powers b**s_i, at the scale
-    t_numeric picks and finished as it finishes: a reference for its
+def _uncapped_t_sums(s, N, scale):
+    """t_numeric's pass one index at a time, dividing by the real powers
+    b**s_i: the sums before and after the last index N, a reference for its
     exponent cap."""
-    N, d = params.terms, len(s)
-    scale = oracle._t_scale(s, N, dps)
-    A = [0] * d + [scale]
+    A = [0] * len(s) + [scale]
     for b in range(1, 2 * N, 2):
         if b == 2 * N - 1:
             inner = A[:]
         for i, e in enumerate(s):
             A[i] += A[i + 1] // b**e
-    return oracle._t_finish(s, inner, A, N, scale, params, dps)
+    return inner, A
+
+
+def _uncapped_finish(s, inner, A, N, scale, params, dps):
+    """t_numeric's finish with the real powers (2N-1)**s_i, a reference
+    for its exponent cap."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_cap", lambda d, N, scale: math.inf)
+        return oracle._t_finish(s, inner, A, N, scale, params, dps)
 
 
 def _full_scale_t_numeric(s, params, dps=oracle.DEFAULT_DPS):
@@ -175,12 +181,22 @@ class TestTNumeric:
     @pytest.mark.parametrize("tail_order", [0, 1])
     def test_capped_exponents_are_exact(self, tail_order):
         # At dps 10 and N <= 3 the cap is at most 100 + 3d bits, so every
-        # exponent here from 150 up is capped.
+        # exponent here from 150 up is capped.  The pass gives the sums of
+        # the real powers b**s_i.  The finish's capped powers of 2N-1 only
+        # raise err, and move it and the value by far less than one ulp of
+        # the pass; at N = 1 they change nothing.
         for N in (1, 2, 3):
             params = TruncationParams(terms=N, tail_order=tail_order)
             for s in ([2], [150], [2, 200], [300, 1, 2], [3, 2, 1000], [1000, 150, 2]):
+                scale = oracle._t_scale(s, N, 10)
+                sums = _uncapped_t_sums(s, N, scale)
+                assert oracle._t_sums(s, N, scale) == sums, (s, N)
                 got = t_numeric(s, params, dps=10)
-                assert got == _uncapped_t_numeric(s, params, 10), (s, N)
+                want = _uncapped_finish(s, *sums, N, scale, params, 10)
+                half_ulp = mp.mpf(1) / (2 * scale)
+                assert 0 <= mp.fsub(got.err, want.err, exact=True) <= half_ulp, (s, N)
+                assert abs(mp.fsub(got.value, want.value, exact=True)) <= half_ulp, (s, N)
+                assert got == want or N > 1, (s, N)
 
     def test_scale_follows_the_bound(self, monkeypatch):
         # The full scale 10**(dps+20) when N < d, where no inner sum sizes
