@@ -4,17 +4,13 @@ t(s_1,...,s_d) = sum over n_1 > ... > n_d >= 1 of prod (2n_i - 1)**-s_i.
 t_numeric sums it over the indices m = 1..N, keeping the d+1 partial sums
 A_i(m) over m >= n_{i+1} > ... > n_d of prod_{j>i} (2n_j - 1)**-s_j
 (A_d = 1): index m adds A_{i+1}(m-1) (2m-1)**-s_{i+1} to A_i, reading
-A_{i+1} before index m adds to it (the indices stay strict).  The indices
-run in blocks of B = _BLOCK, and each block one level at a time, i = d-1
-down to 0: level i's additions over the block are the floor divisions of
-level i+1's values before each index by (2m-1)**s_{i+1} (see Divisions),
-and their running sums (itertools.accumulate) are the values before each
-index that level i-1 reads; A_0 feeds nothing, so its additions are only
-summed.  A_0(N) is the partial sum; the inner sums A_i(N-1), kept from
-before the last index, feed the bound.  Cost O(d*N), memory O(d*B),
-whatever N.  Both passes run in fixed-point integers; one ulp is one unit
-of the scale, 10**(dps+20) in the ladder and 10**k <= 10**(dps+20) in
-t_numeric (_t_scale, see Scale).
+A_{i+1} before index m adds to it (the indices stay strict): per index
+the levels run i = 0 up to d-1, each adding a floor division of A_{i+1}
+by (2m-1)**s_{i+1} (see Divisions).  A_0(N) is the partial sum; the
+inner sums A_i(N-1), kept from before the last index, feed the bound.
+Cost O(d*N), memory O(d), whatever N.  Both passes run in fixed-point
+integers; one ulp is one unit of the scale, 10**(dps+20) in the ladder
+and 10**k <= 10**(dps+20) in t_numeric (_t_scale, see Scale).
 
 Tail (tail_order=1): when the inner exponents are >= 2 the inner sums
 increase to a finite limit, so the first-order integral correction
@@ -40,14 +36,11 @@ at k = d, w = n, M -> inf.  Adding the index m adds
 G_k[w] = sum_{j>=1} x_m**j S_{k-1}[w-j](m-1) = x_m (S_{k-1}[w-1](m-1) + G_k[w-1])
 to S_k[w].  T_numeric runs this weight ladder,
 ``g = (S[k-1][w-1] + g) // (2m-1)**2; S[k][w] += g``, over the cells
-1 <= k <= w <= n, in blocks of B indices like t_numeric: per block k
-ascending, and per k, w ascending, so that g carries G_k[w-1].  A cell's
-g over the block divides the values of S[k-1][w-1] before each index, and
-its running sums are the values of S[k][w] before each index that level
-k+1 reads; the cells with k = n or w = n feed no later cell, so their g
-is only summed.  One pass of the top weight n serves every depth of every
+1 <= k <= w <= n: per index k descending, so that S[k-1] still holds
+the sums before the index, and per k, w ascending, so that g carries
+G_k[w-1].  One pass of the top weight n serves every depth of every
 weight w <= n, because a cell S[k][w] depends only on cells of weight
-below w and never on n; it costs n(n+1)/2 updates per index and O(n*B)
+below w and never on n; it costs n(n+1)/2 updates per index and O(n**2)
 memory.  The member bounds sum by leading part j_1 over the cells
 S_{d-1}[n-j_1](N-1), with the caps from the exact recursion C_k[w] =
 S_k[w](N-1) + sum_j r(2j) C_{k-1}[w-j], C_0[0] = 1, summed over the
@@ -56,29 +49,33 @@ ladder's sums.  Both passes end in _finish, which adds one tail
 correction and bound per leading exponent to the fixed-point sum and
 converts once (see Conversion).
 
-Divisions.  Both passes divide a block's values by b**e, b = 2m-1 (e =
-s_{i+1} in t_numeric, e = 2 in the ladder), by one rule (_divisors): a
-chain of floor divisions by one-digit powers of b whenever at most two of
-them make up b**e, otherwise one division by b**e.  CPython divides by one
-digit about twice as fast as by several.  The one-digit powers are b**2
-while the block's b < 2**15 (it fits one 30-bit digit) and b above, so the
-chain serves e <= 4 below 2**15 and e <= 2 above.  Each divisor list is
-built once per block, from a list of the block's b, never from its range,
-whose map makes a new int for every element on every pass (a million-term
-ladder pass of weight 5 runs about 5 % faster).
+Divisions.  Both passes divide by b**e, b = 2m-1 (e = s_{i+1} in
+t_numeric, e = 2 in the ladder), by one rule per index: a chain of floor
+divisions by one-digit powers of b whenever at most two of them make up
+b**e, otherwise one division by b**e.  CPython divides by one digit about
+twice as fast as by several.  The one-digit powers are q = b**2 while b <
+2**15 (it fits one 30-bit digit) and b above, so the chain serves e <= 4
+below 2**15 and e <= 2 above; each power is computed once per index.
 
-Quantization.  The blocks change only the order in which the floors run:
-each floor divides the sum it read one index at a time, as it stood before
-its index, by the same divisor.  So every sum is the same integer for any
-B, and the bounds below, proved for one index at a time, hold unchanged.
-Nor do the chains change a sum: floor(floor(x/a)/c) = floor(x/(ac)) for
-integers x >= 0 and a, c >= 1.  Each floor division subtracts some theta
-in [0, 1) ulp from a linear recurrence with non-negative coefficients, so
-every sum falls short by the thetas, each weighted by how much a unit in
-it adds to that sum; index 1 divides by 1 exactly.  With e_v and h_v the
-elementary and complete homogeneous symmetric polynomials, cosh(pi z/2)
-and cos(pi z/2) = prod_i (1 +- z**2/(2i-1)**2) give sum_{v>=1} e_v(x_2,
-x_3, ...) < 0.255 and sum_{v>=1} h_v(x_2, x_3, ...) = 4/pi - 1 < 0.28.
+Kernels.  An index costs each pass only a few big-integer operations, so
+interpreting the pass's shape per index (loops over levels or cells, list
+indexing, picking each divisor) would add about half as much again.  Each
+pass runs as one function generated for its shape (_kernel_source): one
+loop over the indices below 2**15 and one from 2**15 on, each with the
+pass's divisions, by the rule above, and additions written out in order on
+local variables.  A kernel is compiled once per division pattern, min(e,
+5) per level of t_numeric (exponents from 5 up are its arguments), and per
+top weight of the ladder; its source is built from ints only.
+
+Quantization.  The chains do not change a sum: floor(floor(x/a)/c) =
+floor(x/(ac)) for integers x >= 0 and a, c >= 1.  Each floor division
+subtracts some theta in [0, 1) ulp from a linear recurrence with
+non-negative coefficients, so every sum falls short by the thetas, each
+weighted by how much a unit in it adds to that sum; index 1 divides by 1
+exactly.  With e_v and h_v the elementary and complete homogeneous
+symmetric polynomials, cosh(pi z/2) and cos(pi z/2) = prod_i (1 +-
+z**2/(2i-1)**2) give sum_{v>=1} e_v(x_2, x_3, ...) < 0.255 and
+sum_{v>=1} h_v(x_2, x_3, ...) = 4/pi - 1 < 0.28.
 
 In t_numeric (inner exponents >= 2) a loss in A_i, i >= 1, at index m >= 2
 reaches A_0 with weight at most e_i(x_{m+1}, ...) < 0.255, so A_0(N) is
@@ -128,9 +125,8 @@ digits absorb the rounding of the float logarithms.  For N < d, a_tail =
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
-from operator import add, floordiv
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from .exact import PiPower, _check_args, _Frozen, _index
 
@@ -149,12 +145,6 @@ __all__ = [
 DEFAULT_TERMS = 1_000_000
 DEFAULT_DPS = 50
 MIN_DPS = 10
-
-# Indices per block of the two passes (see the module docstring): large
-# enough that the loops over indices run in C, small enough that a block's
-# lists of big integers stay well under a megabyte.
-_BLOCK = 512
-
 
 class DivergentSeriesError(ValueError):
     """Raised when the requested nested series does not converge."""
@@ -269,43 +259,51 @@ def _finish(total: int, tails: Sequence[tuple[int, int, int, int]], ulps: int,
     return PrecReal._exact(total * unit + value, ulps * unit + err, den, dps)
 
 
-def _blocks(M: int) -> Iterator[range]:
-    """The odd b = 2m-1 of the indices m = 1..M, in ranges of _BLOCK."""
-    end = 2 * M + 1
-    return (range(b, min(b + 2 * _BLOCK, end), 2) for b in range(1, end, 2 * _BLOCK))
+# The division by b**e of each pattern p = min(e, 5) (see Divisions in the
+# module docstring), for b < 2**15 and from 2**15 on, and the powers of b
+# each loop computes once per index; p = 5 divides by b**e, computed per
+# chain.
+_RULES = (
+    ("range(lo, min(hi, 32769), 2)", {1: "b", 2: "q", 3: "q // b", 4: "q // q"}, {"q": "b * b"}),
+    ("range(max(lo, 32769), hi, 2)", {1: "b", 2: "b // b", 3: "b3", 4: "b4"},
+     {"b3": "b ** 3", "b4": "b ** 4"}),
+)
 
 
-def _divisors(bs: range, exps: Iterable[int]) -> dict[int, tuple[list[int], ...]]:
-    """For each exponent e in exps, the divisor lists over the block bs whose
-    chained floor divisions divide by b**e: at most two one-digit powers of
-    b (b**2 while the block's b < 2**15, b above), else the one list of
-    b**e (see the module docstring).  Each list is built once, from one
-    list of the block's b."""
-    top = 2 if bs[-1] < 1 << 15 else 1  # the highest power of b in one digit
-    parts = {e: (top, e - top) if top < e <= 2 * top else (e,) for e in set(exps)}
-    b = list(bs)
-    lists = {p: b if p == 1 else list(map(pow, b, repeat(p)))
-             for p in set().union(*parts.values())}
-    return {e: tuple(lists[p] for p in ps) for e, ps in parts.items()}
+def _kernel_source(slots: int, chains: tuple[tuple[int, tuple[tuple[int | None, int], ...]], ...]) -> str:
+    """The source of kernel(x, e, lo, hi), which adds the indices b = lo,
+    lo+2, ... below hi to the state x of slots ints and returns the new
+    state.  Per index, each chain c = (p, steps) in turn carries one
+    quotient g along its steps (src, dst): g = (x[src] + g) // b**e, x[dst]
+    += g, where x[None] and g before the first step are 0, and e = p for p
+    < 5, e = e[c] for p = 5.  Its text comes from _RULES and the ints of
+    slots and chains only."""
+    state = ", ".join(f"x{i}" for i in range(slots))
+    lines = ["def kernel(x, e, lo, hi):", f"    {state}, = x"]
+    lines += [f"    e{c} = e[{c}]" for c, (p, _) in enumerate(chains) if p == 5]
+    for loop, rule, powers in _RULES:
+        divs = [f"p{c}" if p == 5 else rule[p] for c, (p, _) in enumerate(chains)]
+        used = {name for div in divs for name in div.split()}
+        lines.append(f"    for b in {loop}:")
+        lines += [f"        {name} = {power}" for name, power in powers.items() if name in used]
+        lines += [f"        p{c} = b ** e{c}" for c, (p, _) in enumerate(chains) if p == 5]
+        for div, (_, steps) in zip(divs, chains):
+            for j, (src, dst) in enumerate(steps):
+                x = f"x{src}" if j == 0 else "g" if src is None else f"(x{src} + g)"
+                if j == len(steps) - 1:
+                    lines.append(f"        x{dst} += {x} // {div}")
+                else:
+                    lines += [f"        g = {x} // {div}", f"        x{dst} += g"]
+    lines.append(f"    return [{state}]")
+    return "\n".join(lines) + "\n"
 
 
-def _t_block(A: list[int], exps: Sequence[int], bs: range) -> None:
-    """Add the indices b in bs to the partial sums A of t_numeric, with
-    exponents exps, one level at a time: each level's additions chain the
-    floor divisions by its exponent's divisor lists (_divisors), built once
-    per block (see the module docstring)."""
-    divs = _divisors(bs, exps)
-    below = repeat(A[-1])  # A_d before each index
-    for i in range(len(exps) - 1, -1, -1):
-        q = below
-        for div in divs[exps[i]]:
-            q = map(floordiv, q, div)
-        if i == 0:  # A_0 feeds nothing
-            A[0] += sum(q)
-        else:
-            run = list(accumulate(q, initial=A[i]))
-            A[i] = run.pop()
-            below = run
+@lru_cache(maxsize=256)
+def _kernel(slots: int, chains: tuple) -> Callable:
+    """The kernel of _kernel_source(slots, chains), compiled once per shape."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(slots, chains), "<oracle kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]:
@@ -314,12 +312,9 @@ def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]
     d = len(s)
     cap = _cap(d, N, scale)
     exps = [min(e, cap) for e in s]
-    A = [0] * d + [scale]
-    for bs in _blocks(N - 1):
-        _t_block(A, exps, bs)
-    inner = A[:]
-    _t_block(A, exps, range(2 * N - 1, 2 * N, 2))
-    return inner, A
+    kernel = _kernel(d + 1, tuple((min(e, 5), ((i + 1, i),)) for i, e in enumerate(exps)))
+    inner = kernel([0] * d + [scale], exps, 1, 2 * N - 1)
+    return inner, kernel(inner, exps, 2 * N - 1, 2 * N + 1)
 
 
 def _t_scale(s: Sequence[int], N: int, dps: int) -> int:
@@ -347,7 +342,7 @@ def t_numeric(
     Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
     and dps >= MIN_DPS.  The sums run at the scale _t_scale picks, at
     most 10**(dps+20) and as small as the bound allows; dps sets the
-    precision of the result.  Cost O(d*N); memory O(d*_BLOCK), whatever N.
+    precision of the result.  Cost O(d*N); memory O(d), whatever N.
     """
     s = [_index(x) for x in exponents]
     dps = _check_dps(dps)
@@ -379,40 +374,17 @@ def _t_finish(s: Sequence[int], inner: list[int], A: list[int], N: int, scale: i
                    scale, scale * q * Q, params.tail_order, dps)
 
 
-def _ladder_block(S: list[list[int]], bs: range) -> None:
-    """Add the indices b = 2m-1 in bs to the weight-ladder sums S, k
-    ascending (see the module docstring)."""
-    n = len(S) - 1
-    divs = _divisors(bs, (2,))[2]
-    below = {0: repeat(S[0][0])}  # S_0[w] before each index; 0 for w >= 1
-    for k in range(1, n + 1):
-        row, before, g = S[k], {}, None
-        for w in range(k, n + 1):
-            x = below.get(w - 1)  # None for S_0[w-1] = 0
-            if g is not None:
-                x = g if x is None else map(add, x, g)
-            q = x
-            for div in divs:
-                q = map(floordiv, q, div)
-            if w == n:  # feeds no later cell
-                row[w] += sum(q)
-            else:
-                g = list(q)
-                run = list(accumulate(g, initial=row[w]))
-                row[w] = run.pop()
-                before[w] = run
-        below = before
-
-
 def _weight_ladder(n: int, N: int, scale: int) -> tuple[list[list[int]], list[list[int]]]:
     """The fixed-point sums S[k][w] for 0 <= k <= w <= n, before and after
-    the last index N (see the module docstring)."""
-    S = [[scale] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    for bs in _blocks(N - 1):
-        _ladder_block(S, bs)
-    inner = [row[:] for row in S]
-    _ladder_block(S, range(2 * N - 1, 2 * N, 2))
-    return inner, S
+    the last index N (see the module docstring), from one kernel over the
+    cells S[k][w] at k*(n+1) + w, k descending and w ascending."""
+    m = n + 1
+    kernel = _kernel(m * m, tuple(
+        (2, tuple((None if k == 1 and w > 1 else (k - 1) * m + w - 1, k * m + w) for w in range(k, m)))
+        for k in range(n, 0, -1)))
+    inner = kernel([scale] + [0] * (m * m - 1), (), 1, 2 * N - 1)
+    final = kernel(inner, (), 2 * N - 1, 2 * N + 1)
+    return tuple([x[i:i + m] for i in range(0, m * m, m)] for x in (inner, final))
 
 
 # The finished rows of every weight up to the top weight of the last ladder
@@ -474,7 +446,8 @@ def T_numeric(
     >= MIN_DPS.  A memoized cell asked for with an int dps costs one dict
     lookup; any other call checks n, d (_check_args) and dps (_check_dps)
     before any work, then reads the memo, so a float or Fraction dps is
-    refused, memoized or not.  Cost O(n**2 * N) per new top weight."""
+    refused, memoized or not.  Cost O(n**2 * N) per new top weight, memory
+    O(n**2) whatever N."""
     # A hit is one dict lookup on a key of plain fields, with no Python-level
     # call (hashing params itself would make one).  Of the n and d that
     # _index refuses, only True passes the comparisons and the index.  A

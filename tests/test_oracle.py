@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -83,8 +82,8 @@ def _full_scale_t_numeric(s, params, dps=oracle.DEFAULT_DPS):
 
 
 def _reference_t_sums(s, N, scale):
-    """t_numeric's pass one index at a time, as it ran before the blocks:
-    the fixed-point sums A before and after the last index N."""
+    """t_numeric's pass one index at a time: the fixed-point sums A before
+    and after the last index N."""
     d = len(s)
     cap = scale.bit_length() + d * (2 * N).bit_length()
     steps = [(i, min(e, cap)) for i, e in enumerate(s)]
@@ -100,7 +99,7 @@ def _reference_t_sums(s, N, scale):
 
 
 def _reference_weight_ladder(n, N, scale):
-    """_weight_ladder one index at a time, as it ran before the blocks."""
+    """_weight_ladder one index at a time."""
     S = [[scale] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
     # k descending: S[k-1] still holds the sums over indices below m.
     ladder = [(S[k - 1], S[k], range(k, n + 1)) for k in range(n, 0, -1)]
@@ -120,61 +119,88 @@ def _reference_weight_ladder(n, N, scale):
 
 # Depths 1-5: inner 1s, repeated exponents, and 1000, above the exponent cap
 # at dps 10 for every N below.
-BLOCK_VECTORS = ([2], [3, 1], [2, 2, 2], [5, 1, 1, 3], [2, 1000], [4, 4, 1, 4, 4], [3, 2, 1, 1, 2])
+VECTORS = ([2], [3, 1], [2, 2, 2], [5, 1, 1, 3], [2, 1000], [4, 4, 1, 4, 4], [3, 2, 1, 1, 2])
 
 
-class TestBlocks:
-    """The block passes give the same integers as one index at a time."""
+class TestKernels:
+    """The generated kernels give the same integers as one index at a time."""
 
     scale = 10**30  # dps = 10
 
-    def check_ladder(self, n, N):
-        assert _weight_ladder(n, N, self.scale) == _reference_weight_ladder(n, N, self.scale), (n, N)
-
-    @pytest.mark.parametrize("block", [1, 2, 5, oracle._BLOCK])
-    def test_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(oracle, "_BLOCK", block)
-        for N in sorted({1, 2, 3, block - 1, block, block + 1, 2 * block + 1} - {0}):
-            for s in BLOCK_VECTORS:
-                assert oracle._t_sums(s, N, self.scale) == _reference_t_sums(s, N, self.scale), (s, N)
-            for n in range(1, 6):
-                self.check_ladder(n, N)
-
-    @pytest.mark.parametrize("block", [5, oracle._BLOCK])
-    @pytest.mark.parametrize("N", [16384, 16385, 16386])
-    def test_one_digit_square_limit(self, monkeypatch, block, N):
-        # b = 2m-1 reaches 2**15 at m = 16385, where b**2 takes a second
-        # digit; blocks of 5 straddle it, the default ones end at b = 32767.
-        # The vectors divide by b**e for e = 1..5 and a capped 1000 on both
-        # sides of it.
-        monkeypatch.setattr(oracle, "_BLOCK", block)
-        for n in (1, 2, 5):
-            self.check_ladder(n, N)
-        for s in ([5, 4, 3, 2, 1], [3, 1000]):
+    def check(self, s_list, ns, N):
+        for s in s_list:
             assert oracle._t_sums(s, N, self.scale) == _reference_t_sums(s, N, self.scale), (s, N)
+        for n in ns:
+            assert _weight_ladder(n, N, self.scale) == _reference_weight_ladder(n, N, self.scale), (n, N)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 100])
+    def test_matches_one_index_at_a_time(self, N):
+        # N = 1 runs only the last index, and N = 2 one index before it.
+        self.check(VECTORS, range(1, 6), N)
+
+    @pytest.mark.parametrize("N", [16384, 16385, 16386])
+    def test_one_digit_square_limit(self, N):
+        # b = 2m-1 reaches 2**15 at m = 16385, where b**2 takes a second
+        # digit and the kernels switch from // q to // b // b.  The vectors
+        # divide by b**e for e = 1..5 and a capped 1000 on both sides of it.
+        self.check(([5, 4, 3, 2, 1], [3, 1000]), (1, 2, 5), N)
 
     @pytest.mark.parametrize("bs", [range(1, 64, 2), range(32701, 1 << 15, 2), range(32741, 32800, 2)],
                              ids=["from-1", "below-2**15", "straddles-2**15"])
-    def test_divisors_chain_to_the_power(self, bs):
-        # Chained floors by at most two lists divide by b**e exactly; a
-        # chain of two takes one-digit (30-bit) divisors only.  Every divisor
-        # is a list, never the block's range.
+    def test_divisions_floor_by_the_power(self, bs):
+        # One chain per exponent, each from its own slot of random 300-bit
+        # sums into a slot at 0: one index b adds x // b**e exactly.
         rng = random.Random(20261019)
-        exps = [1, 2, 3, 4, 5, 6, 1000]
-        divs = oracle._divisors(bs, exps)
-        assert sorted(divs) == exps
-        for e in exps:
-            chain = divs[e]
-            assert 1 <= len(chain) <= 2, (e, bs)
-            assert all(type(div) is list for div in chain), (e, bs)
-            if len(chain) == 2:
-                assert all(div < 1 << 30 for div in itertools.chain(*chain)), (e, bs)
+        exps = (1, 2, 3, 4, 5, 6, 1000)
+        kernel = oracle._kernel(2 * len(exps), tuple(
+            (min(e, 5), ((2 * c + 1, 2 * c),)) for c, e in enumerate(exps)))
+        for b in bs:
             for _ in range(3):
-                xs = [rng.getrandbits(300) for _ in bs]
-                q = xs
-                for div in chain:
-                    q = list(map(operator.floordiv, q, div))
-                assert q == [x // b**e for x, b in zip(xs, bs)], (e, bs)
+                xs = [rng.getrandbits(300) for _ in exps]
+                got = kernel([v for x in xs for v in (0, x)], exps, b, b + 2)
+                assert got[::2] == [x // b**e for x, e in zip(xs, exps)], b
+                assert got[1::2] == xs, b
+
+    def test_divisions_chain_one_digit_divisors(self):
+        # The rule of the module docstring, read off the emitted source: below
+        # 2**15, where q = b*b fits one 30-bit digit, a chain of at most two
+        # one-digit divisors for e <= 4; from 2**15 on two divisions by b for
+        # e = 2; else one division by b**e, computed once per index.
+        exps = (1, 2, 3, 4, 5, 6, 1000)
+        chains = tuple((min(e, 5), ((c + 1, 0),)) for c, e in enumerate(exps))
+        low, high = oracle._kernel_source(len(exps) + 1, chains).split("\n    for b in ")[1:]
+        assert low.startswith("range(lo, min(hi, 32769), 2):") and 32767**2 < 1 << 30
+        assert high.startswith("range(max(lo, 32769), hi, 2):")
+        rules = (
+            (low, ("b", "q", "q // b", "q // q", "p4", "p5", "p6"), {"q = b * b"}),
+            (high, ("b", "b // b", "b3", "b4", "p4", "p5", "p6"), {"b3 = b ** 3", "b4 = b ** 4"}),
+        )
+        for loop, divs, powers in rules:
+            lines = [line.strip() for line in loop.splitlines() if line.startswith(" " * 8)]
+            assert lines == sorted(powers) + [f"p{c} = b ** e{c}" for c in (4, 5, 6)] + [
+                f"x0 += x{c + 1} // {div}" for c, div in enumerate(divs)], loop
+
+    def test_kernels_are_compiled_once_per_pattern(self, monkeypatch):
+        # Kernels are keyed by min(e, 5) per level, so exponents from 5 up
+        # share one; a repeated vector, and a ladder of a seen weight at
+        # another cutoff or precision, compile nothing.
+        rng = random.Random(7)
+        vectors = set()
+        while len(vectors) < 50:
+            vectors.add((rng.randint(2, 9), rng.randint(1, 9), rng.randint(1, 9)))
+        oracle._kernel.cache_clear()
+        for s in vectors:
+            t_numeric(s, TruncationParams(terms=20))
+        patterns = {tuple(min(e, 5) for e in s) for s in vectors}
+        assert oracle._kernel.cache_info().misses == len(patterns) < len(vectors)
+        t_numeric(min(vectors), TruncationParams(terms=20))
+        assert oracle._kernel.cache_info().misses == len(patterns)
+        monkeypatch.setattr(oracle, "_rows", {})
+        T_numeric(4, 2, TruncationParams(terms=20))
+        compiled = oracle._kernel.cache_info().misses
+        T_numeric(4, 2, TruncationParams(terms=30))
+        T_numeric(4, 2, TruncationParams(terms=20), dps=30)
+        assert oracle._kernel.cache_info().misses == compiled
 
 
 class TestTNumeric:
@@ -230,7 +256,7 @@ class TestTNumeric:
         # value by far less than err.  Every vector with d <= N runs below the
         # full scale, so no comparison here is between equal passes.
         dps = oracle.DEFAULT_DPS
-        for s in BLOCK_VECTORS + ([3, 1, 2], [5, 3, 3], [2, 1, 1, 5, 3]):
+        for s in VECTORS + ([3, 1, 2], [5, 3, 3], [2, 1, 1, 5, 3]):
             assert (oracle._t_scale(s, N, dps) < 10 ** (dps + 20)) == (N >= len(s)), (s, N)
             sums = oracle._t_sums(s, N, 10 ** (dps + 20))
             for tail_order in (0, 1):
@@ -311,9 +337,11 @@ class TestTNumeric:
                 assert abs(mp.fsub(got.value, want, exact=True)) <= got.err, (s, got.err)
 
     def test_memory_does_not_grow_with_terms(self, monkeypatch):
-        # The passes hold a block of indices at a time, so the peak stays
-        # under a megabyte and grows with N at most as the powers b**e
-        # lengthen (log N), never with the number of indices.
+        # The kernels keep the d+1 sums (the ladder's (n+1)**2 cells) in
+        # local variables, so the peak stays under a megabyte and grows with
+        # N at most as the powers b**e lengthen (log N), never with the
+        # number of indices.  A first run compiles each kernel, so that the
+        # peaks measure the passes, not the compiler.
         def peak(run, N):
             tracemalloc.start()
             try:
@@ -331,6 +359,7 @@ class TestTNumeric:
             (lambda params: t_numeric([200, 150, 100], params), (5_000, 20_000)),
             (ladder, (600, 2_400)),
         ):
+            run(TruncationParams(terms=2))
             small, large = (peak(run, N) for N in Ns)
             assert max(small, large) < 1024 * 1024, (Ns, small, large)
             assert large < 1.25 * small, (Ns, small, large)
