@@ -122,28 +122,21 @@ def _reference_weight_ladder(n, N, scale):
 VECTORS = ([2], [3, 1], [2, 2, 2], [5, 1, 1, 3], [2, 1000], [4, 4, 1, 4, 4], [3, 2, 1, 1, 2])
 
 
+def _check_kernels(s_list, ns, N, scale=10**30):  # dps = 10
+    """_t_sums and _weight_ladder give the integers of one index at a time."""
+    for s in s_list:
+        assert oracle._t_sums(s, N, scale) == _reference_t_sums(s, N, scale), (s, N)
+    for n in ns:
+        assert _weight_ladder(n, N, scale) == _reference_weight_ladder(n, N, scale), (n, N)
+
+
 class TestKernels:
     """The generated kernels give the same integers as one index at a time."""
-
-    scale = 10**30  # dps = 10
-
-    def check(self, s_list, ns, N):
-        for s in s_list:
-            assert oracle._t_sums(s, N, self.scale) == _reference_t_sums(s, N, self.scale), (s, N)
-        for n in ns:
-            assert _weight_ladder(n, N, self.scale) == _reference_weight_ladder(n, N, self.scale), (n, N)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 100])
     def test_matches_one_index_at_a_time(self, N):
         # N = 1 runs only the last index, and N = 2 one index before it.
-        self.check(VECTORS, range(1, 6), N)
-
-    @pytest.mark.parametrize("N", [16384, 16385, 16386])
-    def test_one_digit_square_limit(self, N):
-        # b = 2m-1 reaches 2**15 at m = 16385, where b**2 takes a second
-        # digit and the kernels switch from // q to // b // b.  The vectors
-        # divide by b**e for e = 1..5 and a capped 1000 on both sides of it.
-        self.check(([5, 4, 3, 2, 1], [3, 1000]), (1, 2, 5), N)
+        _check_kernels(VECTORS, range(1, 6), N)
 
     @pytest.mark.parametrize("bs", [range(1, 64, 2), range(32701, 1 << 15, 2), range(32741, 32800, 2)],
                              ids=["from-1", "below-2**15", "straddles-2**15"])
@@ -201,6 +194,32 @@ class TestKernels:
         T_numeric(4, 2, TruncationParams(terms=30))
         T_numeric(4, 2, TruncationParams(terms=20), dps=30)
         assert oracle._kernel.cache_info().misses == compiled
+
+
+class TestBlocks:
+    """A kernel called over consecutive blocks of indices, its state carried
+    from call to call, gives the integers of one call over them all."""
+
+    @pytest.mark.parametrize("block", [5, 512])
+    @pytest.mark.parametrize("N", [16384, 16385, 16386])
+    def test_one_digit_square_limit(self, monkeypatch, block, N):
+        # b = 2m-1 reaches 2**15 at m = 16385, where b**2 takes a second
+        # digit and the kernels switch from // q to // b // b; blocks of 5
+        # straddle it, blocks of 512 end at b = 32767.  The vectors divide
+        # by b**e for e = 1..5 and a capped 1000 on both sides of it.
+        compiled = oracle._kernel
+
+        def blocked(slots, chains):
+            kernel = compiled(slots, chains)
+
+            def run(x, e, lo, hi):
+                for start in range(lo, hi, 2 * block):
+                    x = kernel(x, e, start, min(start + 2 * block, hi))
+                return x
+            return run
+
+        monkeypatch.setattr(oracle, "_kernel", blocked)
+        _check_kernels(([5, 4, 3, 2, 1], [3, 1000]), (1, 2, 5), N)
 
 
 class TestTNumeric:
