@@ -19,7 +19,8 @@ explicit ``--precision`` flags still win.
 
 ``eval`` prints ``err <=`` before a proven bound and ``err ~`` before an
 estimate, which is what the oracle gives when an inner exponent s_2..s_d
-equals 1.
+equals 1.  The value has as many significant digits as err resolves, at
+least 20 and at most the precision in use.
 
 Only ``eval`` and the ``symmetric`` and ``oracle`` suites of ``verify``
 import mpmath; ``table``, ``coeffs`` and the exact suites never do.
@@ -33,6 +34,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -179,9 +181,13 @@ def _cmd_eval(args) -> int:
         return 2
     label = ",".join(str(x) for x in exponents)
     relation = "~" if 1 in exponents[1:] else "<="
+    err = mp.nstr(result.err, 3)
+    # As many digits as err resolves, 20 to dps: the last one sits a place
+    # below err's leading digit, so the value rounds by at most err/20.
+    digits = Decimal(mp.nstr(result.value, dps)).adjusted() - Decimal(err).adjusted() + 2
     print(
-        f"t({label}) = {mp.nstr(result.value, 20)}  "
-        f"err {relation} {mp.nstr(result.err, 3)}  terms = {args.terms}"
+        f"t({label}) = {mp.nstr(result.value, max(20, min(dps, digits)))}  "
+        f"err {relation} {err}  terms = {args.terms}"
     )
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0

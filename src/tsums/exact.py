@@ -25,11 +25,12 @@ length, whichever is larger, under one module lock, and appends the new
 entries in one step, so every reader sees a consistent prefix.
 
 Every index is taken through :func:`_index`, the package's one integer
-check (only ``series``, which imports nothing from the package, keeps a
-copy): a bool or float raises ``TypeError`` before any work.  A cell's
-(n, d) is checked by :func:`_check_args`, for every layer.  The memo of
-``t_even`` is keyed by argument type, so ``t_even(True)`` misses the entry
-of 1 and is refused, while a hit on an int entry runs no check at all.
+check, for every layer: a bool or float raises ``TypeError`` before any
+work.  An index with a lower bound goes through :func:`_at_least`, and a
+cell's (n, d) through :func:`_check_args`; an exact-rational coefficient
+goes through :func:`_rational`.  The memo of ``t_even`` is keyed by
+argument type, so ``t_even(True)`` misses the entry of 1 and is refused,
+while a hit on an int entry runs no check at all.
 
 Only even indices are defined: every formula of the package reads B_2k and
 E_2k, so an odd index is refused like a negative one.  The Euler numbers are
@@ -170,6 +171,24 @@ def _index(k: int) -> int:
     return operator.index(k)
 
 
+def _at_least(k: int, least: int, name: str) -> int:
+    """k as a plain int (:func:`_index`) that is >= least, else ValueError naming ``name``."""
+    k = _index(k)
+    if k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
+    return k
+
+
+def _rational(c) -> Fraction:
+    """c as a Fraction: a Fraction as it is, an int converted; anything else
+    (a float, an mpf) raises TypeError rather than passing its binary value."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"coefficients must be exact rationals, got {c!r}")
+
+
 def _check_args(n: int, d: int) -> tuple[int, int]:
     """The (n, d) of a cell as plain ints (:func:`_index`), both >= 1."""
     n, d = _index(n), _index(d)
@@ -254,9 +273,7 @@ def _euler_prefix(n: int) -> list[int]:
 
 def zeta_even(n: int) -> PiPower:
     """zeta(2n) as an exact rational multiple of pi**(2n), for n >= 1."""
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"zeta_even requires n >= 1, got {n}")
+    n = _at_least(n, 1, "n")
     m = 2 * n
     coeff = (-1) ** (n + 1) * bernoulli(m) * Fraction(2**m, 2 * math.factorial(m))
     return PiPower(coeff, m)
@@ -265,7 +282,5 @@ def zeta_even(n: int) -> PiPower:
 @lru_cache(maxsize=None, typed=True)
 def t_even(n: int) -> PiPower:
     """t(2n) = 2**(-2n) (2**(2n)-1) zeta(2n) as an exact PiPower, n >= 1."""
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"t_even requires n >= 1, got {n}")
+    n = _at_least(n, 1, "n")
     return zeta_even(n) * Fraction(2 ** (2 * n) - 1, 2 ** (2 * n))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exact import (PiPower, _check_args, _euler_prefix, _Frozen, _index, bernoulli,
+from .exact import (PiPower, _at_least, _check_args, _euler_prefix, _Frozen, bernoulli,
                     euler_number, t_even)
 from .series import genfunc_biseries
 
@@ -48,26 +48,14 @@ __all__ = [
 ]
 
 
-def _over_one_denominator(
-    terms: Iterable[tuple[Fraction | int, ...]],
-) -> tuple[int, tuple[int, ...]]:
-    """The products of the tuples in ``terms`` as integers over one
-    denominator: (L, (Q_1, Q_2, ...)) with product i equal to Q_i / L.
-
-    Each product is formed on plain integer numerators and denominators,
-    and L is the lcm of their denominators.  An empty input gives (1, ()).
+def _over_one_denominator(terms: Iterable[Fraction | int]) -> tuple[int, tuple[int, ...]]:
+    """The values in ``terms`` as integers over one denominator:
+    (L, (Q_1, Q_2, ...)) with value i equal to Q_i / L, where L is the lcm
+    of their denominators.  An empty input gives (1, ()).
     """
-    nums: list[int] = []
-    dens: list[int] = []
-    for factors in terms:
-        p = q = 1
-        for f in factors:
-            p *= f.numerator
-            q *= f.denominator
-        nums.append(p)
-        dens.append(q)
-    den = math.lcm(*dens)
-    return den, tuple(p * (den // q) for p, q in zip(nums, dens))
+    terms = list(terms)
+    den = math.lcm(*(x.denominator for x in terms))
+    return den, tuple(x.numerator * (den // x.denominator) for x in terms)
 
 
 def _dot(row_d: tuple[int, tuple[int, ...]], row_n: tuple[int, tuple[int, ...]]) -> Fraction:
@@ -84,9 +72,7 @@ def _dot(row_d: tuple[int, tuple[int, ...]], row_n: tuple[int, tuple[int, ...]])
 
 def t_all_twos(n: int) -> PiPower:
     """t(2,2,...,2) with n twos: pi**(2n) / (4**n (2n)!)."""
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"t_all_twos requires n >= 1, got {n}")
+    n = _at_least(n, 1, "n")
     return PiPower(Fraction(1, 4**n * math.factorial(2 * n)), 2 * n)
 
 
@@ -110,7 +96,7 @@ def _t_value_terms(n: int) -> tuple[int, tuple[int, ...]]:
     """Row n of :func:`T_from_t_values` and :func:`T_from_bernoulli`:
     t(2n-2j)/pi**(2n-2j) for 0 <= j <= (n-1)//2 as
     (L_n, (Q_{n,0}, Q_{n,1}, ...))."""
-    return _over_one_denominator((t_even(k).coeff,) for k in range(n, n // 2, -1))
+    return _over_one_denominator(t_even(k).coeff for k in range(n, n // 2, -1))
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +106,7 @@ def _t_value_row(d: int) -> tuple[int, tuple[int, ...]]:
     (M_d, (C_{d,0}, C_{d,1}, ...))."""
     scale = 2 ** (2 * d - 2) * d
     return _over_one_denominator(
-        (Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1), scale * math.factorial(2 * j)),)
+        Fraction((-1) ** j * math.comb(2 * d - 2 * j - 2, d - 1), scale * math.factorial(2 * j))
         for j in range((d - 1) // 2 + 1)
     )
 
@@ -152,7 +138,7 @@ def _bernoulli_row(d: int) -> tuple[int, tuple[int, ...]]:
     :func:`coeff_row`, each times t(2j)/pi**(2j) for j >= 1, as
     (M_d, (C_{d,0}, C_{d,1}, ...)).  Each product is one Fraction, so
     B_{2j} cancels before the common denominator is formed."""
-    return _over_one_denominator((c * t_even(j).coeff if j else c,)
+    return _over_one_denominator(c * t_even(j).coeff if j else c
                                  for j, c in coeff_row(d).pairs)
 
 
@@ -218,9 +204,7 @@ def T_table_from_genfunc(max_n: int) -> TTable:
     T(2n,d) / pi**(2n) (:func:`tsums.series.genfunc_biseries`).  Each cell's
     one Fraction is the PiPower's coefficient as it is; every cell with
     d <= n is an entry, since T(2n,d) is a sum of positive terms."""
-    max_n = _index(max_n)
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    max_n = _at_least(max_n, 1, "max_n")
     phi = genfunc_biseries(max_n)
     return TTable(max_n, {(n, d): PiPower(phi[n][d], 2 * n)
                           for n in range(1, max_n + 1) for d in range(1, n + 1)})
@@ -239,9 +223,7 @@ class CoeffRow(_Frozen):
 @lru_cache(maxsize=None, typed=True)
 def coeff_row(d: int) -> CoeffRow:
     """Coefficient row of depth d in the Bernoulli-number form (memoized)."""
-    d = _index(d)
-    if d < 1:
-        raise ValueError(f"depth must be >= 1, got {d}")
+    d = _at_least(d, 1, "depth")
     bernoulli(2 * ((d - 1) // 2))  # the largest index first: the table grows at most once
     pairs = [(0, Fraction(math.comb(2 * d - 2, d - 1), 2 ** (2 * d - 2) * d))]
     for j in range(1, (d - 1) // 2 + 1):
@@ -261,10 +243,8 @@ def depth_sum_identity(n: int) -> DepthSumResult:
     The lhs sums the coefficients of every T_from_euler(n, d) over one
     common denominator and normalises once.
     """
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
-    den, nums = _over_one_denominator((T_from_euler(n, d).coeff,) for d in range(1, n + 1))
+    n = _at_least(n, 1, "n")
+    den, nums = _over_one_denominator(T_from_euler(n, d).coeff for d in range(1, n + 1))
     lhs = PiPower(Fraction(sum(nums), den), 2 * n)
     rhs = PiPower(
         Fraction((-1) ** n * euler_number(2 * n), 4**n * math.factorial(2 * n)),
@@ -297,7 +277,7 @@ def _bernoulli_euler_terms(n: int) -> tuple[int, tuple[int, ...]]:
     """Row n of :func:`bernoulli_euler_lhs`: (2**(2n-2j)-1) B_{2n-2j}
     binom(2n,2j) for 0 <= j < n as (L_n, (U_{n,0}, U_{n,1}, ...))."""
     return _over_one_denominator(
-        (bernoulli(2 * n - 2 * j), (2 ** (2 * n - 2 * j) - 1) * math.comb(2 * n, 2 * j))
+        bernoulli(2 * n - 2 * j) * ((2 ** (2 * n - 2 * j) - 1) * math.comb(2 * n, 2 * j))
         for j in range(n)
     )
 

@@ -128,7 +128,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exact import PiPower, _check_args, _Frozen, _index
+from .exact import PiPower, _at_least, _check_args, _Frozen, _index
 
 # mpmath is imported inside the functions that use it, so that importing
 # the package for exact work never loads it.
@@ -199,9 +199,7 @@ class TruncationParams(_Frozen):
     __slots__ = ("terms", "tail_order")
 
     def __init__(self, terms: int = DEFAULT_TERMS, tail_order: int = 1) -> None:
-        terms, tail_order = _index(terms), _index(tail_order)
-        if terms < 1:
-            raise ValueError(f"terms must be >= 1, got {terms}")
+        terms, tail_order = _at_least(terms, 1, "terms"), _index(tail_order)
         if tail_order not in (0, 1):
             raise ValueError(f"tail_order must be 0 or 1, got {tail_order}")
         super().__init__(terms, tail_order)

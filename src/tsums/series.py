@@ -17,13 +17,19 @@ coefficient equals T(2n,d) * 4**n / pi**(2n) -- an exact rational.
 :func:`genfunc_biseries` expands c((1-v)y/4)/c(y/4) instead, whose
 coefficients are T(2n,d) / pi**(2n) themselves; conversion back to
 pi-power values happens in :mod:`tsums.formulas`.
+
+Orders and coefficients are checked by the package's shared checks,
+``exact._at_least`` and ``exact._rational``.  They compute no value, so
+the module still reads no number from the exact layer, and the genfunc
+route stays independent of the closed forms.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import comb, factorial, lcm
+
+from .exact import _at_least, _rational
 
 __all__ = [
     "series_quotient",
@@ -32,21 +38,6 @@ __all__ = [
     "genfunc_biseries",
     "tan_link_series",
 ]
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"series coefficients must be exact rationals, got {type(x)!r}")
-
-
-def _order(order: int) -> int:
-    """A series order as a plain int through ``operator.index``; a bool or a
-    float raises TypeError (the check of ``exact._index``, kept here because
-    this module imports nothing from the package)."""
-    if isinstance(order, bool):
-        raise TypeError(f"series order must be an integer, got {order!r}")
-    return operator.index(order)
 
 
 def series_quotient(num, den) -> tuple[Fraction, ...]:
@@ -61,8 +52,8 @@ def series_quotient(num, den) -> tuple[Fraction, ...]:
     normalises b_k, which saves the gcds of a Fraction operation per
     multiply and add.
     """
-    d = [_as_fraction(x) for x in den]
-    a = [_as_fraction(x) for x in num] + [0] * len(d)
+    d = [_rational(x) for x in den]
+    a = [_rational(x) for x in num] + [0] * len(d)
     if not d or d[0] == 0:
         raise ValueError("non-unit series: constant term is zero")
     d_num = [x.numerator for x in d]
@@ -87,17 +78,13 @@ def cos_sqrt_series(order: int) -> tuple[Fraction, ...]:
     Under y = pi**2 u/4 this is cos(pi*sqrt(u)/2); under y = pi**2 u it is
     cos(pi*sqrt(u)).
     """
-    order = _order(order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _at_least(order, 0, "order")
     return tuple(Fraction((-1) ** n, factorial(2 * n)) for n in range(order + 1))
 
 
 def sin_sqrt_series(order: int) -> tuple[Fraction, ...]:
     """s(y) = sin(sqrt(y))/sqrt(y) = sum_{n<=K} (-1)**n y**n / (2n+1)!."""
-    order = _order(order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _at_least(order, 0, "order")
     return tuple(Fraction((-1) ** n, factorial(2 * n + 1)) for n in range(order + 1))
 
 
@@ -120,9 +107,7 @@ def genfunc_biseries(order: int) -> tuple[tuple[Fraction, ...], ...]:
     which one in-place Taylor shift per row gives.  The cells with d > n
     share one ``Fraction(0)``.
     """
-    order = _order(order)
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _at_least(order, 1, "order")
     K = order
     sec = series_quotient((1,), cos_sqrt_series(K))
     a = [int(s * factorial(2 * j)) for j, s in enumerate(sec)]
@@ -147,8 +132,6 @@ def tan_link_series(order: int) -> tuple[Fraction, ...]:
     coefficient m by pi**(2m) recovers 4**m t(2m), which is the coefficient
     of u**m in (pi*sqrt(u)/2) tan(pi*sqrt(u)).
     """
-    order = _order(order)
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _at_least(order, 1, "order")
     half_ys = (0,) + tuple(x / 2 for x in sin_sqrt_series(order - 1))
     return series_quotient(half_ys, cos_sqrt_series(order))

@@ -54,7 +54,7 @@ from itertools import repeat
 from operator import add, floordiv, mul
 from typing import Iterator
 
-from .exact import _check_args, _index
+from .exact import _at_least, _check_args, _index, _rational
 from .oracle import PrecReal, _check_dps
 
 # array is imported inside the function that uses it, as mpmath is in
@@ -109,25 +109,22 @@ class SymPoly:
 
     A value: built from a dict, compared with ``==``, never changed after
     construction; zero coefficients are never stored.  num_vars goes
-    through ``exact._index``, and a coefficient is an ``int`` or
-    ``Fraction``, as in :class:`GenExpr` (a ``float`` raises ``TypeError``).
+    through ``exact._at_least``, and a coefficient through
+    ``exact._rational``, as in :class:`GenExpr` (a ``float`` raises ``TypeError``).
     """
 
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-        num_vars = _index(num_vars)
-        if num_vars < 1:
-            raise ValueError(f"need at least one variable, got {num_vars}")
+        num_vars = _at_least(num_vars, 1, "num_vars")
         self.num_vars = num_vars
         clean: dict[tuple[int, ...], Fraction] = {}
         for lam, c in (terms or {}).items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficients must be exact rationals, got {c!r}")
+            c = _rational(c)
             if len(lam) > num_vars or not _is_partition(lam):
                 raise ValueError(f"{lam} is not a partition with at most {num_vars} parts")
             if c:
-                clean[lam] = c if isinstance(c, Fraction) else Fraction(c)
+                clean[lam] = c
         self.terms = clean
 
     def __eq__(self, other) -> bool:
@@ -173,13 +170,12 @@ class GenExpr:
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         self.terms = {}
         for (k, ell), c in (terms or {}).items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficients must be exact rationals, got {c!r}")
+            c = _rational(c)
             k, ell = _index(k), _index(ell)
             if k < 0 or ell < 0:
                 raise ValueError(f"generator indices must be >= 0, got e_{k} h_{ell}")
             if c:
-                self.terms[k, ell] = Fraction(c)
+                self.terms[k, ell] = c
 
     @staticmethod
     def elem(j: int) -> "GenExpr":
@@ -391,9 +387,7 @@ def specialize_odd_squares(
     and the error rounding up, plus the value's rounding unless the
     conversion is exact (so a dyadic constant keeps err 0).
     """
-    num_vars, dps = _index(num_vars), _check_dps(dps)
-    if num_vars < 2:
-        raise ValueError(f"need at least 2 variables, got {num_vars}")
+    num_vars, dps = _at_least(num_vars, 2, "num_vars"), _check_dps(dps)
     den = math.lcm(*(c.denominator for c in expr.terms.values()))
     total = total_err = 0
     for (k, ell), coeff in expr.terms.items():

@@ -222,17 +222,15 @@ def run_suite(name: str, **overrides) -> Report:
     keys a suite has no default for are ignored by that suite, but every
     override is checked before any case runs, as the CLI does: a key other
     than ``max_n``, ``max_d``, ``terms`` and ``dps`` raises TypeError,
-    ``max_n``, ``max_d`` and ``terms`` go through ``exact._index`` and
-    against 1 (no run passes by checking zero cases), ``dps`` through
+    ``max_n``, ``max_d`` and ``terms`` go through ``exact._at_least`` with
+    a bound of 1 (no run passes by checking zero cases), ``dps`` through
     ``oracle._check_dps``; an unknown suite name raises KeyError."""
     unknown = sorted(set(overrides) - {"max_n", "max_d", "terms", "dps"})
     if unknown:
         raise TypeError(f"unknown override {', '.join(map(repr, unknown))}")
     for key in ("max_n", "max_d", "terms"):
         if overrides.get(key) is not None:
-            value = overrides[key] = exact._index(overrides[key])
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
+            overrides[key] = exact._at_least(overrides[key], 1, key)
     if overrides.get("dps") is not None:
         overrides["dps"] = oracle._check_dps(overrides["dps"])
     if name != "all" and name not in SUITES:

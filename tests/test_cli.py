@@ -612,6 +612,17 @@ class TestEval:
         assert time.perf_counter() - t0 < 2
         assert rc == 0 and out.startswith("t(10000000) = 1.0  err <= ")
 
+    def test_printed_value_lies_within_err(self, capsys):
+        # err (about 3e-38) lies far below the 20th digit, so the line
+        # prints as many digits as err resolves and the value read back at
+        # 60 digits is within err of pi**6/960 = t(6).
+        rc, out, _ = run_cli(capsys, "eval", "--t", "6")
+        assert rc == 0
+        _, _, value, _, relation, err, *_ = out.split()
+        assert relation == "<="
+        with mp.workdps(60):
+            assert abs(mp.mpf(value) - mp.pi**6 / 960) <= mp.mpf(err)
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "eval", "--t", "2,4", "--terms", "20000")
         _, out2, _ = run_cli(capsys, "eval", "--t", "2,4", "--terms", "20000")

@@ -14,7 +14,7 @@ import tsums.exact
 import mpmath as mp
 import pytest
 
-from tsums import formulas, oracle, symfunc
+from tsums import formulas, oracle, series, symfunc, verify
 from tsums.exact import PiPower, bernoulli, euler_number, t_even, zeta_even
 from tsums.oracle import pi_power_eval
 
@@ -29,6 +29,35 @@ CELL_ENTRY_POINTS = {
     "T_numeric": oracle.T_numeric,
     "monomial_depth_sum": lambda n, d: symfunc.monomial_depth_sum(n, d, 3),
     "monomial_depth_expr": symfunc.monomial_depth_expr,
+}
+
+# Every argument with a lower bound checked by exact._at_least: the call on
+# one argument, its least value and the name its refusal gives.
+AT_LEAST_SITES = {
+    "zeta_even": (zeta_even, 1, "n"),
+    "t_even": (t_even, 1, "n"),
+    "t_all_twos": (formulas.t_all_twos, 1, "n"),
+    "T_table_from_genfunc": (formulas.T_table_from_genfunc, 1, "max_n"),
+    "coeff_row": (formulas.coeff_row, 1, "depth"),
+    "depth_sum_identity": (formulas.depth_sum_identity, 1, "n"),
+    "TruncationParams.terms": (lambda k: oracle.TruncationParams(terms=k), 1, "terms"),
+    "cos_sqrt_series": (series.cos_sqrt_series, 0, "order"),
+    "sin_sqrt_series": (series.sin_sqrt_series, 0, "order"),
+    "genfunc_biseries": (series.genfunc_biseries, 1, "order"),
+    "tan_link_series": (series.tan_link_series, 1, "order"),
+    "SymPoly.num_vars": (symfunc.SymPoly, 1, "num_vars"),
+    "specialize_odd_squares.num_vars": (
+        lambda k: symfunc.specialize_odd_squares(symfunc.GenExpr.elem(1), k), 2, "num_vars"),
+    **{f"run_suite.{key}": (lambda k, key=key: verify.run_suite("all", **{key: k}), 1, key)
+       for key in ("max_n", "max_d", "terms")},
+}
+
+# Every coefficient checked by exact._rational, as a call on one coefficient.
+RATIONAL_SITES = {
+    "series_quotient.num": lambda c: series.series_quotient((c,), (1, 1)),
+    "series_quotient.den": lambda c: series.series_quotient((1,), (1, c)),
+    "SymPoly": lambda c: symfunc.SymPoly(2, {(1,): c}),
+    "GenExpr": lambda c: symfunc.GenExpr({(1, 0): c}),
 }
 
 
@@ -283,6 +312,20 @@ class TestInputContract:
         for func in (t_even, zeta_even, euler_number, bernoulli):
             with pytest.raises(TypeError):
                 func(2.0)
+
+    @pytest.mark.parametrize("site", list(AT_LEAST_SITES))
+    def test_every_lower_bound_refuses_alike(self, site):
+        func, least, name = AT_LEAST_SITES[site]
+        with pytest.raises(TypeError, match="^expected an integer, got True$"):
+            func(True)
+        text = f"{name} must be >= {least}, got {least - 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            func(least - 1)
+
+    @pytest.mark.parametrize("site", list(RATIONAL_SITES))
+    def test_every_coefficient_refuses_alike(self, site):
+        with pytest.raises(TypeError, match="^coefficients must be exact rationals, got 0.5$"):
+            RATIONAL_SITES[site](0.5)
 
 
 class TestPiPower:

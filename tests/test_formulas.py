@@ -3,8 +3,6 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -277,28 +275,28 @@ class TestEulerMemo:
                     func(*args)
 
 
-# Signed and zero numerators, large denominators; terms of 1 to 3 factors.
+# Signed and zero numerators, large denominators; Fractions and plain ints.
 fractions_st = st.builds(
     Fraction, st.integers(min_value=-(10**30), max_value=10**30),
     st.integers(min_value=1, max_value=10**30),
 )
-terms_st = st.lists(st.lists(fractions_st, min_size=1, max_size=3).map(tuple), max_size=8)
+terms_st = st.lists(st.one_of(fractions_st, st.integers(min_value=-(10**30), max_value=10**30)),
+                    max_size=8)
 
 
 @settings(max_examples=200)
 @given(terms_st, terms_st)
 def test_sum_products_equals_fraction_fold(terms, other):
-    # The products over one denominator, summed, are the Fraction fold.
-    want = [reduce(mul, factors) for factors in terms]
+    # The values over one denominator, summed, are the Fraction fold.
     den, nums = tsums.formulas._over_one_denominator(terms)
     assert type(den) is int and all(type(q) is int for q in nums)
-    assert [Fraction(q, den) for q in nums] == want
-    assert Fraction(sum(nums), den) == sum(want, Fraction(0))
+    assert [Fraction(q, den) for q in nums] == terms
+    assert Fraction(sum(nums), den) == sum(terms, Fraction(0))
     assert tsums.formulas._over_one_denominator(iter(terms)) == (den, nums)
     # _dot of two such rows, of any lengths, is the Fraction sum of the
     # pairwise products up to the shorter row.
     row = tsums.formulas._over_one_denominator(other)
-    dot = sum((a * reduce(mul, b) for a, b in zip(want, other)), Fraction(0))
+    dot = sum((a * b for a, b in zip(terms, other)), Fraction(0))
     assert tsums.formulas._dot(row, (den, nums)) == dot
     assert tsums.formulas._dot((den, nums), row) == dot
 
@@ -306,8 +304,8 @@ def test_sum_products_equals_fraction_fold(terms, other):
 def test_sum_products_edge_cases():
     over_one_denominator = tsums.formulas._over_one_denominator
     assert over_one_denominator([]) == (1, ())
-    assert over_one_denominator([(Fraction(0, 7),), (Fraction(-3, 4), 2)]) == (4, (0, -6))
-    assert over_one_denominator([(Fraction(1, 6), Fraction(-6))]) == (6, (-6,))
+    assert over_one_denominator([Fraction(0, 7), Fraction(-3, 4), 2]) == (4, (0, -3, 8))
+    assert over_one_denominator([Fraction(1, 6), -6]) == (6, (1, -36))
 
 
 class TestGenfuncTable:

@@ -44,10 +44,13 @@ def test_oracle_takes_only_pi_power_from_exact():
     # _Frozen is the base of the package's records and holds no number and
     # no route: only the record plumbing.  _index is plumbing too: it turns
     # an argument into a plain int or refuses it, and computes no value, so
-    # sharing it ties the oracle to no exact route.  _check_args, the check
-    # of a cell's (n, d) on top of _index, is plumbing in the same way.
-    assert imports("oracle") == {"exact": {"PiPower", "_Frozen", "_index", "_check_args"}}
+    # sharing it ties the oracle to no exact route.  _at_least (a lower
+    # bound on top of _index) and _check_args (a cell's (n, d) on top of
+    # _index) are plumbing in the same way.
+    assert imports("oracle") == {"exact": {"PiPower", "_Frozen", "_index", "_at_least",
+                                           "_check_args"}}
     assert tsums.oracle._index is tsums.exact._index
+    assert tsums.oracle._at_least is tsums.exact._at_least
     assert tsums.oracle._check_args is tsums.exact._check_args
     plumbing = {"__init_subclass__", "__init__", "__eq__", "__hash__", "__repr__",
                 "__reduce__", "__setattr__", "__delattr__"}
@@ -60,14 +63,23 @@ def test_oracle_takes_only_pi_power_from_exact():
 def test_symfunc_takes_only_prec_real_from_oracle():
     # Nor does it reuse the exact routes (formulas, series).
     # _check_dps is the oracle's precision check, which reads no value, and
-    # _index and _check_args are plumbing, as for the oracle.
-    assert imports("symfunc") == {"exact": {"_index", "_check_args"},
+    # _index, _at_least and _check_args are plumbing, as for the oracle.
+    # _rational, which turns an int coefficient into a Fraction or refuses
+    # a float, is plumbing too.
+    assert imports("symfunc") == {"exact": {"_index", "_at_least", "_check_args", "_rational"},
                                   "oracle": {"PrecReal", "_check_dps"}}
     assert tsums.symfunc._check_args is tsums.exact._check_args
+    assert tsums.symfunc._rational is tsums.exact._rational
 
 
-def test_series_imports_nothing_from_the_package():
-    assert imports("series") == {}
+def test_series_takes_only_checks_from_exact():
+    # The genfunc route reads no number from the exact layer: series takes
+    # only the order check _at_least and the coefficient check _rational,
+    # which compute no value, so its table stays independent of the closed
+    # forms it is compared with.
+    assert imports("series") == {"exact": {"_at_least", "_rational"}}
+    assert tsums.series._at_least is tsums.exact._at_least
+    assert tsums.series._rational is tsums.exact._rational
 
 
 @pytest.mark.parametrize("module", ["formulas", "series"])
