@@ -55,7 +55,10 @@ divisions by one-digit powers of b whenever at most two of them make up
 b**e, otherwise one division by b**e.  CPython divides by one digit about
 twice as fast as by several.  The one-digit powers are q = b**2 while b <
 2**15 (it fits one 30-bit digit) and b above, so the chain serves e <= 4
-below 2**15 and e <= 2 above; each power is computed once per index.
+below 2**15 and e <= 2 above.  Each loop builds every power its divisions
+name once per index, shared by all its chains, by products of lower
+powers already built: q = b*b, the square of b**(e/2) for even e and
+b**(e-1) * b for odd e (a product costs about 25 ns, b**e 90-120 ns).
 
 Kernels.  An index costs each pass only a few big-integer operations, so
 interpreting the pass's shape per index (loops over levels or cells, list
@@ -63,9 +66,9 @@ indexing, picking each divisor) would add about half as much again.  Each
 pass runs as one function generated for its shape (_kernel_source): one
 loop over the indices below 2**15 and one from 2**15 on, each with the
 pass's divisions, by the rule above, and additions written out in order on
-local variables.  A kernel is compiled once per division pattern, min(e,
-5) per level of t_numeric (exponents from 5 up are its arguments), and per
-top weight of the ladder; its source is built from ints only.
+local variables.  A kernel is compiled once per vector of capped
+exponents (see Cap) of t_numeric and once per top weight of the ladder;
+its source is built from ints only.
 
 Quantization.  The chains do not change a sum: floor(floor(x/a)/c) =
 floor(x/(ac)) for integers x >= 0 and a, c >= 1.  Each floor division
@@ -103,6 +106,12 @@ The finish caps the exponents of its powers of 2N-1 the same way, keeping
 integral and r, and moves the correction by less than scale a_tail
 (2N-1)**(1-cap) < (2/3)**cap ulps (a_tail < (2N)**(d-1), and 2N-1 >= 3
 wherever a power changes), inside the slack of the quantization allowance.
+
+Cut.  At depth 1 the pass adds scale // b**e per index, e = min(s_1,
+cap), and b**e > 2**(ke) >= 2**bitlen(scale) > scale for every odd b >
+2**k, k = ceil(bitlen(scale)/e), so every index from there on adds 0.
+_t_sums ends both kernel calls at b = 2**k, and the sums are those of
+all N indices: t(16) at scale 10**70 runs its first 16384 indices only.
 
 Conversion.  _finish sums the value and err exactly, as integers over
 scale Q**d, and converts once by PrecReal._exact, as specialize_odd_squares
@@ -257,35 +266,48 @@ def _finish(total: int, tails: Sequence[tuple[int, int, int, int]], ulps: int,
     return PrecReal._exact(total * unit + value, ulps * unit + err, den, dps)
 
 
-# The division by b**e of each pattern p = min(e, 5) (see Divisions in the
-# module docstring), for b < 2**15 and from 2**15 on, and the powers of b
-# each loop computes once per index; p = 5 divides by b**e, computed per
-# chain.
+# The division by b**e (see Divisions in the module docstring) for b <
+# 2**15 and from 2**15 on, as the exponents of the one-digit powers it
+# chains; any other e divides once by b**e.
 _RULES = (
-    ("range(lo, min(hi, 32769), 2)", {1: "b", 2: "q", 3: "q // b", 4: "q // q"}, {"q": "b * b"}),
-    ("range(max(lo, 32769), hi, 2)", {1: "b", 2: "b // b", 3: "b3", 4: "b4"},
-     {"b3": "b ** 3", "b4": "b ** 4"}),
+    ("range(lo, min(hi, 32769), 2)", {1: (1,), 2: (2,), 3: (2, 1), 4: (2, 2)}),
+    ("range(max(lo, 32769), hi, 2)", {1: (1,), 2: (1, 1)}),
 )
 
 
+def _power(e: int) -> str:
+    """The name of b**e in a kernel: b, q = b*b, else b<e>."""
+    return "b" if e == 1 else "q" if e == 2 else f"b{e}"
+
+
+def _power_lines(exps: set[int]) -> list[str]:
+    """The lines that build b**e for each e in exps, lowest first, each power
+    from lower ones: the square of b**(e/2) for even e, else b**(e-1) * b."""
+    built = set()
+    for e in exps:
+        while e > 1 and e not in built:
+            built.add(e)
+            e = e - 1 if e % 2 else e // 2
+    return [f"{_power(e)} = {_power(e // 2)} * {_power(e // 2)}" if e % 2 == 0
+            else f"{_power(e)} = {_power(e - 1)} * b" for e in sorted(built)]
+
+
 def _kernel_source(slots: int, chains: tuple[tuple[int, tuple[tuple[int | None, int], ...]], ...]) -> str:
-    """The source of kernel(x, e, lo, hi), which adds the indices b = lo,
+    """The source of kernel(x, lo, hi), which adds the indices b = lo,
     lo+2, ... below hi to the state x of slots ints and returns the new
-    state.  Per index, each chain c = (p, steps) in turn carries one
-    quotient g along its steps (src, dst): g = (x[src] + g) // b**e, x[dst]
-    += g, where x[None] and g before the first step are 0, and e = p for p
-    < 5, e = e[c] for p = 5.  Its text comes from _RULES and the ints of
-    slots and chains only."""
+    state.  Per index, each chain (e, steps) in turn carries one quotient g
+    along its steps (src, dst): g = (x[src] + g) // b**e, x[dst] += g, where
+    x[None] and g before the first step are 0.  Each loop builds every
+    power its divisions name once per index (_power_lines).  Its text comes
+    from _RULES and the ints of slots and chains only."""
     state = ", ".join(f"x{i}" for i in range(slots))
-    lines = ["def kernel(x, e, lo, hi):", f"    {state}, = x"]
-    lines += [f"    e{c} = e[{c}]" for c, (p, _) in enumerate(chains) if p == 5]
-    for loop, rule, powers in _RULES:
-        divs = [f"p{c}" if p == 5 else rule[p] for c, (p, _) in enumerate(chains)]
-        used = {name for div in divs for name in div.split()}
+    lines = ["def kernel(x, lo, hi):", f"    {state}, = x"]
+    for loop, rule in _RULES:
+        factors = [rule.get(e, (e,)) for e, _ in chains]
         lines.append(f"    for b in {loop}:")
-        lines += [f"        {name} = {power}" for name, power in powers.items() if name in used]
-        lines += [f"        p{c} = b ** e{c}" for c, (p, _) in enumerate(chains) if p == 5]
-        for div, (_, steps) in zip(divs, chains):
+        lines += [f"        {line}" for line in _power_lines({f for fs in factors for f in fs})]
+        for fs, (_, steps) in zip(factors, chains):
+            div = " // ".join(map(_power, fs))
             for j, (src, dst) in enumerate(steps):
                 x = f"x{src}" if j == 0 else "g" if src is None else f"(x{src} + g)"
                 if j == len(steps) - 1:
@@ -308,11 +330,13 @@ def _t_sums(s: Sequence[int], N: int, scale: int) -> tuple[list[int], list[int]]
     """The fixed-point sums A[i] = A_i of t_numeric for exponents s, before
     and after the last index N (see the module docstring)."""
     d = len(s)
-    cap = _cap(d, N, scale)
-    exps = [min(e, cap) for e in s]
-    kernel = _kernel(d + 1, tuple((min(e, 5), ((i + 1, i),)) for i, e in enumerate(exps)))
-    inner = kernel([0] * d + [scale], exps, 1, 2 * N - 1)
-    return inner, kernel(inner, exps, 2 * N - 1, 2 * N + 1)
+    exps = [min(e, _cap(d, N, scale)) for e in s]
+    end = 2 * N + 1
+    if d == 1:  # every index from b = 2**ceil(bitlen(scale)/e) on adds 0 (see Cut)
+        end = min(end, 1 << -(-scale.bit_length() // exps[0]))
+    kernel = _kernel(d + 1, tuple((e, ((i + 1, i),)) for i, e in enumerate(exps)))
+    inner = kernel([0] * d + [scale], 1, min(2 * N - 1, end))
+    return inner, kernel(inner, 2 * N - 1, end)
 
 
 def _t_scale(s: Sequence[int], N: int, dps: int) -> int:
@@ -380,8 +404,8 @@ def _weight_ladder(n: int, N: int, scale: int) -> tuple[list[list[int]], list[li
     kernel = _kernel(m * m, tuple(
         (2, tuple((None if k == 1 and w > 1 else (k - 1) * m + w - 1, k * m + w) for w in range(k, m)))
         for k in range(n, 0, -1)))
-    inner = kernel([scale] + [0] * (m * m - 1), (), 1, 2 * N - 1)
-    final = kernel(inner, (), 2 * N - 1, 2 * N + 1)
+    inner = kernel([scale] + [0] * (m * m - 1), 1, 2 * N - 1)
+    final = kernel(inner, 2 * N - 1, 2 * N + 1)
     return tuple([x[i:i + m] for i in range(0, m * m, m)] for x in (inner, final))
 
 

@@ -138,19 +138,21 @@ class TestKernels:
         # N = 1 runs only the last index, and N = 2 one index before it.
         _check_kernels(VECTORS, range(1, 6), N)
 
-    @pytest.mark.parametrize("bs", [range(1, 64, 2), range(32701, 1 << 15, 2), range(32741, 32800, 2)],
-                             ids=["from-1", "below-2**15", "straddles-2**15"])
+    @pytest.mark.parametrize("bs", [range(1, 64, 2), range(32701, 1 << 15, 2), range(32741, 32800, 2),
+                                    range(1999941, 2000060, 2)],
+                             ids=["from-1", "below-2**15", "straddles-2**15", "near-2*10**6"])
     def test_divisions_floor_by_the_power(self, bs):
-        # One chain per exponent, each from its own slot of random 300-bit
-        # sums into a slot at 0: one index b adds x // b**e exactly.
+        # One chain per exponent, each from its own slot of random sums into a
+        # slot at 0: one index b adds x // b**e exactly.  Each x has 64 bits
+        # more than b**e, so no quotient is 0; 1000 stands for an exponent at
+        # the cap, whose powers the kernel builds like any other.
         rng = random.Random(20261019)
-        exps = (1, 2, 3, 4, 5, 6, 1000)
-        kernel = oracle._kernel(2 * len(exps), tuple(
-            (min(e, 5), ((2 * c + 1, 2 * c),)) for c, e in enumerate(exps)))
+        exps = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 1000)
+        kernel = oracle._kernel(2 * len(exps), tuple((e, ((2 * c + 1, 2 * c),)) for c, e in enumerate(exps)))
         for b in bs:
             for _ in range(3):
-                xs = [rng.getrandbits(300) for _ in exps]
-                got = kernel([v for x in xs for v in (0, x)], exps, b, b + 2)
+                xs = [rng.getrandbits(e * b.bit_length() + 64) for e in exps]
+                got = kernel([v for x in xs for v in (0, x)], b, b + 2)
                 assert got[::2] == [x // b**e for x, e in zip(xs, exps)], b
                 assert got[1::2] == xs, b
 
@@ -158,25 +160,86 @@ class TestKernels:
         # The rule of the module docstring, read off the emitted source: below
         # 2**15, where q = b*b fits one 30-bit digit, a chain of at most two
         # one-digit divisors for e <= 4; from 2**15 on two divisions by b for
-        # e = 2; else one division by b**e, computed once per index.
-        exps = (1, 2, 3, 4, 5, 6, 1000)
-        chains = tuple((min(e, 5), ((c + 1, 0),)) for c, e in enumerate(exps))
-        low, high = oracle._kernel_source(len(exps) + 1, chains).split("\n    for b in ")[1:]
+        # e = 2; else one division by b**e.  Each loop first assigns every
+        # power it names once, as the product of two powers already built,
+        # lowest first, and no kernel calls **.
+        exps = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 1000)
+        chains = tuple((e, ((c + 1, 0),)) for c, e in enumerate(exps))
+        source = oracle._kernel_source(len(exps) + 1, chains)
+        assert "**" not in source
+        low, high = source.split("\n    for b in ")[1:]
         assert low.startswith("range(lo, min(hi, 32769), 2):") and 32767**2 < 1 << 30
         assert high.startswith("range(max(lo, 32769), hi, 2):")
-        rules = (
-            (low, ("b", "q", "q // b", "q // q", "p4", "p5", "p6"), {"q = b * b"}),
-            (high, ("b", "b // b", "b3", "b4", "p4", "p5", "p6"), {"b3 = b ** 3", "b4 = b ** 4"}),
-        )
-        for loop, divs, powers in rules:
+        powers = [f"b{e}" for e in exps[4:]]
+        rules = ((low, ["b", "q", "q // b", "q // q"] + powers), (high, ["b", "b // b", "b3", "b4"] + powers))
+        for loop, divs in rules:
             lines = [line.strip() for line in loop.splitlines() if line.startswith(" " * 8)]
-            assert lines == sorted(powers) + [f"p{c} = b ** e{c}" for c in (4, 5, 6)] + [
-                f"x0 += x{c + 1} // {div}" for c, div in enumerate(divs)], loop
+            assert lines[-len(exps):] == [f"x0 += x{c + 1} // {div}" for c, div in enumerate(divs)], loop
+            built = {"b": 1}
+            for line in lines[:-len(exps)]:
+                name, _, left, _, right = line.split()
+                assert name not in built and left in built and right in built, line
+                assert right == left or right == "b", line
+                built[name] = built[left] + built[right]
+                assert name == ("q" if built[name] == 2 else f"b{built[name]}"), line
+            assert list(built.values()) == sorted(built.values()), loop
+            assert {name for div in divs for name in div.split(" // ")} <= set(built), loop
+
+    def test_ladder_kernel_is_pinned(self, monkeypatch):
+        # The kernel _weight_ladder runs at n = 2, which divides by b**2
+        # only: // q below 2**15, // b // b above.
+        shapes = []
+        compiled = oracle._kernel
+        monkeypatch.setattr(oracle, "_kernel", lambda *shape: shapes.append(shape) or compiled(*shape))
+        _weight_ladder(2, 3, 10**30)
+        assert len(shapes) == 1
+        assert oracle._kernel_source(*shapes[0]) == """\
+def kernel(x, lo, hi):
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, = x
+    for b in range(lo, min(hi, 32769), 2):
+        q = b * b
+        x8 += x4 // q
+        g = x0 // q
+        x4 += g
+        x5 += g // q
+    for b in range(max(lo, 32769), hi, 2):
+        x8 += x4 // b // b
+        g = x0 // b // b
+        x4 += g
+        x5 += g // b // b
+    return [x0, x1, x2, x3, x4, x5, x6, x7, x8]
+"""
+
+    @pytest.mark.parametrize("s, Ns", [([16], (16384, 16385, 16386)), ([40], (31, 32, 33)),
+                                       ([12], (16384, 16385, 16386)), ([3], (16384, 16385, 16386))],
+                             ids=["16", "40", "12", "3"])
+    def test_depth_one_pass_stops_where_quotients_vanish(self, monkeypatch, s, Ns):
+        # At depth 1 each index adds scale // b**e, which is 0 for every odd
+        # b > 2**ceil(bitlen(scale)/e): 2**15 for t(16) and 2**6 for t(40)
+        # at scale 10**70 (233 bits), each between the N here.  t(12) (2**20)
+        # and t(3) (2**78) run every index.
+        scale = 10**70
+        cut = 1 << -(-scale.bit_length() // s[0])
+        compiled, ends = oracle._kernel, []
+
+        def recorded(slots, chains):
+            kernel = compiled(slots, chains)
+
+            def run(x, lo, hi):
+                ends.append(hi)
+                return kernel(x, lo, hi)
+            return run
+
+        monkeypatch.setattr(oracle, "_kernel", recorded)
+        for N in Ns:
+            ends.clear()
+            assert oracle._t_sums(s, N, scale) == _reference_t_sums(s, N, scale), (s, N)
+            assert ends == [min(2 * N - 1, cut), min(2 * N + 1, cut)], (s, N)
 
     def test_kernels_are_compiled_once_per_pattern(self, monkeypatch):
-        # Kernels are keyed by min(e, 5) per level, so exponents from 5 up
-        # share one; a repeated vector, and a ladder of a seen weight at
-        # another cutoff or precision, compile nothing.
+        # Kernels are keyed by the capped exponents, so vectors that differ
+        # only past the cap share one; a repeated vector, and a ladder of a
+        # seen weight at another cutoff or precision, compile nothing.
         rng = random.Random(7)
         vectors = set()
         while len(vectors) < 50:
@@ -184,10 +247,12 @@ class TestKernels:
         oracle._kernel.cache_clear()
         for s in vectors:
             t_numeric(s, TruncationParams(terms=20))
-        patterns = {tuple(min(e, 5) for e in s) for s in vectors}
-        assert oracle._kernel.cache_info().misses == len(patterns) < len(vectors)
+        assert oracle._kernel.cache_info().misses == len(vectors)
         t_numeric(min(vectors), TruncationParams(terms=20))
-        assert oracle._kernel.cache_info().misses == len(patterns)
+        assert oracle._kernel.cache_info().misses == len(vectors)
+        for s in ([2, 1000], [2, 2000], [2, 10**9]):  # all past the cap of 86 at dps 10
+            t_numeric(s, TruncationParams(terms=20), dps=10)
+        assert oracle._kernel.cache_info().misses == len(vectors) + 1
         monkeypatch.setattr(oracle, "_rows", {})
         T_numeric(4, 2, TruncationParams(terms=20))
         compiled = oracle._kernel.cache_info().misses
@@ -212,9 +277,9 @@ class TestBlocks:
         def blocked(slots, chains):
             kernel = compiled(slots, chains)
 
-            def run(x, e, lo, hi):
+            def run(x, lo, hi):
                 for start in range(lo, hi, 2 * block):
-                    x = kernel(x, e, start, min(start + 2 * block, hi))
+                    x = kernel(x, start, min(start + 2 * block, hi))
                 return x
             return run
 
