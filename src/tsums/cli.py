@@ -9,18 +9,20 @@ Subcommands:
 
 Data goes to stdout, diagnostics (including timings) to stderr.  Exit codes:
 0 success / all checks passed, 1 verification failure or divergent input,
-2 usage error (one ``error:`` line on stderr, nothing on stdout), which
-includes a ``--precision`` below 10 digits and, when no ``--precision`` flag
-is given, a TSUMS_PRECISION that is not an integer >= 10.  Rationals are
-serialized as decimal strings for numerator and denominator, never as
-floats.  The environment variable TSUMS_PRECISION overrides the default
-numeric precision (significant digits) of ``eval`` and the oracle suite;
-explicit ``--precision`` flags still win.
+2 usage error: one ``error:`` line on stderr and nothing on stdout, whether
+argparse rejects the argv (an unknown flag or choice, a missing or
+malformed value, a size below 1, a ``--precision`` below 10 digits) or a
+check after parsing does (a table ``--depth`` above ``--max-n``).
+Rationals are serialized as decimal strings for numerator and denominator,
+never as floats.  The environment variable TSUMS_PRECISION overrides the
+default numeric precision (significant digits) of ``eval`` and the oracle
+suite, and is checked like ``--precision``; explicit ``--precision`` flags
+still win, and an unusable TSUMS_PRECISION is then never read.
 
 ``eval`` prints ``err <=`` before a proven bound and ``err ~`` before an
 estimate, which is what the oracle gives when an inner exponent s_2..s_d
-equals 1.  The value has as many significant digits as err resolves, at
-least 20 and at most the precision in use.
+equals 1.  The value has as many significant digits as err resolves, up to
+the precision in use, but never fewer than 20, even at a lower precision.
 
 Only ``eval`` and the ``symmetric`` and ``oracle`` suites of ``verify``
 import mpmath; ``table``, ``coeffs`` and the exact suites never do.
@@ -38,7 +40,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exact import PiPower
+from .exact import PiPower, _at_least
 from .formulas import T_from_euler, coeff_row
 from .oracle import (DEFAULT_DPS, DEFAULT_TERMS, MIN_DPS, DivergentSeriesError,
                      TruncationParams, t_numeric)
@@ -120,19 +122,11 @@ def _cmd_coeffs(args) -> int:
         print("depth,j,num,den")
         for j, c in row.pairs:
             print(f"{row.depth},{j},{c.numerator},{c.denominator}")
-    else:  # latex: T(2n,d) = c0 t(2n) + c1 t(2)t(2n-2) + ...
-        parts = []
-        for j, c in row.pairs:
-            frac = _latex_abs_fraction(c)
-            if j == 0:
-                term = f"{frac}t(2n)"
-            else:
-                term = f"{frac}t({2*j})t(2n-{2*j})"
-            parts.append(("-" if c < 0 else "+", term))
-        body = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, term in parts[1:]:
-            body += f" {sign} {term}"
-        print(f"T(2n,{row.depth}) = {body}")
+    else:  # latex: T(2n,d) = c0 t(2n) + c1 t(2)t(2n-2) + ..., where c0 > 0
+        (_, c0), *rest = row.pairs
+        body = "".join(f" {'-' if c < 0 else '+'} {_latex_abs_fraction(c)}t({2*j})t(2n-{2*j})"
+                       for j, c in rest)
+        print(f"T(2n,{row.depth}) = {_latex_abs_fraction(c0)}t(2n){body}")
     return 0
 
 
@@ -156,34 +150,23 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     import mpmath as mp
 
-    fields = args.t.split(",")
-    if any(x.strip() == "" for x in fields):
-        print(f"error: empty field in arguments {args.t!r}", file=sys.stderr)
-        return 2
-    try:
-        exponents = [int(x) for x in fields]
-    except ValueError:
-        print(f"error: cannot parse arguments {args.t!r}", file=sys.stderr)
-        return 2
     dps = args.precision or DEFAULT_DPS
     t0 = time.perf_counter()
     try:
         result = t_numeric(
-            exponents,
+            args.t,
             TruncationParams(terms=args.terms, tail_order=args.tail_order),
             dps=dps,
         )
-    except DivergentSeriesError as exc:
+    except DivergentSeriesError as exc:  # a leading exponent of 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    label = ",".join(str(x) for x in exponents)
-    relation = "~" if 1 in exponents[1:] else "<="
+    label = ",".join(str(x) for x in args.t)
+    relation = "~" if 1 in args.t[1:] else "<="
     err = mp.nstr(result.err, 3)
-    # As many digits as err resolves, 20 to dps: the last one sits a place
-    # below err's leading digit, so the value rounds by at most err/20.
+    # As many digits as err resolves, at most dps but never fewer than 20:
+    # the last one sits a place below err's leading digit, so the value
+    # rounds by at most err/20.
     digits = Decimal(mp.nstr(result.value, dps)).adjusted() - Decimal(err).adjusted() + 2
     print(
         f"t({label}) = {mp.nstr(result.value, max(20, min(dps, digits)))}  "
@@ -193,83 +176,90 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _int_type(least: int, noun: str):
+    """An argparse ``type``: the text as an integer >= least."""
+
+    def check(text: str) -> int:
+        try:
+            return _at_least(int(text), least, noun)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{noun} must be an integer >= {least}, got {text!r}") from None
+
+    return check
+
+
+_size, _digits = _int_type(1, "size"), _int_type(MIN_DPS, "digits")
+
+
+def _exponents(text: str) -> list[int]:
+    """--t: comma-separated exponents, each an integer >= 1."""
+    return list(map(_int_type(1, "exponent"), text.split(",")))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every rejection is one ``error:`` line on stderr and exit code 2; the
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: building it costs about a millisecond,
     and parsing leaves it unchanged, so every ``main`` call shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tsums",
         description="Exact sums of multiple t-values at even arguments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="emit the T(2n,d) value table")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--depth", type=int, default=None, help="keep only this depth")
+    p.add_argument("--max-n", type=_size, required=True, dest="max_n")
+    p.add_argument("--depth", type=_size, default=None, help="keep only this depth")
     p.add_argument("--format", choices=("json", "csv", "latex"), default="csv")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("coeffs", help="emit a fixed-depth coefficient row")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_size, required=True)
     p.add_argument("--format", choices=("json", "csv", "latex"), default="csv")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("verify", help="run an identity verification suite")
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), required=True)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--max-d", type=int, default=None, dest="max_d")
-    p.add_argument("--terms", type=int, default=None)
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--max-n", type=_size, default=None, dest="max_n")
+    p.add_argument("--max-d", type=_size, default=None, dest="max_d")
+    p.add_argument("--terms", type=_size, default=None)
+    p.add_argument("--precision", type=_digits, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate t(s_1,...,s_d) numerically")
-    p.add_argument("--t", required=True, help="comma-separated exponents, e.g. 2,2")
-    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--t", type=_exponents, required=True, help="comma-separated exponents, e.g. 2,2")
+    p.add_argument("--terms", type=_size, default=DEFAULT_TERMS)
+    p.add_argument("--precision", type=_digits, default=None)
     p.add_argument("--tail-order", type=int, choices=(0, 1), default=1, dest="tail_order")
     p.set_defaults(func=_cmd_eval)
 
     return parser
 
 
-def _usage_error(args) -> str | None:
-    """Why the parsed arguments are unusable, or None when they are fine.
-    For ``verify`` and ``eval``, ``args.precision`` ends as the one
-    precision in use: --precision, else TSUMS_PRECISION, else None."""
-    if args.command == "table":
-        if args.max_n < 1:
-            return "--max-n must be >= 1"
-        if args.depth is not None and not 1 <= args.depth <= args.max_n:
-            return f"--depth must be between 1 and --max-n ({args.max_n})"
-    elif args.command == "coeffs":
-        if args.depth < 1:
-            return "--depth must be >= 1"
-    elif args.command == "verify":
-        for dest in ("max_n", "max_d", "terms"):
-            value = getattr(args, dest)
-            if value is not None and value < 1:
-                return f"--{dest.replace('_', '-')} must be >= 1"
-    if args.command in ("verify", "eval"):
-        if args.precision is not None:
-            if args.precision < MIN_DPS:
-                return f"--precision must be >= {MIN_DPS}"
-        elif "TSUMS_PRECISION" in os.environ:
-            raw = os.environ["TSUMS_PRECISION"]
-            try:
-                args.precision = int(raw)
-            except ValueError:
-                return f"TSUMS_PRECISION must be an integer, got {raw!r}"
-            if args.precision < MIN_DPS:
-                return f"TSUMS_PRECISION must be >= {MIN_DPS}, got {args.precision}"
-    return None
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    problem = _usage_error(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        # The two checks argparse cannot make: one flag against another, and
+        # the environment fallback of --precision.
+        if args.command == "table" and args.depth is not None and args.depth > args.max_n:
+            parser.error(f"argument --depth: must be at most --max-n ({args.max_n})")
+        env = os.environ.get("TSUMS_PRECISION")
+        if args.command in ("verify", "eval") and args.precision is None and env is not None:
+            try:
+                args.precision = _digits(env)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"TSUMS_PRECISION: {exc}")
+    except SystemExit as exc:  # a rejection (_Parser.error), or --help
+        return exc.code
     return args.func(args)
 
 

@@ -364,7 +364,9 @@ def t_numeric(
     Requires integer exponents with s_1 >= 2 (convergence) and s_i >= 1,
     and dps >= MIN_DPS.  The sums run at the scale _t_scale picks, at
     most 10**(dps+20) and as small as the bound allows; dps sets the
-    precision of the result.  Cost O(d*N); memory O(d), whatever N.
+    precision of the result.  err is absolute at that scale, so a value
+    below about 10**-(dps+20) carries no significant digits.
+    Cost O(d*N); memory O(d), whatever N.
     """
     s = [_index(x) for x in exponents]
     dps = _check_dps(dps)

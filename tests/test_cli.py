@@ -33,6 +33,13 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def assert_usage_error(rc, out, err):
+    """Exit code 2, nothing on stdout and one ``error:`` line on stderr."""
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestTable:
     def test_csv_small(self, capsys):
         rc, out, _ = run_cli(capsys, "table", "--max-n", "2", "--format", "csv")
@@ -81,9 +88,7 @@ class TestTable:
         assert "T(4,2) = \\frac{1}{384}\\pi^{4}" in out.splitlines()
 
     def test_unknown_format_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--max-n", "2", "--format", "xml"])
-        assert exc.value.code == 2
+        assert_usage_error(*run_cli(capsys, "table", "--max-n", "2", "--format", "xml"))
 
     def test_bad_max_n(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--max-n", "0")
@@ -296,9 +301,7 @@ class TestVerify:
         assert report["cases"][0]["params"] == {"n_max": 3, "m": 3}
         assert report["summary"]["failed"] == 0
         # No other variable count can change a verdict, so none is offered.
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "symmetric", "--num-vars", "10"])
-        assert exc.value.code == 2
+        assert_usage_error(*run_cli(capsys, "verify", "--suite", "symmetric", "--num-vars", "10"))
 
     def test_symmetric_spot_values_are_pinned(self):
         # The printed values of the 12 specialization spots at the suite's
@@ -334,10 +337,8 @@ class TestVerify:
                 got = [(c.id, c.expected, c.actual, c.passed) for c in report.cases]
                 assert got == want, (suite, prec)
 
-    def test_unknown_suite_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nonsense"])
-        assert exc.value.code == 2
+    def test_unknown_suite_exits_2(self, capsys):
+        assert_usage_error(*run_cli(capsys, "verify", "--suite", "nonsense"))
 
     def test_all_suites_small_bounds(self, capsys):
         rc, out, _ = run_cli(
@@ -390,18 +391,24 @@ class TestVerify:
         ("TSUMS_PRECISION=9", "verify", "--suite", "oracle", "--max-n", "1", "--terms", "2"),
         ("eval", "--t", "2,,2", "--terms", "100"),
         ("eval", "--t", "2,2,", "--terms", "100"),
+        # Rejected by argparse itself, through the same one-line error.
+        ("table", "--max-n", "abc"),
+        ("table", "--max-n", "2", "--format", "xml"),
+        ("verify", "--suite", "nonsense"),
+        ("verify", "--suite", "symmetric", "--num-vars", "10"),
+        ("eval", "--t", "2", "--tail-order", "2"),
+        ("eval", "--t", "2,x"),
+        ("table",),
+        (),
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     # Leading NAME=value items set environment variables, as in a shell.
-    while "=" in argv[0]:
+    while argv and "=" in argv[0]:
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
         argv = argv[1:]
-    rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert_usage_error(*run_cli(capsys, *argv))
 
 
 @pytest.mark.parametrize("suite", [*SUITES, "all"])
@@ -490,20 +497,23 @@ def cli_calls(draw):
 @given(cli_calls())
 def test_any_input_gives_an_exit_code(call):
     # Every input ends in success (0), a verification failure or divergent
-    # series (1) or a usage error (2), never in an exception.
+    # series (1) or a usage error (2), never in an exception: not even the
+    # SystemExit of an argv that argparse rejects.
     argv, env_precision = call
     env = {k: v for k, v in os.environ.items() if k != "TSUMS_PRECISION"}
     if env_precision is not None:
         env["TSUMS_PRECISION"] = env_precision
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, env, clear=True), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            rc = exc.code
+        except SystemExit as exc:
+            raise AssertionError(f"SystemExit({exc.code!r}) left main for {argv}") from exc
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert_usage_error(rc, out.getvalue(), err.getvalue())
 
 
 def _captured(argv):
@@ -511,10 +521,7 @@ def _captured(argv):
     verify report are dropped from its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+        rc = main(argv)
     stdout = out.getvalue()
     if argv[0] == "verify":
         report = json.loads(stdout)

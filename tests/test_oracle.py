@@ -420,6 +420,24 @@ class TestTNumeric:
                 want = (1 - mp.mpf(2) ** -s) * mp.zeta(s)
                 assert abs(mp.fsub(got.value, want, exact=True)) <= got.err, (s, got.err)
 
+    @pytest.mark.parametrize("s, N, dps", [([600, 2], 2, 10), ([600, 2], 2, 50),
+                                           ([300, 4, 2], 3, 50)])
+    def test_bound_holds_below_the_resolution(self, s, N, dps):
+        # t(600,2) is about 3**-600, far below the pass's absolute scale of
+        # at most 10**(dps+20), so the value carries no significant digit;
+        # err must still cover it.  The exact sum over the outer indices up
+        # to 60 stands for t(s): its tail is below 119**-300.
+        d = len(s)
+        sums = [Fraction(1)] + [Fraction(0)] * d  # sums[k]: t(s_{d-k+1},...,s_d)
+        for n in range(1, 61):
+            for k in range(d, 0, -1):
+                sums[k] += sums[k - 1] / (2 * n - 1) ** s[d - k]
+        got = t_numeric(s, TruncationParams(terms=N), dps=dps)
+        man, exp = got.value.man_exp
+        gap = abs(man * Fraction(2) ** exp - sums[d])
+        man, exp = got.err.man_exp
+        assert gap <= man * Fraction(2) ** exp, (s, N, dps)
+
     def test_memory_does_not_grow_with_terms(self, monkeypatch):
         # The kernels keep the d+1 sums (the ladder's (n+1)**2 cells) in
         # local variables, so the peak stays under a megabyte and grows with
