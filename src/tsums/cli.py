@@ -138,13 +138,14 @@ def _cmd_verify(args) -> int:
         "dps": args.precision,
     }
     report = run_suite(args.suite, **overrides)
-    print(json.dumps(report.to_dict(), indent=2))
+    summary = report["summary"]
+    print(json.dumps(report, indent=2))
     print(
-        f"suite {report.suite}: {report.passed}/{report.total} passed "
-        f"in {report.wall_time_s:.3f}s",
+        f"suite {report['suite']}: {summary['passed']}/{summary['total']} passed "
+        f"in {report['wall_time_s']:.3f}s",
         file=sys.stderr,
     )
-    return 0 if report.failed == 0 else 1
+    return 0 if summary["failed"] == 0 else 1
 
 
 def _cmd_eval(args) -> int:

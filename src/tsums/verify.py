@@ -3,10 +3,10 @@ case batteries with a JSON-serializable report.
 
 Each suite yields its cases as ``(id, params, expected, actual, passed)``
 tuples; :func:`run_suite` is the one place that checks the overrides, runs
-the suites and adds their cases to a :class:`Report`, which the CLI
-serializes to stdout, deriving its exit status solely from the failure
-count.  Only the ``symmetric`` and ``oracle`` suites compute with mpmath,
-and they import it when they run; the exact suites never load it.
+the suites and builds their report, the very dict the CLI serializes to
+stdout, deriving its exit status solely from the failure count.  Only the
+``symmetric`` and ``oracle`` suites compute with mpmath, and they import it
+when they run; the exact suites never load it.
 """
 
 from __future__ import annotations
@@ -17,62 +17,8 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from . import exact, formulas, oracle, series, symfunc
-from .exact import _Frozen
 
-__all__ = ["Case", "Report", "SUITES", "run_suite"]
-
-
-class Case(_Frozen):
-    # elapsed_s: since the previous case was added, or the report made; under
-    # 'all' a suite's first case also carries that suite's setup
-    __slots__ = ("id", "params", "expected", "actual", "passed", "elapsed_s")
-
-
-class Report:
-    def __init__(self, suite: str) -> None:
-        self.suite = suite
-        self.cases: list[Case] = []
-        self.wall_time_s = 0.0
-        self._last = time.perf_counter()
-
-    @property
-    def total(self) -> int:
-        return len(self.cases)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.cases if c.passed)
-
-    @property
-    def failed(self) -> int:
-        return self.total - self.passed
-
-    def add(self, id: str, params: dict, expected, actual, passed: bool) -> None:
-        now = time.perf_counter()
-        self.cases.append(Case(id, params, str(expected), str(actual), passed, now - self._last))
-        self._last = now
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": [
-                {
-                    "id": c.id,
-                    "params": c.params,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "pass": c.passed,
-                    "elapsed_s": round(c.elapsed_s, 3),
-                }
-                for c in self.cases
-            ],
-            "summary": {
-                "total": self.total,
-                "passed": self.passed,
-                "failed": self.failed,
-            },
-            "wall_time_s": round(self.wall_time_s, 3),
-        }
+__all__ = ["SUITES", "run_suite"]
 
 
 def suite_closed_forms(max_n: int) -> Iterator[tuple]:
@@ -215,10 +161,16 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **overrides) -> Report:
+def run_suite(name: str, **overrides) -> dict:
     """Run one named suite (or 'all', every suite in ``SUITES`` order with
     its cases' ids prefixed ``suite/``), applying keyword overrides on top
-    of each suite's defaults, into one timed :class:`Report`.  Override
+    of each suite's defaults, and return its report: ``{"suite", "cases",
+    "summary", "wall_time_s"}``, ready for ``json.dumps``.  Each case is
+    ``{"id", "params", "expected", "actual", "pass", "elapsed_s"}``, its
+    sides as ``str`` and its ``elapsed_s`` the time since the previous case
+    or the start of the run, so under 'all' a suite's first case carries
+    that suite's setup; times are in seconds to 3 places, and the summary
+    holds the ``total``, ``passed`` and ``failed`` counts.  Override
     keys a suite has no default for are ignored by that suite, but every
     override is checked before any case runs, as the CLI does: a key other
     than ``max_n``, ``max_d``, ``terms`` and ``dps`` raises TypeError,
@@ -235,14 +187,21 @@ def run_suite(name: str, **overrides) -> Report:
         overrides["dps"] = oracle._check_dps(overrides["dps"])
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    t0 = time.perf_counter()
-    rep = Report(name)
+    t0 = last = time.perf_counter()
+    cases = []
     for sub in SUITES if name == "all" else (name,):
         suite, defaults = SUITES[sub]
         kwargs = {key: value if overrides.get(key) is None else overrides[key]
                   for key, value in defaults.items()}
         prefix = f"{sub}/" if name == "all" else ""
-        for id, *case in suite(**kwargs):
-            rep.add(prefix + id, *case)
-    rep.wall_time_s = time.perf_counter() - t0
-    return rep
+        for id, params, expected, actual, passed in suite(**kwargs):
+            now = time.perf_counter()
+            cases.append({"id": prefix + id, "params": params, "expected": str(expected),
+                          "actual": str(actual), "pass": passed,
+                          "elapsed_s": round(now - last, 3)})
+            last = now
+    wall_time_s = round(time.perf_counter() - t0, 3)
+    passed = sum(1 for c in cases if c["pass"])
+    return {"suite": name, "cases": cases,
+            "summary": {"total": len(cases), "passed": passed, "failed": len(cases) - passed},
+            "wall_time_s": wall_time_s}

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 import tsums.cli
 import tsums.formulas
 import tsums.oracle
-import tsums.verify
 from tsums.cli import main
 from tsums.exact import PiPower
 from tsums.formulas import T_from_euler
@@ -200,6 +200,52 @@ def test_table_json_matches_indenting_encoder(cells):
     assert "".join(tsums.cli._table_json(rows)) == json.dumps(payload, indent=2)
 
 
+# `verify --suite depth-sum --max-n 3` on stdout, every time set to 0.
+DEPTH_SUM_3_REPORT = """\
+{
+  "suite": "depth-sum",
+  "cases": [
+    {
+      "id": "n=1",
+      "params": {
+        "n": 1
+      },
+      "expected": "1/8*pi^2",
+      "actual": "1/8*pi^2",
+      "pass": true,
+      "elapsed_s": 0
+    },
+    {
+      "id": "n=2",
+      "params": {
+        "n": 2
+      },
+      "expected": "5/384*pi^4",
+      "actual": "5/384*pi^4",
+      "pass": true,
+      "elapsed_s": 0
+    },
+    {
+      "id": "n=3",
+      "params": {
+        "n": 3
+      },
+      "expected": "61/46080*pi^6",
+      "actual": "61/46080*pi^6",
+      "pass": true,
+      "elapsed_s": 0
+    }
+  ],
+  "summary": {
+    "total": 3,
+    "passed": 3,
+    "failed": 0
+  },
+  "wall_time_s": 0
+}
+"""
+
+
 class TestVerify:
     def test_depth_sum_small(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "depth-sum", "--max-n", "3")
@@ -307,8 +353,8 @@ class TestVerify:
         # The printed values of the 12 specialization spots at the suite's
         # defaults (20 000 variables, 30 digits), so a drift in the
         # fixed-point evaluation shows, not only a flipped verdict.
-        spots = {c.id: (c.actual, c.passed) for c in run_suite("symmetric").cases
-                 if c.id.startswith("specialize ")}
+        spots = {c["id"]: (c["actual"], c["pass"]) for c in run_suite("symmetric")["cases"]
+                 if c["id"].startswith("specialize ")}
         assert spots == {
             "specialize e_1": ("1.23368805013617", True),
             "specialize h_1": ("1.23368805013617", True),
@@ -330,11 +376,12 @@ class TestVerify:
         # 3..14 bits that fails up to five of the twelve spots.  Every
         # verdict and printed value is the same at every ambient precision.
         for suite, size in (("symmetric", {}), ("oracle", {"max_n": 3, "terms": 20_000})):
-            want = [(c.id, c.expected, c.actual, True) for c in run_suite(suite, **size).cases]
+            want = [(c["id"], c["expected"], c["actual"], True)
+                    for c in run_suite(suite, **size)["cases"]]
             for prec in range(2, 60):
                 with mp.workprec(prec):
                     report = run_suite(suite, **size)
-                got = [(c.id, c.expected, c.actual, c.passed) for c in report.cases]
+                got = [(c["id"], c["expected"], c["actual"], c["pass"]) for c in report["cases"]]
                 assert got == want, (suite, prec)
 
     def test_unknown_suite_exits_2(self, capsys):
@@ -362,9 +409,33 @@ class TestVerify:
         # 'suite/' prefix of each id.
         assert [(c["id"], c["params"], c["expected"], c["actual"], c["pass"])
                 for c in report["cases"]] == [
-            (f"{sub}/{c.id}", c.params, c.expected, c.actual, c.passed)
+            (f"{sub}/{c['id']}", c["params"], c["expected"], c["actual"], c["pass"])
             for sub in SUITES
-            for c in run_suite(sub, max_n=2, max_d=3, terms=20_000).cases]
+            for c in run_suite(sub, max_n=2, max_d=3, terms=20_000)["cases"]]
+
+    @pytest.mark.parametrize("suite, size", [
+        ("all", {"max_n": 2, "max_d": 3, "terms": 20_000}),
+        # T(14,7) misses the 1e-6 relative bound at 20 000 terms: one failure.
+        ("oracle", {"max_n": 7, "terms": 20_000}),
+    ])
+    def test_report_is_the_dict_the_cli_prints(self, suite, size):
+        report = run_suite(suite, **size)
+        assert json.loads(json.dumps(report)) == report
+        assert list(report) == ["suite", "cases", "summary", "wall_time_s"]
+        cases = report["cases"]
+        assert all(list(c) == ["id", "params", "expected", "actual", "pass", "elapsed_s"]
+                   for c in cases)
+        passed = sum(1 for c in cases if c["pass"] is True)
+        failed = sum(1 for c in cases if c["pass"] is False)
+        assert report["summary"] == {"total": len(cases), "passed": passed, "failed": failed}
+        assert failed == (suite == "oracle")
+
+    def test_report_layout_is_pinned(self, capsys):
+        # The whole stdout of a small report, its times set to 0.
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "depth-sum", "--max-n", "3")
+        assert rc == 0
+        assert re.sub(r'"(elapsed_s|wall_time_s)": [0-9.e-]+', r'"\1": 0', out) == (
+            DEPTH_SUM_3_REPORT)
 
 
 @pytest.mark.parametrize(
@@ -411,15 +482,24 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv):
     assert_usage_error(*run_cli(capsys, *argv))
 
 
+def forbid_cases(monkeypatch):
+    """Hook every suite in ``SUITES`` with one that raises when iterated,
+    keeping its defaults, so that running any case fails the test."""
+
+    def suite(**kwargs):
+        raise AssertionError("a case ran")
+        yield
+
+    for name, (_, defaults) in SUITES.items():
+        monkeypatch.setitem(SUITES, name, (suite, defaults))
+
+
 @pytest.mark.parametrize("suite", [*SUITES, "all"])
 @pytest.mark.parametrize("size", [{"max_n": 0}, {"max_d": 0}, {"max_n": -3}, {"terms": 0}])
 def test_run_suite_refuses_a_size_below_one(monkeypatch, suite, size):
     # The library refuses what the CLI refuses, before any case runs, so no
     # report passes by checking zero cases.
-    def add(*args):
-        raise AssertionError("a case ran")
-
-    monkeypatch.setattr(tsums.verify.Report, "add", add)
+    forbid_cases(monkeypatch)
     with pytest.raises(ValueError, match=f"^{next(iter(size))} must be >= 1"):
         run_suite(suite, **size)
 
@@ -445,10 +525,7 @@ def test_run_suite_checks_every_override_first(monkeypatch, suite, overrides, er
     # one that does not read it, and before any case of any suite runs.  A
     # key other than the four the CLI passes is refused by name: a misspelt
     # one would otherwise run the suite at its defaults and pass.
-    def add(*args):
-        raise AssertionError("a case ran")
-
-    monkeypatch.setattr(tsums.verify.Report, "add", add)
+    forbid_cases(monkeypatch)
     unknown = [key for key in overrides if key not in ("max_n", "max_d", "terms", "dps")]
     match = ("^precision must be >= 10 digits" if error is ValueError
              else f"^unknown override '{unknown[0]}'$" if unknown else None)

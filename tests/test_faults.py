@@ -70,7 +70,7 @@ import json, textwrap
 from tsums import exact, formulas, series
 from tsums.verify import run_suite
 exec(textwrap.dedent({fault!r}))
-print(json.dumps({{name: (rep.failed, rep.total) for name, rep in
+print(json.dumps({{name: (rep["summary"]["failed"], rep["summary"]["total"]) for name, rep in
                   ((name, run_suite(name, **size)) for name, size in {sizes!r}.items())}}))
 """
 

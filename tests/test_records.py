@@ -14,7 +14,6 @@ from tsums.exact import PiPower
 from tsums.formulas import (BernoulliEulerResult, CoeffRow, DepthSumResult, TTable,
                             bernoulli_euler_check, depth_sum_identity)
 from tsums.oracle import DEFAULT_TERMS, PrecReal, TruncationParams
-from tsums.verify import Case, Report
 
 # Each frozen record: a maker of a fresh instance, its field names, and its
 # repr, pinned as the records printed when they were dataclasses.
@@ -37,13 +36,9 @@ RECORDS = {
                              ("n", "d", "case", "lhs", "rhs", "passed"),
                              "BernoulliEulerResult(n=2, d=1, case='d<=n', lhs=Fraction(-1, 4), "
                              "rhs=Fraction(-1, 4), passed=True)"),
-    "Case": (lambda: Case("n=1", {"n": 1}, "x", "y", True, 0.5),
-             ("id", "params", "expected", "actual", "passed", "elapsed_s"),
-             "Case(id='n=1', params={'n': 1}, expected='x', actual='y', passed=True, "
-             "elapsed_s=0.5)"),
 }
 # A dict field makes a record unhashable, as a tuple holding a dict is.
-UNHASHABLE = {"TTable", "Case"}
+UNHASHABLE = {"TTable"}
 
 
 def fields(record, names):
@@ -114,18 +109,6 @@ def test_pickle_and_copy_round_trip(name, clone):
     twin = clone(record)
     assert type(twin) is type(record) and twin == record and repr(twin) == text
     assert fields(twin, names) == fields(record, names)
-
-
-def test_report_is_a_mutable_record_with_fresh_cases():
-    a, b = Report("one"), Report("two")
-    assert (a.suite, a.cases, a.wall_time_s) == ("one", [], 0.0)
-    assert a.cases is not b.cases
-    a.add("n=1", {"n": 1}, 1, 1, True)
-    a.wall_time_s = 2.0
-    assert b.cases == [] and [c.id for c in a.cases] == ["n=1"]
-    assert a.to_dict()["summary"] == {"total": 1, "passed": 1, "failed": 0}
-    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
-        assert clone(a).to_dict() == a.to_dict()
 
 
 class TestTruncationParams:
