@@ -22,8 +22,8 @@ floors only, and become mpf once, at the end (see
 :func:`_generator_value` and :func:`specialize_odd_squares`).
 
 Each N_{n,d} is written once, as the generator expression
-:func:`monomial_depth_expr`: the exact checks expand it in the m_lambda and
-the numeric checks specialize it.
+:func:`monomial_depth_expr`: the exact checks read it through the counting
+lemma below and the numeric checks specialize it.
 
 The expansion rests on a counting lemma: for |lambda| = k + l, the
 coefficient of m_lambda in e_k h_l is binom(len(lambda), k).  It is the
@@ -33,15 +33,16 @@ which exists exactly when S lies in the support of lambda, a set of
 len(lambda) variables.  So in a generator expression the coefficient of
 m_lambda depends only on |lambda| and the length len(lambda): the
 expansion computes it once per degree and length, and lists only the
-partitions of the lengths where it is non-zero, by their length (for
-N_{n,d}, the partitions of n with exactly d parts).  The lemma proves the
-factorization in every degree: the u**n v**d coefficient of the right
-side is sum_k (-1)**(k-d) binom(k,d) e_k h_{n-k}, and at a partition of
-length L its m_lambda coefficient is sum_k (-1)**(k-d) binom(k,d)
-binom(L,k) = delta_{L,d}, because binom(L,k) binom(k,d) = binom(L,d)
-binom(L-d,k-d) and the alternating row sum of binom(L-d, .) is 0 unless
-L = d.  That is N_{n,d}, and 1 at n = d = 0.  Every integer argument
-(GenExpr keys too) goes through ``exact._index`` before any work.
+partitions of the lengths where it is non-zero (for N_{n,d}, those of n
+with exactly d parts).  The lemma proves the factorization in every
+degree, and its check evaluates the lemma at every length, listing no
+partition: the u**n v**d coefficient of the right side is
+sum_k (-1)**(k-d) binom(k,d) e_k h_{n-k}, whose m_lambda coefficient at
+length L is sum_k (-1)**(k-d) binom(k,d) binom(L,k) = delta_{L,d}, as
+binom(L,k) binom(k,d) = binom(L,d) binom(L-d,k-d) and the alternating row
+sum of binom(L-d, .) is 0 unless L = d: N_{n,d}, and 1 at n = d = 0.
+Every integer argument (GenExpr keys too) goes through ``exact._index``
+before any work.
 """
 
 from __future__ import annotations
@@ -194,28 +195,30 @@ def monomial_depth_expr(n: int, d: int) -> GenExpr:
                     for ell in range(n - d + 1)})
 
 
-def _expand(expr: GenExpr, m: int) -> SymPoly:
-    """A generator expression expanded in the monomial basis of m variables.
-
-    By the counting lemma of the module docstring, the terms c e_k h_l of
-    degree n = k + l give m_lambda, for each lambda |- n, the coefficient
-    f(len(lambda)) = sum c binom(len(lambda), k).  For each length
-    L <= min(n, m), f(L) is summed in integers over one common denominator;
-    only an L with f(L) != 0 lists its partitions, those of n with exactly
-    L parts, and each partition is listed once.
-    """
+def _length_sums(expr: GenExpr, m: int) -> Iterator[tuple[int, int, int, int]]:
+    """The counting lemma in integers: for each degree n = k + l of the
+    terms c e_k h_l and each length L <= min(n, m) of a partition of n,
+    (n, L, den, den f(L)), with den the lcm of the degree's denominators
+    and f(L) = sum_{k<=L} c binom(L, k), the m_lambda coefficient at length L."""
     by_degree: dict[int, list[tuple[int, Fraction]]] = {}
     for (k, ell), c in expr.terms.items():
         by_degree.setdefault(k + ell, []).append((k, c))
-    out: dict[tuple[int, ...], Fraction] = {}
     for n, terms in by_degree.items():
         den = math.lcm(*(c.denominator for _, c in terms))
         nums = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
         # A partition of n >= 1 has length >= 1; () is the one of n = 0.
         for L in range(1 if n else 0, min(n, m) + 1):
-            f = sum(a * math.comb(L, k) for k, a in nums)
-            if f:
-                out.update(zip(_partitions_of_length(n, L), repeat(Fraction(f, den))))
+            yield n, L, den, sum(a * math.comb(L, k) for k, a in nums if k <= L)
+
+
+def _expand(expr: GenExpr, m: int) -> SymPoly:
+    """A generator expression expanded in the monomial basis of m variables:
+    only an L with f(L) != 0 (:func:`_length_sums`) lists its partitions,
+    those of n with exactly L parts, and each partition is listed once."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for n, L, den, f in _length_sums(expr, m):
+        if f:
+            out.update(zip(_partitions_of_length(n, L), repeat(Fraction(f, den))))
     return SymPoly(m, out)
 
 
@@ -232,27 +235,24 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
 
     1 + sum_{n>=d>=1} N_{n,d} u**n v**d  =  E((v-1)u) * H(u).
 
-    E((v-1)u) = sum_j e_j (v-1)**j u**j, and the v**d coefficient of
-    (v-1)**j is (-1)**(j-d) binom(j,d), so the u**n v**d coefficient of the
-    right side is sum_{j=d}^{n} (-1)**(j-d) binom(j,d) e_j h_{n-j}.  For
-    d >= 1 this is, with l = n-j, the expansion of N_{n,d} that
-    :func:`check_monomial_expansion` compares, so those cells are delegated
-    to it.  Checked here is the column d = 0, where the left side is 1 at
-    n = 0 (e_0 h_0) and 0 above, while the right side is
-    sum_j (-1)**j e_j h_{n-j}.
+    As (v-1)**j has v**d coefficient (-1)**(j-d) binom(j,d), the u**n v**d
+    coefficient of the right side is sum_{j=d}^{n} (-1)**(j-d) binom(j,d)
+    e_j h_{n-j}: :func:`monomial_depth_expr` for d >= 1 (l = n-j), and the
+    column sum_j (-1)**j e_j h_{n-j} at d = 0.  A cell holds iff its terms
+    have degree n and f(L) = [L = d] at every length L <= min(n, m)
+    (:func:`_length_sums`); no partition is listed.
     """
     n_max, m = _index(n_max), _index(m)
     if not (1 <= n_max <= m):
         raise ValueError(f"require 1 <= n_max <= m, got n_max={n_max}, m={m}")
     for n in range(n_max + 1):
-        column = GenExpr({(j, n - j): (-1) ** j for j in range(n + 1)})
-        if _expand(column, m) != SymPoly(m, {(): int(n == 0)}):
-            return False
-    return all(
-        check_monomial_expansion(n, d, m)
-        for n in range(1, n_max + 1)
-        for d in range(1, n + 1)
-    )
+        for d in range(n + 1):
+            expr = (monomial_depth_expr(n, d) if d
+                    else GenExpr({(j, n - j): (-1) ** j for j in range(n + 1)}))
+            cell = [deg == n and f == den * (L == d) for deg, L, den, f in _length_sums(expr, m)]
+            if not (cell and all(cell)):
+                return False
+    return True
 
 
 # Indices per block of the power-sum pass: large enough that the loops over

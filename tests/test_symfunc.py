@@ -236,7 +236,6 @@ class TestIdentities:
         )
         assert not check_monomial_expansion(5, 2, 5)
         assert not check_monomial_expansion(6, 3, 6)
-        assert not check_bivariate_factorization(6, 6)
 
     def test_checks_expand_monomial_depth_expr(self, monkeypatch):
         # Both exact checks must expand the expression that the numeric
@@ -254,7 +253,8 @@ class TestIdentities:
 
     def test_every_coefficient_mutation_fails_the_check(self, monkeypatch):
         # Each coefficient of each N_{n,d} expression, moved by +1, -1 or
-        # +1/2 alone, must make the exact check fail.
+        # +1/2 alone, must make both exact checks fail; every other cell
+        # keeps its true expression.
         real = tsums.symfunc.monomial_depth_expr
         mutations = 0
         for n in range(2, 10):
@@ -263,11 +263,30 @@ class TestIdentities:
                 for key in terms:
                     for delta in (1, -1, Fraction(1, 2)):
                         wrong = GenExpr({**terms, key: terms[key] + delta})
-                        monkeypatch.setattr(tsums.symfunc, "monomial_depth_expr",
-                                            lambda n, d, wrong=wrong: wrong)
+                        monkeypatch.setattr(
+                            tsums.symfunc, "monomial_depth_expr",
+                            lambda n_, d_, cell=(n, d), wrong=wrong:
+                                wrong if (n_, d_) == cell else real(n_, d_))
                         assert not check_monomial_expansion(n, d, n), (n, d, key, delta)
+                        assert not check_bivariate_factorization(n, n), (n, d, key, delta)
                         mutations += 1
         assert mutations == 492
+
+    def test_factorization_lists_no_partition(self, monkeypatch):
+        # The factorization evaluates the counting lemma at every length;
+        # it never lists a partition.
+        def refuse(n, length):
+            raise AssertionError(f"listed the partitions of {n} of length {length}")
+
+        monkeypatch.setattr(tsums.symfunc, "_partitions_of_length", refuse)
+        assert check_bivariate_factorization(8, 8)
+
+    def test_factorization_reads_the_binomials(self, monkeypatch):
+        # One binomial C(3, 1) off by one, in the expressions and in the
+        # lemma's sums alike, makes the factorization fail.
+        real = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: real(n, k) + ((n, k) == (3, 1)))
+        assert not check_bivariate_factorization(4, 4)
 
     def test_expansion_is_the_same_in_more_variables(self):
         # N_{n,d} has degree n, so m = n variables already see every
