@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,13 +66,15 @@ class _Frozen:
     are equal, and equal records hash equal; ``repr`` prints the class and
     its fields by name; pickle and copy rebuild a record through its
     class.  Assigning or deleting a field raises ``AttributeError``.  A
-    subclass that checks or defaults its fields writes its own ``__init__``.
+    subclass that checks or defaults its fields writes its own ``__init__``,
+    which sets them through ``_set`` or the base's.  A record may have one field.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = operator.attrgetter(*cls.__slots__)
+        get = operator.attrgetter(*cls.__slots__)  # a bare value for one name
+        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
 
     def __init__(self, *values) -> None:
         if len(values) != len(self.__slots__):
@@ -128,14 +131,6 @@ class PiPower(_Frozen):
         _set(self, "coeff", coeff)
         _set(self, "pi_exp", pi_exp if coeff else 0)
 
-    def __eq__(self, other) -> bool:
-        # The base's test with the fields read directly, at half its cost.
-        if other.__class__ is self.__class__:
-            return (self.coeff, self.pi_exp) == (other.coeff, other.pi_exp)
-        return NotImplemented
-
-    __hash__ = _Frozen.__hash__
-
     @staticmethod
     def zero() -> "PiPower":
         """T(2n,d) for d > n, the empty sum over compositions; one shared instance."""
@@ -187,6 +182,15 @@ def _rational(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficients must be exact rationals, got {c!r}")
+
+
+def _over_one_denominator(terms: Iterable[Fraction | int]) -> tuple[int, tuple[int, ...]]:
+    """The values in ``terms`` as integers over one denominator:
+    (L, (Q_1, Q_2, ...)) with value i equal to Q_i / L, where L is the lcm
+    of their denominators.  An empty input gives (1, ())."""
+    terms = list(terms)
+    den = math.lcm(*[x.denominator for x in terms])
+    return den, tuple([x.numerator * (den // x.denominator) for x in terms])
 
 
 def _check_args(n: int, d: int) -> tuple[int, int]:

@@ -22,13 +22,12 @@ nonzero value has pi-exponent exactly 2n.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exact import (PiPower, _at_least, _check_args, _euler_prefix, _Frozen, bernoulli,
-                    euler_number, t_even)
+from .exact import (PiPower, _at_least, _check_args, _euler_prefix, _Frozen,
+                    _over_one_denominator, bernoulli, euler_number, t_even)
 from .series import genfunc_biseries
 
 __all__ = [
@@ -46,16 +45,6 @@ __all__ = [
     "bernoulli_euler_lhs",
     "bernoulli_euler_check",
 ]
-
-
-def _over_one_denominator(terms: Iterable[Fraction | int]) -> tuple[int, tuple[int, ...]]:
-    """The values in ``terms`` as integers over one denominator:
-    (L, (Q_1, Q_2, ...)) with value i equal to Q_i / L, where L is the lcm
-    of their denominators.  An empty input gives (1, ()).
-    """
-    terms = list(terms)
-    den = math.lcm(*(x.denominator for x in terms))
-    return den, tuple(x.numerator * (den // x.denominator) for x in terms)
 
 
 def _dot(row_d: tuple[int, tuple[int, ...]], row_n: tuple[int, tuple[int, ...]]) -> Fraction:

@@ -55,7 +55,7 @@ from itertools import repeat
 from operator import add, floordiv, mul
 from typing import Iterator
 
-from .exact import _at_least, _check_args, _index, _rational
+from .exact import _at_least, _check_args, _Frozen, _index, _over_one_denominator, _rational, _set
 from .oracle import PrecReal, _check_dps
 
 # array is imported inside the function that uses it, as mpmath is in
@@ -97,28 +97,27 @@ def _partitions_of_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def _is_partition(lam: tuple[int, ...]) -> bool:
-    # One sort in C, not a generator per pair: weakly decreasing means equal
-    # to its own decreasing sort.
-    return list(lam) == sorted(lam, reverse=True) and (not lam or lam[-1] >= 1)
+    # Passes in C, no generator per part: a float or Fraction part makes the
+    # sum no int, and weakly decreasing means equal to its own decreasing sort.
+    return (type(sum(lam)) is int and list(lam) == sorted(lam, reverse=True)
+            and (not lam or lam[-1] >= 1))
 
 
-class SymPoly:
+class SymPoly(_Frozen):
     """Symmetric polynomial over Q in a fixed number m of variables, stored
     in the monomial basis: ``terms`` maps a partition lambda (a weakly
-    decreasing tuple of positive parts, at most m of them; () is the
+    decreasing tuple of positive int parts, at most m of them; () is the
     constant) to the coefficient of m_lambda.  Symmetric by construction.
 
-    A value: built from a dict, compared with ``==``, never changed after
-    construction; zero coefficients are never stored.  num_vars goes
-    through ``exact._at_least``, and a coefficient through
-    ``exact._rational``, as in :class:`GenExpr` (a ``float`` raises ``TypeError``).
+    A record (``exact._Frozen``) with no arithmetic; zero coefficients are
+    never stored.  num_vars goes through ``exact._at_least`` and each
+    coefficient through ``exact._rational`` (a ``float`` raises ``TypeError``).
     """
 
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
         num_vars = _at_least(num_vars, 1, "num_vars")
-        self.num_vars = num_vars
         clean: dict[tuple[int, ...], Fraction] = {}
         for lam, c in (terms or {}).items():
             c = _rational(c)
@@ -126,20 +125,8 @@ class SymPoly:
                 raise ValueError(f"{lam} is not a partition with at most {num_vars} parts")
             if c:
                 clean[lam] = c
-        self.terms = clean
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SymPoly(0)"
-        bits = [
-            f"{self.terms[lam]}*m{list(lam)}" for lam in sorted(self.terms, reverse=True)
-        ]
-        return "SymPoly(" + " + ".join(bits) + ")"
+        _set(self, "num_vars", num_vars)
+        _set(self, "terms", clean)
 
 
 def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
@@ -155,28 +142,28 @@ def monomial_depth_sum(n: int, d: int, m: int) -> SymPoly:
     return SymPoly(m, dict.fromkeys(_partitions_of_length(n, d), Fraction(1)))
 
 
-class GenExpr:
+class GenExpr(_Frozen):
     """Exact linear combination sum c e_k h_l, with e_0 = h_0 = 1.
 
     ``terms`` maps (k, l), two integers >= 0, to the coefficient c, an
     ``int`` or ``Fraction`` (a ``float`` raises ``TypeError``); zero
     coefficients are dropped.  Written in generators (not in expanded
     monomials) so the infinite-variable specialization below applies
-    directly.  A value like :class:`SymPoly`: built from a dict, never
-    changed after.
+    directly.  A record like :class:`SymPoly`, built from a dict.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms = {}
+        clean: dict[tuple[int, int], Fraction] = {}
         for (k, ell), c in (terms or {}).items():
             c = _rational(c)
             k, ell = _index(k), _index(ell)
             if k < 0 or ell < 0:
                 raise ValueError(f"generator indices must be >= 0, got e_{k} h_{ell}")
             if c:
-                self.terms[k, ell] = c
+                clean[k, ell] = c
+        _set(self, "terms", clean)
 
     @staticmethod
     def elem(j: int) -> "GenExpr":
@@ -200,15 +187,15 @@ def _length_sums(expr: GenExpr, m: int) -> Iterator[tuple[int, int, int, int]]:
     terms c e_k h_l and each length L <= min(n, m) of a partition of n,
     (n, L, den, den f(L)), with den the lcm of the degree's denominators
     and f(L) = sum_{k<=L} c binom(L, k), the m_lambda coefficient at length L."""
-    by_degree: dict[int, list[tuple[int, Fraction]]] = {}
+    by_degree: dict[int, dict[int, Fraction]] = {}  # n -> {k: c}, as l = n - k
     for (k, ell), c in expr.terms.items():
-        by_degree.setdefault(k + ell, []).append((k, c))
+        by_degree.setdefault(k + ell, {})[k] = c
     for n, terms in by_degree.items():
-        den = math.lcm(*(c.denominator for _, c in terms))
-        nums = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+        den, nums = _over_one_denominator(terms.values())
+        pairs = [*zip(terms, nums)]
         # A partition of n >= 1 has length >= 1; () is the one of n = 0.
         for L in range(1 if n else 0, min(n, m) + 1):
-            yield n, L, den, sum(a * math.comb(L, k) for k, a in nums if k <= L)
+            yield n, L, den, sum(a * math.comb(L, k) for k, a in pairs if k <= L)
 
 
 def _expand(expr: GenExpr, m: int) -> SymPoly:
@@ -388,12 +375,11 @@ def specialize_odd_squares(
     conversion is exact (so a dyadic constant keeps err 0).
     """
     num_vars, dps = _at_least(num_vars, 2, "num_vars"), _check_dps(dps)
-    den = math.lcm(*(c.denominator for c in expr.terms.values()))
+    den, nums = _over_one_denominator(expr.terms.values())
     total = total_err = 0
-    for (k, ell), coeff in expr.terms.items():
+    for (k, ell), a in zip(expr.terms, nums):
         v_e, err_e = _generator_value("e", k, num_vars, dps)
         v_h, err_h = _generator_value("h", ell, num_vars, dps)
-        a = coeff.numerator * (den // coeff.denominator)
         total += a * v_e * v_h
         total_err += abs(a) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
     return PrecReal._exact(total, total_err, den * 10 ** (2 * (dps + 20)), dps)

@@ -65,11 +65,16 @@ def test_symfunc_takes_only_prec_real_from_oracle():
     # _check_dps is the oracle's precision check, which reads no value, and
     # _index, _at_least and _check_args are plumbing, as for the oracle.
     # _rational, which turns an int coefficient into a Fraction or refuses
-    # a float, is plumbing too.
-    assert imports("symfunc") == {"exact": {"_index", "_at_least", "_check_args", "_rational"},
+    # a float, is plumbing too, and so is _over_one_denominator, which
+    # writes given rationals as integers over their lcm and reads no
+    # route's numbers.  _Frozen, the records' base, and _set, which sets a
+    # record's field, are the record plumbing.
+    assert imports("symfunc") == {"exact": {"_index", "_at_least", "_check_args", "_rational",
+                                            "_over_one_denominator", "_Frozen", "_set"},
                                   "oracle": {"PrecReal", "_check_dps"}}
     assert tsums.symfunc._check_args is tsums.exact._check_args
     assert tsums.symfunc._rational is tsums.exact._rational
+    assert tsums.formulas._over_one_denominator is tsums.exact._over_one_denominator
 
 
 def test_series_takes_only_checks_from_exact():

@@ -10,13 +10,17 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from tsums.exact import PiPower
+import tsums
+from tsums.exact import PiPower, _Frozen
 from tsums.formulas import (BernoulliEulerResult, CoeffRow, DepthSumResult, TTable,
                             bernoulli_euler_check, depth_sum_identity)
 from tsums.oracle import DEFAULT_TERMS, PrecReal, TruncationParams
+from tsums.symfunc import GenExpr, SymPoly, monomial_depth_expr
 
 # Each frozen record: a maker of a fresh instance, its field names, and its
-# repr, pinned as the records printed when they were dataclasses.
+# repr, pinned as the records printed when they were dataclasses (SymPoly
+# and GenExpr, which never were, print the same way).  GenExpr is the one
+# record of a single field.
 RECORDS = {
     "PiPower": (lambda: PiPower(Fraction(1, 3840), 6), ("coeff", "pi_exp"),
                 "PiPower(coeff=Fraction(1, 3840), pi_exp=6)"),
@@ -36,9 +40,22 @@ RECORDS = {
                              ("n", "d", "case", "lhs", "rhs", "passed"),
                              "BernoulliEulerResult(n=2, d=1, case='d<=n', lhs=Fraction(-1, 4), "
                              "rhs=Fraction(-1, 4), passed=True)"),
+    "SymPoly": (lambda: SymPoly(3, {(2, 1): Fraction(1, 2), (1, 1, 1): 2}), ("num_vars", "terms"),
+                "SymPoly(num_vars=3, terms={(2, 1): Fraction(1, 2), (1, 1, 1): Fraction(2, 1)})"),
+    "GenExpr": (lambda: monomial_depth_expr(3, 2), ("terms",),
+                "GenExpr(terms={(3, 0): Fraction(-3, 1), (2, 1): Fraction(1, 1)})"),
 }
 # A dict field makes a record unhashable, as a tuple holding a dict is.
-UNHASHABLE = {"TTable"}
+UNHASHABLE = {"TTable", "SymPoly", "GenExpr"}
+
+
+def test_every_exported_value_type_is_a_record():
+    # Every class the package exports, its one exception aside, is a record
+    # pinned here.
+    classes = {name for name in tsums.__all__ if isinstance(getattr(tsums, name), type)
+               and not issubclass(getattr(tsums, name), Exception)}
+    assert classes == set(RECORDS)
+    assert all(issubclass(getattr(tsums, name), _Frozen) for name in classes)
 
 
 def fields(record, names):
@@ -68,6 +85,7 @@ def test_equality_goes_by_class_and_fields(name):
     (PiPower(1, 0), TruncationParams(1, 0)),
     (TruncationParams(1, 0), PrecReal(1, 0)),
     (TTable(3, ()), CoeffRow(3, ())),
+    (SymPoly(3), TTable(3, {})),
 ])
 def test_records_of_two_classes_with_equal_fields_differ(a, b):
     assert (a.__class__ is not b.__class__) and a != b and b != a

@@ -53,8 +53,9 @@ class TestGenerators:
         assert _expand(monomial_depth_expr(3, 1), 2) == SymPoly(2, {(3,): ONE})
 
     def test_non_partition_keys_rejected(self):
-        for key in ((1, 2), (1, 0), (1, 1, 1)):
-            with pytest.raises(ValueError):
+        # A part that is not an int is refused too, even one of integer value.
+        for key in ((1, 2), (1, 0), (1, 1, 1), (2, 1.5), (2.0,), (Fraction(3),), (2, Fraction(1))):
+            with pytest.raises(ValueError, match="is not a partition"):
                 SymPoly(2, {key: ONE})
 
     def test_coefficients_are_exact_rationals(self):
@@ -424,6 +425,19 @@ class TestSpecialization:
 
 
 class TestGenExpr:
+    def test_compares_by_value(self):
+        assert monomial_depth_expr(4, 2) == monomial_depth_expr(4, 2)
+        assert monomial_depth_expr(4, 2) != monomial_depth_expr(4, 3)
+        assert GenExpr.elem(1) == GenExpr({(1, 0): Fraction(1)}) != GenExpr.homog(1)
+
+    def test_terms_cannot_be_assigned_or_deleted(self):
+        for value in (SymPoly(2, {(1,): ONE}), GenExpr.homog(1)):
+            with pytest.raises(AttributeError):
+                value.terms = {}
+            with pytest.raises(AttributeError):
+                del value.terms
+            assert value.terms
+
     def test_terms_keyed_by_k_and_l(self):
         # (k, l) is e_k h_l: e_2 h_1 and e_1 h_2 are different terms.
         assert GenExpr({(2, 1): 1, (1, 2): 2}).terms == {(2, 1): 1, (1, 2): 2}
