@@ -8,9 +8,9 @@ several routes, verifies the identities connecting them, and
 cross-checks everything against a brute-force evaluation of the defining
 series.
 
-Every layer loads with the package.  The numeric layers (``symfunc``,
-``oracle``) import mpmath inside the functions that compute with it, so
-``import tsums`` and the exact computations never import mpmath.
+Every layer loads with the package.  The oracle imports mpmath inside the
+functions that compute with it, so ``import tsums`` and the exact
+computations, the symmetric-function checks included, never import mpmath.
 """
 
 # Each layer module declares its public names once, in its __all__.

@@ -24,8 +24,8 @@ estimate, which is what the oracle gives when an inner exponent s_2..s_d
 equals 1.  The value has as many significant digits as err resolves, up to
 the precision in use, but never fewer than 20, even at a lower precision.
 
-Only ``eval`` and the ``symmetric`` and ``oracle`` suites of ``verify``
-import mpmath; ``table``, ``coeffs`` and the exact suites never do.
+Only ``eval`` and the ``oracle`` suite of ``verify`` import mpmath;
+``table``, ``coeffs`` and the exact suites, ``symmetric`` too, never do.
 """
 
 from __future__ import annotations

@@ -114,13 +114,12 @@ _t_sums ends both kernel calls at b = 2**k, and the sums are those of
 all N indices: t(16) at scale 10**70 runs its first 16384 indices only.
 
 Conversion.  _finish sums the value and err exactly, as integers over
-scale Q**d, and converts once by PrecReal._exact, as specialize_odd_squares
-does: at dps+20 digits, p bits, the value to nearest and err rounding up,
-plus 2**(1-p) |value| unless the value converts exactly.  So the reported
-err bounds the reported value's distance from t(s) or T(2n,d) whenever
-the exact err bounds the exact value's.  Q is a common denominator of
-every g, integral and r (_tails), and a bound with j factors r is an
-integer over scale Q**j.
+scale Q**d, and converts once by PrecReal._exact: at dps+20 digits, p
+bits, the value to nearest and err rounding up, plus 2**(1-p) |value|
+unless the value converts exactly.  So the reported err bounds the
+reported value's distance from t(s) or T(2n,d) whenever the exact err
+bounds the exact value's.  Q is a common denominator of every g, integral
+and r (_tails), and a bound with j factors r is an integer over scale Q**j.
 
 Scale.  The bound's a_tail g_1 part (2 a_tail g_1, or cap_1 g_1 at
 tail_order=0) is a_tail (2N-1)**-s_1 or more, and for N >= d a_tail holds
@@ -182,7 +181,7 @@ class PrecReal(_Frozen):
         """num/den with the bound err_num/den (integers, den >= 1) at dps+20
         digits (p bits): the value to nearest, the error rounding up, plus
         2**(1-p) |value| unless the value converts exactly.  The one
-        conversion of the oracle's finish and of symfunc's specialization."""
+        conversion of the oracle's finish."""
         import mpmath as mp
 
         with mp.workdps(dps + 20):
@@ -498,7 +497,13 @@ def T_numeric(
 def pi_power_eval(x: PiPower, dps: int = DEFAULT_DPS) -> PrecReal:
     """Evaluate coeff * pi**pi_exp at the requested precision.
 
-    The error bound reflects rounding only.
+    x is exact, so err = |value| 10**(2-dps) bounds only rounding.  The
+    value takes five roundings at dps+5 digits, p bits with 2**-p <
+    10**-(dps+5): the numerator's conversion, the division, pi, its power
+    and the product.  Each is within 2**(1-p) relatively, by mpmath's
+    correct rounding (pi and the power from guard bits), which
+    ``PrecReal._exact`` relies on too.  Together they stay within
+    6 * 2**(1-p) < 1.2 * 10**-(dps+4) of |value|, a millionth of err.
     """
     import mpmath as mp
 

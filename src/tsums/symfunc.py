@@ -1,4 +1,4 @@
-"""Finite-variable symmetric polynomials and the t-value specialization.
+"""Symmetric polynomials and their image at x_j = 1/(2j-1)**2.
 
 Works with symmetric polynomials in Q[x_1..x_m], stored in the monomial
 basis m_lambda (Macdonald, ch. I).  Degree-n identities among
@@ -11,19 +11,14 @@ polynomial equality:
   and E, H are the elementary / complete generating functions;
 * ``N_{n,d} = sum_{l=0}^{n-d} binom(n-l,d) (-1)**(n-d-l) h_l e_{n-l}``.
 
-The specialization x_j -> 1/(2j-1)**2 sends p_n to t(2n), e_n to the
-all-twos value t({2}**n) and N_{n,d} to T(2n,d); it extends to infinitely
-many variables, so the numeric image is computed from generator expressions
-(:class:`GenExpr`), truncated at a finite number of variables with a tail
-bound attached.  A generator expression is a sum of terms c e_k h_l, keyed
-by (k, l), since every expression the checks need has that form.  The
-generators and the sum are fixed-point integers with integer error bounds,
-floors only, and become mpf once, at the end (see
-:func:`_generator_value` and :func:`specialize_odd_squares`).
-
-Each N_{n,d} is written once, as the generator expression
-:func:`monomial_depth_expr`: the exact checks read it through the counting
-lemma below and the numeric checks specialize it.
+The specialization x_j -> 1/(2j-1)**2 in infinitely many variables sends
+p_n to t(2n), e_n to t({2}**n) and N_{n,d} to T(2n,d), exactly
+(:func:`odd_square_image`): E(-u) = prod_j (1 - u x_j) is cos(pi sqrt(u)/2),
+so e_k goes to pi**(2k)/(4**k (2k)!), and h_l follows from
+sum_k (-1)**k e_k h_{l-k} = 0, reading no Euler or Bernoulli number.  It
+acts on generator expressions (:class:`GenExpr`), sums of terms c e_k h_l
+keyed by (k, l).  Each N_{n,d} is one, :func:`monomial_depth_expr`, which
+the polynomial checks read through the counting lemma below.
 
 The expansion rests on a counting lemma: for |lambda| = k + l, the
 coefficient of m_lambda in e_k h_l is binom(len(lambda), k).  It is the
@@ -48,18 +43,15 @@ before any work.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, floordiv, mul
+from operator import add
 from typing import Iterator
 
-from .exact import _at_least, _check_args, _Frozen, _index, _over_one_denominator, _rational, _set
-from .oracle import PrecReal, _check_dps
-
-# array is imported inside the function that uses it, as mpmath is in
-# oracle.
+from .exact import (PiPower, _at_least, _check_args, _Frozen, _index, _over_one_denominator,
+                    _rational, _set)
+from .oracle import _check_dps, pi_power_eval
 
 __all__ = [
     "SymPoly",
@@ -68,6 +60,7 @@ __all__ = [
     "check_monomial_expansion",
     "GenExpr",
     "monomial_depth_expr",
+    "odd_square_image",
     "specialize_odd_squares",
 ]
 
@@ -97,9 +90,9 @@ def _partitions_of_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def _is_partition(lam: tuple[int, ...]) -> bool:
-    # Passes in C, no generator per part: a float or Fraction part makes the
-    # sum no int, and weakly decreasing means equal to its own decreasing sort.
-    return (type(sum(lam)) is int and list(lam) == sorted(lam, reverse=True)
+    # Passes in C, no generator per part: every part's type is int (no bool,
+    # as in exact._index); weakly decreasing means equal to its decreasing sort.
+    return (set(map(type, lam)) <= {int} and list(lam) == sorted(lam, reverse=True)
             and (not lam or lam[-1] >= 1))
 
 
@@ -242,144 +235,50 @@ def check_bivariate_factorization(n_max: int, m: int) -> bool:
     return True
 
 
-# Indices per block of the power-sum pass: large enough that the loops over
-# indices run in C, small enough that a block's lists stay small.
-_BLOCK = 512
-
-# The last power sum computed, as [(M, scale), j, blocks]: per block of
-# _BLOCK indices i, its divisors and its quotients scale // (2i-1)**(2j).
-# The divisors are the squares of b = 2i-1 in an array("L") while b < 2**15,
-# else the range of b itself, which stores nothing.  Advanced under
-# symfunc's own lock, so a concurrent caller never reads a half-advanced
-# chain.
-_chain_lock = threading.Lock()
-_chain: list = [None, 0, None]
-
-
-def _power_sum(j: int, M: int, scale: int) -> int:
-    """sum_{i<=M} scale // (2i-1)**(2j), j >= 1, dividing the kept
-    quotients on to degree j by the kept divisors (see
-    :func:`_generator_value`)."""
-    from array import array
-
-    with _chain_lock:
-        key, reached, blocks = _chain
-        _chain[:] = None, 0, None  # until the pass completes: an interrupted one restarts
-        if key != (M, scale) or reached >= j:
-            # Rebinding drops the old lists before any new one is built.
-            reached, blocks = 0, [None] * len(range(0, M, _BLOCK))
-        total = 0
-        for k, lo in enumerate(range(0, M, _BLOCK)):
-            if reached:
-                d, x = blocks[k]
-            else:
-                # A fresh block divides by its squares as a list, and keeps
-                # them as an array, about a fifth of the list's memory.
-                bs = range(2 * lo + 1, 2 * min(lo + _BLOCK, M), 2)
-                d, x = list(map(mul, bs, bs)) if bs[-1] < 1 << 15 else bs, repeat(scale, len(bs))
-            for _ in range(reached, j):
-                # One division by b**2 while it fits one 30-bit CPython
-                # digit; beyond, two by the one-digit b, which floor the same.
-                x = (map(floordiv, map(floordiv, x, d), d) if type(d) is range
-                     else map(floordiv, x, d))
-            x = list(x)
-            blocks[k] = array("L", d) if type(d) is list else d, x
-            total += sum(x)
-        _chain[:] = (M, scale), j, blocks
-        return total
-
 
 @lru_cache(maxsize=None)
-def _generator_value(kind: str, j: int, num_vars: int, dps: int) -> tuple[int, int]:
-    """Image of one generator under x_i -> 1/(2i-1)**2, truncated to the
-    first M = num_vars variables, in fixed point: two integers in ulps of
-    10**-(dps+20), the floored value and a ceiling of its error.  e_0 = h_0
-    = 1 is the exact (scale, 0), with scale = 10**(dps+20).
-
-    p_j, asked for only at j >= 1, is the integer
-    sum_{i<=M} scale // (2i-1)**(2j).  :func:`_power_sum` keeps the M
-    quotients of the last p_j, block by block next to the block's
-    divisors, and divides each once more by (2i-1)**2 for p_{j+1}, so a
-    new degree computes no square; as floor(floor(a/b)/c) = floor(a/(bc)),
-    that is the integer of a direct pass.  The divisors are built when the
-    chain starts.  A request for another (M, dps), or for a j at or below
-    the one reached, restarts the chain from scale: correct, only slower.
-    Newton's identities ask for p_1, p_2, ... in rising order, so each new
-    degree costs one division per variable.  e_j and h_j follow from the
-    power sums by Newton's identities, which hold in any number of
-    variables:
-
-      j e_j = sum_{r=1}^{j} (-1)**(r-1) e_{j-r} p_r,
-      j h_j = sum_{r=1}^{j} h_{j-r} p_r,
-
-    summed exactly over the integers of e_{j-r} (h_{j-r}) and p_r and
-    floored once, by the division by j scale.
-
-    Tail bounds: with T = sum_{i>M} x_i <= 1/(2(2M-1)),
-      p_j misses at most (2M-1)**(1-2j) / (2(2j-1)),
-      e_j misses at most sum_{r>=1} e_{j-r}(<=M) T**r / r!,
-      h_j misses at most sum_{r>=1} h_{j-r}(<=M) T**r,
-    since the elementary (resp. complete) functions of the dropped tail are
-    bounded by T**r/r! (resp. T**r).  Each is summed exactly, with T the
-    rational 1/(2(2M-1)), and rounded up.
-
-    Floors allowance, in ulps: M for p_j, 3jM + j for e_j and h_j.  The M
-    floors of a pass lose under M ulps, and the integer of p_r is at most
-    scale p_r.  Over M variables 1 <= p_r <= p_1 < 1.24, sum_r (p_r - 1) <
-    1/4, sum_i e_i < cosh(pi/2) < 2.51 and h_i < 4/pi < 1.28.  Let R_i bound
-    the error of the integer of e_i (or h_i), R_0 = 0.  In step j, the
-    earlier errors enter with weights sum_{r<j} p_r < j, so after the
-    division by j they add less than max_{i<j} R_i; the p_r add under
-    M sum_r e_{j-r} / j < 2.51 M / j (h: 1.28 M); the floor adds under 1.
-    Summed over the steps, R_j < 2.51 M H_j + j for e_j (H_j <= j
-    harmonic) and 1.28 jM + j for h_j.  The tail sums read the integers of
-    e_{j-r} (h_{j-r}), which may fall short of scale e_{j-r} by R_{j-r};
-    that adds under 1.2 T (j-1)(3M + 1) <= 1.4(j-1) ulps at M >= 2, within
-    the allowance's margin over R_j (at least 1.7 M (j-1)).
-    """
-    if j == 0:
-        return 10 ** (dps + 20), 0
-    M = num_vars
-    scale = 10 ** (dps + 20)
-    if kind == "p":
-        tail = Fraction(scale, 2 * (2 * j - 1) * (2 * M - 1) ** (2 * j - 1))
-        return _power_sum(j, M, scale), math.ceil(tail) + M
-    if kind not in ("e", "h"):
-        raise ValueError(f"unknown generator kind {kind!r}")
-    below = [_generator_value(kind, r, M, dps)[0] for r in range(j)]
-    sign = -1 if kind == "e" else 1
-    T = Fraction(1, 2 * (2 * M - 1))
-    total = tail = 0
-    for r in range(1, j + 1):
-        total += sign ** (r - 1) * below[j - r] * _generator_value("p", r, M, dps)[0]
-        tail += below[j - r] * T**r / (math.factorial(r) if kind == "e" else 1)
-    return total // (j * scale), math.ceil(tail) + 3 * j * M + j
+def _e_image(k: int) -> Fraction:
+    """epsilon_k = 1/(4**k (2k)!), the image of e_k over pi**(2k)."""
+    return Fraction(1, 4**k * math.factorial(2 * k))
 
 
-def specialize_odd_squares(
-    expr: GenExpr, num_vars: int = 50_000, dps: int = 30
-) -> PrecReal:
-    """Numeric image of a generator expression under x_j -> 1/(2j-1)**2.
+# eta_0, eta_1, ...: grown by _h_image and replaced whole, never changed in
+# place, so a reader in another thread sees a consistent prefix without a lock.
+_h_images: tuple[Fraction, ...] = (Fraction(1),)
 
-    Truncates the variable list at num_vars and attaches a first-order tail
-    bound; the value itself is the truncated specialization.  dps must be
-    an integer >= MIN_DPS, the oracle's floor (checked by its _check_dps).
-    The generators are fixed-point integers at 10**(dps+20), each with its
-    error bound (see :func:`_generator_value`).  With L the lcm of the
-    denominators of the terms and a = cL, each term c e_k h_l adds
-    a v_e v_h, and the error |a| (err_e (|v_h| + err_h) + err_h (|v_e| +
-    err_e)) of a product, both summed exactly in integers over
-    L 10**(2(dps+20)).  Only then do they become mpf, by the oracle's one
-    conversion (PrecReal._exact): at dps+20 digits, the value to nearest
-    and the error rounding up, plus the value's rounding unless the
-    conversion is exact (so a dyadic constant keeps err 0).
-    """
-    num_vars, dps = _at_least(num_vars, 2, "num_vars"), _check_dps(dps)
-    den, nums = _over_one_denominator(expr.terms.values())
-    total = total_err = 0
-    for (k, ell), a in zip(expr.terms, nums):
-        v_e, err_e = _generator_value("e", k, num_vars, dps)
-        v_h, err_h = _generator_value("h", ell, num_vars, dps)
-        total += a * v_e * v_h
-        total_err += abs(a) * (err_e * (abs(v_h) + err_h) + err_h * (abs(v_e) + err_e))
-    return PrecReal._exact(total, total_err, den * 10 ** (2 * (dps + 20)), dps)
+
+def _h_image(ell: int) -> Fraction:
+    """eta_l, the image of h_l over pi**(2l), by the e-recurrence
+    eta_l = sum_{k=1}^{l} (-1)**(k+1) epsilon_k eta_{l-k}."""
+    global _h_images
+    eta = _h_images
+    if len(eta) <= ell:
+        eta = list(eta)
+        for j in range(len(eta), ell + 1):
+            eta.append(sum((-1) ** (k + 1) * _e_image(k) * eta[j - k] for k in range(1, j + 1)))
+        _h_images = eta = tuple(eta)
+    return eta[ell]
+
+
+def odd_square_image(expr: GenExpr) -> PiPower:
+    """Exact image of a homogeneous generator expression under
+    x_j -> 1/(2j-1)**2 in infinitely many variables: sum c e_k h_l of
+    degree n goes to (sum c epsilon_k eta_l) pi**(2n), epsilon_k and eta_l
+    the memoized images of e_k and h_l over their powers of pi.  Terms of
+    two degrees raise ValueError (no single power of pi); no term gives 0."""
+    degrees = {k + ell for k, ell in expr.terms}
+    if len(degrees) > 1:
+        raise ValueError(f"expression is not homogeneous: degrees {sorted(degrees)}")
+    return PiPower(sum(c * _e_image(k) * _h_image(ell) for (k, ell), c in expr.terms.items()),
+                   2 * max(degrees, default=0))
+
+
+def specialize_odd_squares(expr: GenExpr, num_vars: int = 50_000, dps: int = 30):
+    """:func:`odd_square_image` as ``oracle.pi_power_eval`` gives it at dps
+    digits, a ``PrecReal``.  num_vars (an integer >= 2) and dps (>= MIN_DPS)
+    are checked before any work, but num_vars changes nothing: the image is
+    the one in infinitely many variables.  Kept for the benchmark's spot
+    requests; moving them to :func:`odd_square_image` deletes this wrapper."""
+    _at_least(num_vars, 2, "num_vars")
+    dps = _check_dps(dps)
+    return pi_power_eval(odd_square_image(expr), dps)

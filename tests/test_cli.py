@@ -350,25 +350,27 @@ class TestVerify:
         assert_usage_error(*run_cli(capsys, "verify", "--suite", "symmetric", "--num-vars", "10"))
 
     def test_symmetric_spot_values_are_pinned(self):
-        # The printed values of the 12 specialization spots at the suite's
-        # defaults (20 000 variables, 30 digits), so a drift in the
-        # fixed-point evaluation shows, not only a flipped verdict.
-        spots = {c["id"]: (c["actual"], c["pass"]) for c in run_suite("symmetric")["cases"]
-                 if c["id"].startswith("specialize ")}
-        assert spots == {
-            "specialize e_1": ("1.23368805013617", True),
-            "specialize h_1": ("1.23368805013617", True),
-            "specialize e_2": ("0.253654086722301", True),
-            "specialize h_2": ("1.26833211832649", True),
-            "specialize e_3": ("0.020860309990889", True),
-            "specialize h_3": ("1.27265647231667", True),
-            "specialize e_4": ("0.000918999501147798", True),
-            "specialize h_4": ("1.27315957234761", True),
-            "specialize N(2,1)": ("1.01467803160419", True),
-            "specialize N(2,2)": ("0.253654086722301", True),
-            "specialize N(3,2)": ("0.25034908568484", True),
-            "specialize N(3,3)": ("0.020860309990889", True),
+        # The 12 specialization spots at the suite's defaults compare exact
+        # values, so both printed sides are the same PiPower, and the
+        # params name no variable count.
+        spots = {c["id"]: (c["params"], c["expected"], c["actual"], c["pass"])
+                 for c in run_suite("symmetric")["cases"] if c["id"].startswith("specialize ")}
+        values = {
+            "e_1": ({"n": 1}, "1/8*pi^2"),
+            "h_1": ({"n": 1}, "1/8*pi^2"),
+            "e_2": ({"n": 2}, "1/384*pi^4"),
+            "h_2": ({"n": 2}, "5/384*pi^4"),
+            "e_3": ({"n": 3}, "1/46080*pi^6"),
+            "h_3": ({"n": 3}, "61/46080*pi^6"),
+            "e_4": ({"n": 4}, "1/10321920*pi^8"),
+            "h_4": ({"n": 4}, "277/2064384*pi^8"),
+            "N(2,1)": ({"n": 2, "d": 1}, "1/96*pi^4"),
+            "N(2,2)": ({"n": 2, "d": 2}, "1/384*pi^4"),
+            "N(3,2)": ({"n": 3, "d": 2}, "1/3840*pi^6"),
+            "N(3,3)": ({"n": 3, "d": 3}, "1/46080*pi^6"),
         }
+        assert spots == {f"specialize {label}": (params, value, value, True)
+                         for label, (params, value) in values.items()}
 
     def test_symmetric_verdicts_ignore_the_ambient_precision(self):
         # Each spot, and each oracle cell, compares |got - want| with its err

@@ -30,7 +30,8 @@ PUBLIC = [
     "T_from_t_values", "T_from_bernoulli", "T_from_euler", "T_table_from_genfunc",
     "coeff_row", "depth_sum_identity", "bernoulli_euler_lhs", "bernoulli_euler_check",
     "SymPoly", "monomial_depth_sum", "check_bivariate_factorization",
-    "check_monomial_expansion", "GenExpr", "monomial_depth_expr", "specialize_odd_squares",
+    "check_monomial_expansion", "GenExpr", "monomial_depth_expr", "odd_square_image",
+    "specialize_odd_squares",
     "DivergentSeriesError", "PrecReal", "TruncationParams", "t_numeric", "T_numeric",
     "pi_power_eval",
     "__version__",
@@ -56,14 +57,15 @@ def test_exact_commands_load_no_numeric_layer():
         import tsums.cli
         for argv in (["table", "--max-n", "8", "--format", "json"],
                      ["coeffs", "--depth", "5"],
-                     ["verify", "--suite", "depth-sum"]):
+                     ["verify", "--suite", "depth-sum"],
+                     ["verify", "--suite", "symmetric"]):
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):
                 assert tsums.cli.main(argv) == 0, argv
             loaded[" ".join(argv)] = [m for m in {NUMERIC!r} if m in sys.modules]
         print(json.dumps(loaded))
     """)
-    assert loaded == {stage: [] for stage in loaded} and len(loaded) == 4
+    assert loaded == {stage: [] for stage in loaded} and len(loaded) == 5
 
 
 def test_start_up_loads_no_dataclasses_inspect_or_mpmath():

@@ -60,18 +60,21 @@ def test_oracle_takes_only_pi_power_from_exact():
     assert tsums.exact._Frozen.__slots__ == ()
 
 
-def test_symfunc_takes_only_prec_real_from_oracle():
-    # Nor does it reuse the exact routes (formulas, series).
-    # _check_dps is the oracle's precision check, which reads no value, and
-    # _index, _at_least and _check_args are plumbing, as for the oracle.
-    # _rational, which turns an int coefficient into a Fraction or refuses
-    # a float, is plumbing too, and so is _over_one_denominator, which
-    # writes given rationals as integers over their lcm and reads no
-    # route's numbers.  _Frozen, the records' base, and _set, which sets a
-    # record's field, are the record plumbing.
-    assert imports("symfunc") == {"exact": {"_index", "_at_least", "_check_args", "_rational",
-                                            "_over_one_denominator", "_Frozen", "_set"},
-                                  "oracle": {"PrecReal", "_check_dps"}}
+def test_symfunc_takes_only_pi_power_eval_from_oracle():
+    # Nor does it reuse the exact routes (formulas, series).  From the
+    # oracle it takes what specialize_odd_squares reads: pi_power_eval and
+    # the precision check _check_dps, which reads no value.  From exact it
+    # takes PiPower, the type of the exact image, and plumbing, as the
+    # oracle does: _index, _at_least and _check_args.  _rational, which
+    # turns an int coefficient into a Fraction or refuses a float, is
+    # plumbing too, and so is _over_one_denominator, which writes given
+    # rationals as integers over their lcm and reads no route's numbers.
+    # _Frozen, the records' base, and _set, which sets a record's field,
+    # are the record plumbing.
+    assert imports("symfunc") == {"exact": {"PiPower", "_index", "_at_least", "_check_args",
+                                            "_rational", "_over_one_denominator", "_Frozen",
+                                            "_set"},
+                                  "oracle": {"pi_power_eval", "_check_dps"}}
     assert tsums.symfunc._check_args is tsums.exact._check_args
     assert tsums.symfunc._rational is tsums.exact._rational
     assert tsums.formulas._over_one_denominator is tsums.exact._over_one_denominator

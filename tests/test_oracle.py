@@ -757,6 +757,16 @@ class TestPiPowerEval:
             with pytest.raises(TypeError):
                 pi_power_eval(t_even(1), dps=dps)
 
+    @pytest.mark.parametrize("dps", [10, 30, 50])
+    def test_err_covers_the_rounding(self, dps):
+        # The stated bound |value| 10**(2-dps) holds against an evaluation
+        # at three times the digits, with that one's own err counted, for
+        # every T(2n,d) with n <= 60.
+        for n in range(1, 61):
+            for d in range(1, n + 1):
+                x = T_from_euler(n, d)
+                assert _within(pi_power_eval(x, dps), pi_power_eval(x, 3 * dps)), (n, d, dps)
+
 
 class TestTruncationParams:
     def test_validation(self):

@@ -1,38 +1,35 @@
-"""Symmetric polynomials, the depth-graded monomial sums, and the numeric
+"""Symmetric polynomials, the depth-graded monomial sums, and the exact
 specialization x_j -> 1/(2j-1)**2."""
 
-import gc
 import itertools
 import math
 import random
 import sys
 import threading
-import tracemalloc
-from array import array
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 import pytest
 
 import tsums.symfunc
+from tsums.exact import PiPower, euler_number, t_even
 from tsums.formulas import T_from_euler, depth_sum_identity, t_all_twos
 from tsums.oracle import pi_power_eval
 from tsums.symfunc import (
     GenExpr,
     SymPoly,
     _expand,
-    _generator_value,
     _is_partition,
     _partitions,
     _partitions_of_length,
-    _power_sum,
     check_bivariate_factorization,
     check_monomial_expansion,
     monomial_depth_expr,
     monomial_depth_sum,
+    odd_square_image,
     specialize_odd_squares,
 )
+from tsums.verify import run_suite
 
 ONE = Fraction(1)
 
@@ -54,7 +51,9 @@ class TestGenerators:
 
     def test_non_partition_keys_rejected(self):
         # A part that is not an int is refused too, even one of integer value.
-        for key in ((1, 2), (1, 0), (1, 1, 1), (2, 1.5), (2.0,), (Fraction(3),), (2, Fraction(1))):
+        # A bool part is refused like a bool index (exact._index).
+        for key in ((1, 2), (1, 0), (1, 1, 1), (2, 1.5), (2.0,), (Fraction(3),), (2, Fraction(1)),
+                    (True,), (2, True), (True, True)):
             with pytest.raises(ValueError, match="is not a partition"):
                 SymPoly(2, {key: ONE})
 
@@ -321,92 +320,143 @@ def test_indices_must_be_integers(call, args, want):
     assert getattr(got, "terms", got) == want
 
 
-def _generator_mpf(kind, j, m, dps):
-    """_generator_value as mpf: its two integers divided by the scale
-    10**(dps+20) at dps+20 digits, the value to nearest and the err rounding
-    up, as specialize_odd_squares converts its sum."""
-    value, err = _generator_value(kind, j, m, dps)
-    scale = 10 ** (dps + 20)
-    with mp.workdps(dps + 20):
-        return mp.fdiv(value, scale), mp.fdiv(err, scale, rounding="u")
+def _mpf(x):
+    """An exact Fraction, or PiPower, as mpf at the working precision."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return _mpf(x.coeff) * mp.pi**x.pi_exp
 
 
 class TestSpecialization:
-    M = 10_000
-    DPS = 25
-
     def test_power_sum_hits_t(self):
-        value, err = _generator_mpf("p", 1, self.M, self.DPS)
-        want = pi_power_eval(t_all_twos(1), self.DPS)
-        assert abs(value - want.value) <= err
+        # p_j = N_{j,1} goes to t(2j), which t_even reads off B_2j.
+        for j in range(1, 31):
+            assert odd_square_image(monomial_depth_expr(j, 1)) == t_even(j), j
 
     def test_elementary_hits_all_twos(self):
-        for n in (1, 2, 3, 4):
-            got = specialize_odd_squares(GenExpr.elem(n), self.M, self.DPS)
-            want = pi_power_eval(t_all_twos(n), self.DPS)
-            assert abs(got.value - want.value) <= got.err, n
+        for n in range(1, 31):
+            assert odd_square_image(GenExpr.elem(n)) == t_all_twos(n), n
 
     def test_complete_hits_depth_sum(self):
-        for n in (1, 2, 3, 4):
-            got = specialize_odd_squares(GenExpr.homog(n), self.M, self.DPS)
-            want = pi_power_eval(depth_sum_identity(n).rhs, self.DPS)
-            assert abs(got.value - want.value) <= got.err, n
+        # eta_l, from the e-recurrence alone, is the depth sum's
+        # |E_2l| / (4**l (2l)!), read off the Euler table.
+        for ell in range(121):
+            want = PiPower(Fraction(abs(euler_number(2 * ell)), 4**ell * math.factorial(2 * ell)),
+                           2 * ell)
+            assert odd_square_image(GenExpr.homog(ell)) == want, ell
+        for n in range(1, 31):
+            assert odd_square_image(GenExpr.homog(n)) == depth_sum_identity(n).rhs, n
 
     def test_degree_one_images_identical(self):
-        a, _ = _generator_mpf("p", 1, self.M, self.DPS)
-        b = specialize_odd_squares(GenExpr.elem(1), self.M, self.DPS)
-        c = specialize_odd_squares(GenExpr.homog(1), self.M, self.DPS)
-        assert a == b.value == c.value
+        want = PiPower(Fraction(1, 8), 2)
+        assert odd_square_image(GenExpr.elem(1)) == odd_square_image(GenExpr.homog(1)) == want
+        assert odd_square_image(monomial_depth_expr(1, 1)) == want
 
     def test_monomial_depth_expr_hits_T(self):
-        for n, d in ((2, 1), (2, 2), (3, 2), (3, 3)):
-            got = specialize_odd_squares(monomial_depth_expr(n, d), self.M, self.DPS)
-            want = pi_power_eval(T_from_euler(n, d), self.DPS)
-            assert abs(got.value - want.value) <= got.err, (n, d)
+        for n in range(1, 41):
+            for d in range(1, n + 1):
+                assert odd_square_image(monomial_depth_expr(n, d)) == T_from_euler(n, d), (n, d)
 
     def test_expression_arithmetic(self):
-        e = GenExpr({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-        got = specialize_odd_squares(e, self.M, self.DPS)
-        want, want_err = _generator_mpf("p", 1, self.M, self.DPS)
-        assert abs(got.value - want) <= got.err + want_err
+        # The image is linear, and a term's image is the product of its
+        # factors' images.
+        half = Fraction(1, 2)
+        assert odd_square_image(GenExpr({(1, 0): half, (0, 1): half})) == t_all_twos(1)
+        got = odd_square_image(GenExpr({(2, 1): 3, (1, 2): Fraction(-1, 5)}))
+        e = [t_all_twos(k).coeff for k in (1, 2)]
+        h = [depth_sum_identity(k).rhs.coeff for k in (1, 2)]
+        assert got == PiPower(3 * e[1] * h[0] - e[0] * h[1] / 5, 6)
+        assert odd_square_image(GenExpr()) == PiPower.zero()
+
+    @pytest.mark.parametrize("terms", [{(0, 0): Fraction(1, 3), (1, 0): 1},
+                                       {(2, 0): 1, (0, 1): 1}, {(3, 1): 1, (1, 2): -1}])
+    def test_inhomogeneous_expression_is_refused(self, terms):
+        # Terms of two degrees have no single power of pi as their image.
+        with pytest.raises(ValueError, match="not homogeneous"):
+            odd_square_image(GenExpr(terms))
+        with pytest.raises(ValueError, match="not homogeneous"):
+            specialize_odd_squares(GenExpr(terms))
+
+    def test_corrupted_epsilon_fails_its_spot_cases(self, monkeypatch):
+        # epsilon_2 doubled before eta grows: the spot cases that read it,
+        # directly or through eta_2.., fail, and the rest pass.
+        real = tsums.symfunc._e_image
+        monkeypatch.setattr(tsums.symfunc, "_e_image", lambda k: real(k) * (1 + (k == 2)))
+        monkeypatch.setattr(tsums.symfunc, "_h_images", (Fraction(1),))
+        failed = [c["id"] for c in run_suite("symmetric", max_n=4)["cases"] if not c["pass"]]
+        assert failed == ["specialize e_2", "specialize h_2", "specialize h_3", "specialize h_4",
+                          "specialize N(2,1)", "specialize N(2,2)", "specialize N(3,2)"]
+
+    def test_concurrent_askers_get_the_same_images(self, monkeypatch):
+        # 8 threads released together on empty tables, each asking for
+        # h_1..h_40 in its own order: the tables are replaced whole, so none
+        # reads a half-grown one.
+        want = {ell: depth_sum_identity(ell).rhs for ell in range(1, 41)}
+        monkeypatch.setattr(tsums.symfunc, "_h_images", (Fraction(1),))
+        count = 8
+        orders = [list(range(1, 41)), list(range(40, 0, -1))]
+        rng = random.Random(27)
+        while len(orders) < count:
+            orders.append(rng.sample(range(1, 41), 40))
+        barrier = threading.Barrier(count)
+        seen = [None] * count
+
+        def worker(i):
+            barrier.wait()
+            seen[i] = {ell: odd_square_image(GenExpr.homog(ell)) for ell in orders[i]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [want] * count
 
     def test_rejects_non_integer_precision(self):
-        # A float dps would sum the power sums in floats and cache them
-        # under a key equal to the integer one.
         with pytest.raises(TypeError):
             specialize_odd_squares(GenExpr.elem(1), 7, 30.0)
         got = specialize_odd_squares(GenExpr.elem(1), 7, 30)
-        exact = _odd_square_values("e", 1, 7)
-        with mp.workdps(50):
-            gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
-        assert gap <= mp.mpf(10) ** -20
+        assert got == pi_power_eval(t_all_twos(1), 30)
 
     @pytest.mark.parametrize("num_vars, dps", [(100.0, 15), (True, 15), (7, True)])
-    def test_rejects_non_integer_sizes_before_any_work(self, num_vars, dps):
-        # Refused before _generator_value caches anything (e_0 included)
-        # and before the power-sum chain moves.
-        before = _generator_value.cache_info().currsize
-        chain = list(tsums.symfunc._chain)
+    def test_rejects_non_integer_sizes_before_any_work(self, monkeypatch, num_vars, dps):
+        # Refused before the image tables grow.
+        monkeypatch.setattr(tsums.symfunc, "_h_images", (Fraction(1),))
+        tsums.symfunc._e_image.cache_clear()
         with pytest.raises(TypeError):
-            specialize_odd_squares(GenExpr.elem(1), num_vars, dps)
-        assert _generator_value.cache_info().currsize == before
-        assert all(a is b for a, b in zip(tsums.symfunc._chain, chain, strict=True))
+            specialize_odd_squares(GenExpr({(1, 2): 1}), num_vars, dps)
+        assert tsums.symfunc._e_image.cache_info().currsize == 0
+        assert tsums.symfunc._h_images == (Fraction(1),)
+
+    def test_num_vars_changes_nothing(self):
+        # The image is the one in infinitely many variables: num_vars is
+        # checked, and then read by nothing.
+        for n, d in ((2, 1), (3, 2), (4, 4)):
+            expr = monomial_depth_expr(n, d)
+            want = pi_power_eval(T_from_euler(n, d), 30)
+            assert {specialize_odd_squares(expr, m, 30) for m in (2, 10, 10**4, 10**12)} == {want}
 
     def test_rounding_allowance_at_lowest_precision(self):
-        # The former blanket allowance 10**(10-dps) made e_1's err 1.0 at
-        # dps = MIN_DPS; the tail bound 1/(2(2M-1)) now dominates it.
+        # At dps = MIN_DPS, e_1's err is pi_power_eval's 10**-8 of the value,
+        # and it covers the distance to pi**2/8.
         got = specialize_odd_squares(GenExpr.elem(1), 10**4, 10)
-        assert got.err < mp.mpf("1e-4")
-        assert abs(got.value - mp.pi**2 / 8) <= got.err
+        assert got.err < mp.mpf("1.3e-8")
+        with mp.workdps(50):
+            assert abs(got.value - mp.pi**2 / 8) <= got.err
 
     def test_caller_context_changes_no_bit(self):
-        # The sum is in integers and converted at its own precision, so the
-        # caller's mpmath context changes no bit of a value or an err.
+        # The image is exact and pi_power_eval works at its own precision,
+        # so the caller's mpmath context changes no bit of a value or an err.
         exprs = [GenExpr.elem(3), GenExpr.homog(4), monomial_depth_expr(4, 2),
-                 GenExpr({(0, 0): Fraction(-3, 4)}), GenExpr({(0, 0): Fraction(1, 3), (2, 1): 5})]
+                 GenExpr({(0, 0): Fraction(-3, 4)}), GenExpr({(1, 2): Fraction(1, 3), (2, 1): 5})]
 
         def images():
-            _generator_value.cache_clear()
             return [(got.value._mpf_, got.err._mpf_)
                     for got in (specialize_odd_squares(e, 2000, 30) for e in exprs)]
 
@@ -418,8 +468,7 @@ class TestSpecialization:
 
     @pytest.mark.parametrize("dps", [5, -30])
     def test_rejects_low_precision(self, dps):
-        # Below MIN_DPS digits is refused, as in the oracle; a negative dps
-        # would make the fixed-point scale a float.
+        # Below MIN_DPS digits is refused, as in the oracle.
         with pytest.raises(ValueError):
             specialize_odd_squares(GenExpr.elem(1), 7, dps)
 
@@ -464,19 +513,18 @@ class TestGenExpr:
     def test_index_zero_term_is_the_constant(self):
         # e_0 = h_0 = 1: the term c e_0 h_0 is c, exactly and in any m.
         c = Fraction(-3, 4)
-        got = specialize_odd_squares(GenExpr({(0, 0): c}), 7, 30)
-        assert got.value == mp.mpf(-0.75) and got.err == 0
+        assert odd_square_image(GenExpr({(0, 0): c})) == PiPower(c, 0)
+        assert specialize_odd_squares(GenExpr({(0, 0): c}), 7, 30).value == mp.mpf(-0.75)
         assert _expand(GenExpr({(0, 0): c}), 3).terms == {(): c}
 
     def test_err_covers_final_roundings(self):
-        # 1/3 has no binary float: the rounding of the final sum must be in
-        # err, alone and next to a generator term.
+        # 1/3 has no binary float: the rounding of the value must be in err,
+        # alone and with a power of pi.
         third = Fraction(1, 3)
-        for terms in ({(0, 0): third}, {(0, 0): third, (1, 0): 1}):
+        for terms in ({(0, 0): third}, {(1, 0): third, (0, 1): 1}):
             got = specialize_odd_squares(GenExpr(terms), 7, 10)
-            exact = third + (_odd_square_values("e", 1, 7) if (1, 0) in terms else 0)
             with mp.workdps(60):
-                gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
+                gap = abs(got.value - _mpf(odd_square_image(GenExpr(terms))))
                 assert 0 < gap <= got.err, terms
 
 
@@ -494,194 +542,68 @@ def _odd_square_values(kind, j, m):
     return sum((math.prod(c) for c in choose(xs, j)), Fraction(0))
 
 
+
 class TestSpecializationExact:
     """Few variables: the truncated value is exactly computable, and the
-    infinite-variable value must lie within the (large) tail bound."""
+    exact image, the value in infinitely many variables, lies above it by
+    at most the tail bound of the dropped variables."""
 
-    DPS = 30
     KINDS = "peh"
 
     @staticmethod
-    def _truncated_value(kind, j, m, dps):
-        """(value, err) of one generator in m variables: the p_j pass
-        itself, or e_j or h_j through the specialization."""
-        if kind == "p":
-            return _generator_mpf("p", j, m, dps)
-        got = specialize_odd_squares({"e": GenExpr.elem, "h": GenExpr.homog}[kind](j), m, dps)
-        return got.value, got.err
+    def _expr(kind, j):
+        return {"p": lambda j: monomial_depth_expr(j, 1), "e": GenExpr.elem,
+                "h": GenExpr.homog}[kind](j)
 
     @staticmethod
-    def _infinite_value(kind, j, dps):
+    def _tail(kind, j, m):
+        """An exact bound on what the variables past the first m add to p_j,
+        e_j or h_j.  With T = 1/(2(2m-1)) >= sum_{i>m} x_i, the tail adds
+        at most (2m-1)**(1-2j)/(2(2j-1)) to p_j, sum_{r>=1} e_{j-r} T**r/r!
+        to e_j and sum_{r>=1} h_{j-r} T**r to h_j, each e_{j-r} or h_{j-r}
+        over the first m variables."""
         if kind == "p":
-            return pi_power_eval(T_from_euler(j, 1), dps)  # t(2j)
-        if kind == "e":
-            return pi_power_eval(t_all_twos(j), dps)
-        return pi_power_eval(depth_sum_identity(j).rhs, dps)
+            return Fraction(1, 2 * (2 * j - 1) * (2 * m - 1) ** (2 * j - 1))
+        T = Fraction(1, 2 * (2 * m - 1))
+        return sum(_odd_square_values(kind, j - r, m) * T**r
+                   / (math.factorial(r) if kind == "e" else 1) for r in range(1, j + 1))
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_truncated_value_is_exact(self, m):
-        allowance = mp.mpf(10) ** (10 - self.DPS)
+        # The expansion in m variables, evaluated at their odd squares, is
+        # the sum over the monomials themselves: the reference the tail
+        # bounds below start from.
+        xs = [Fraction(1, (2 * i - 1) ** 2) for i in range(1, m + 1)]
         for kind in self.KINDS:
             for j in range(1, 9):
-                value, _ = self._truncated_value(kind, j, m, self.DPS)
-                exact = _odd_square_values(kind, j, m)
-                with mp.workdps(self.DPS + 20):
-                    gap = abs(value - mp.mpf(exact.numerator) / exact.denominator)
-                assert gap <= allowance, (kind, j, m, gap)
-
-    @pytest.mark.parametrize("dps", [10, 30])
-    @pytest.mark.parametrize("m", [2, 5, 9])
-    def test_rounding_within_derived_allowance(self, m, dps):
-        # _generator_value's floors allowance, in ulps of 10**-(dps+20): m
-        # for p_j, 3jm + j for e_j and h_j; it covers the gap to the exact
-        # truncated value and stays below the former 10**(10-dps).
-        for kind in self.KINDS:
-            for j in range(1, 9):
-                value, _ = _generator_mpf(kind, j, m, dps)
-                exact = _odd_square_values(kind, j, m)
-                ulps = m if kind == "p" else 3 * j * m + j
-                assert ulps < 10**30
-                with mp.workdps(dps + 40):
-                    gap = abs(value - mp.mpf(exact.numerator) / exact.denominator)
-                    assert gap <= mp.mpf(ulps) / 10 ** (dps + 20), (kind, j, m, gap)
+                vectors = _exponent_vectors(_expand(self._expr(kind, j), m))
+                got = sum((c * math.prod(x**a for x, a in zip(xs, alpha))
+                           for alpha, c in vectors.items()), Fraction(0))
+                assert got == _odd_square_values(kind, j, m), (kind, j, m)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_infinite_value_within_tail_bound(self, m):
         for kind in self.KINDS:
             for j in range(1, 9):
-                value, err = self._truncated_value(kind, j, m, self.DPS)
-                want = self._infinite_value(kind, j, self.DPS)
-                assert abs(value - want.value) <= err, (kind, j, m)
+                truncated = _odd_square_values(kind, j, m)
+                with mp.workdps(60):
+                    gap = _mpf(odd_square_image(self._expr(kind, j))) - _mpf(truncated)
+                    assert 0 < gap <= _mpf(self._tail(kind, j, m)), (kind, j, m)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_two_factor_terms(self, m):
-        # N_{n,d} mixes e_k h_l products, whose error bound combines two
-        # large tail bounds: the truncated value is still exact, and
-        # T(2n,d) still lies within the reported err.
-        allowance = mp.mpf(10) ** (10 - self.DPS)
+        # N_{n,d} mixes e_k h_l products with signs: its image lies within
+        # sum |c| (t_e (h + t_h) + t_h e) of the truncated value, t_e and
+        # t_h the tail bounds of e_k and h_l.
         for n in range(1, 7):
             for d in range(1, n + 1):
                 expr = monomial_depth_expr(n, d)
-                got = specialize_odd_squares(expr, m, self.DPS)
-                exact = sum(c * _odd_square_values("e", k, m) * _odd_square_values("h", ell, m)
-                            for (k, ell), c in expr.terms.items())
-                with mp.workdps(self.DPS + 20):
-                    gap = abs(got.value - mp.mpf(exact.numerator) / exact.denominator)
-                assert gap <= allowance, (n, d, m, gap)
-                want = pi_power_eval(T_from_euler(n, d), self.DPS)
-                assert abs(got.value - want.value) <= got.err, (n, d, m)
-
-
-@lru_cache(maxsize=None)
-def _direct_power_sum(j, m, dps):
-    """The direct generator pass that the chained one replaced, verbatim:
-    sum_{i<=m} scale // (2i-1)**(2j) with scale = 10**(dps+20)."""
-    scale = 10 ** (dps + 20)
-    return sum(scale // (2 * i - 1) ** (2 * j) for i in range(1, m + 1))
-
-
-class TestChainedPowerSums:
-    """p_j divides the kept quotients of p_{j-1} once more: the same integer
-    as the direct pass, whatever the order of asking.  The sizes straddle the
-    block edge (512) and the one-digit-square edge 2m-1 = 2**15 (m = 16385)."""
-
-    SIZES = (2, 5, 511, 512, 513, 16384, 16385, 20000)
-    DPSES = (10, 30)
-
-    @classmethod
-    def _ask(cls, order):
-        """Every (value, err) of p_j, e_j and h_j, j <= 8, asked in order
-        from an empty cache."""
-        cells = list(itertools.product(cls.SIZES, cls.DPSES))
-        js = range(8, 0, -1) if order == "falling" else range(1, 9)
-        if order == "interleaved":
-            keys = [(kind, j, m, dps) for j in js for m, dps in cells for kind in "peh"]
-        else:
-            keys = [(kind, j, m, dps) for m, dps in cells for j in js for kind in "peh"]
-        _generator_value.cache_clear()
-        return {key: _generator_value(*key) for key in keys}
-
-    @pytest.fixture(scope="class")
-    def rising(self):
-        return self._ask("rising")
-
-    def test_rising_order_matches_the_direct_pass(self, rising):
-        for (kind, j, m, dps), (value, _) in rising.items():
-            if kind == "p":
-                scale = 10 ** (dps + 20)
-                total = _direct_power_sum(j, m, dps)
-                assert _power_sum(j, m, scale) == total, (j, m, dps)
-                assert value == total, (j, m, dps)
-
-    @pytest.mark.parametrize("order", ["falling", "interleaved"])
-    def test_any_order_gives_the_same_values(self, rising, order):
-        # Restarts included; e_j and h_j follow from the p_r, so they agree too.
-        assert self._ask(order) == rising
-
-    def test_interleaved_calls_keep_one_quotient_list(self):
-        self._ask("interleaved")
-        last_m, last_dps = self.SIZES[-1], self.DPSES[-1]
-        (m, scale), j, blocks = tsums.symfunc._chain
-        assert (m, scale, j) == (last_m, 10 ** (last_dps + 20), 8)
-        # One block per 512 indices: the kept squares while 2i-1 < 2**15,
-        # the range of 2i-1 beyond, and the quotients of p_8.
-        bs = [range(2 * lo + 1, 2 * min(lo + 512, m), 2) for lo in range(0, m, 512)]
-        assert [type(d) for d, _ in blocks] == [array if b[-1] < 1 << 15 else range for b in bs]
-        for b, (d, x) in zip(bs, blocks, strict=True):
-            assert list(d) == ([i * i for i in b] if type(d) is array else list(b))
-            assert x == [scale // i ** 16 for i in b]
-        # The first quotient of a chain is scale // 1 = scale at every degree,
-        # so a surviving second chain, flat or in blocks, would show here.
-        scales = {10 ** (dps + 20) for dps in self.DPSES}
-        gc.collect()
-        kept = [x for x in gc.get_objects()
-                if type(x) is list and x and type(x[0]) is int and x[0] in scales]
-        assert len(kept) == 1 and kept[0] is blocks[0][1]
-
-    def test_concurrent_askers_get_the_direct_sums(self):
-        # 8 threads released together, each asking four times for p_1..p_6
-        # at one m in its own order: every restart and extension happens
-        # under the chain's lock, so none reads a half-advanced list.
-        m, dps, count = 4000, 30, 8
-        scale = 10 ** (dps + 20)
-        want = {j: _direct_power_sum(j, m, dps) for j in range(1, 7)}
-        orders = [list(range(1, 7)), list(range(6, 0, -1))]
-        rng = random.Random(27)
-        while len(orders) < count:
-            orders.append(rng.sample(range(1, 7), 6))
-        barrier = threading.Barrier(count)
-        seen = [None] * count
-
-        def worker(i):
-            barrier.wait()
-            seen[i] = [{j: _power_sum(j, m, scale) for j in orders[i]} for _ in range(4)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert seen == [[want] * 4] * count
-
-    def test_no_second_quotient_list_is_built(self):
-        # p_1..p_4 at 20 000 variables: the traced peak stays below 1.5
-        # times one list of the p_1 quotients (the largest of the chain).
-        m, dps = 20_000, 30
-        scale = 10 ** (dps + 20)
-        one_list = sys.getsizeof([0] * m) + sum(
-            sys.getsizeof(scale // (2 * i - 1) ** 2) for i in range(1, m + 1))
-        _generator_value.cache_clear()
-        tracemalloc.start()
-        try:
-            for j in range(1, 5):
-                _generator_value("p", j, m, dps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * one_list, (peak, one_list)
+                truncated = bound = Fraction(0)
+                for (k, ell), c in expr.terms.items():
+                    e, h = _odd_square_values("e", k, m), _odd_square_values("h", ell, m)
+                    t_e, t_h = self._tail("e", k, m), self._tail("h", ell, m)
+                    truncated += c * e * h
+                    bound += abs(c) * (t_e * (h + t_h) + t_h * e)
+                with mp.workdps(60):
+                    gap = _mpf(odd_square_image(expr)) - _mpf(truncated)
+                    assert abs(gap) <= _mpf(bound), (n, d, m)
